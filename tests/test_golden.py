@@ -1,0 +1,100 @@
+"""Golden runs: the exact results of fixed seeded runs.
+
+Each case pins the objective and a sha256 of ``mate`` and ``part_of``. A
+change that claims to leave behaviour alone must keep every case
+bit-identical; re-record a value only for a change meant to alter results,
+and say which and why in CHANGES.md.
+"""
+
+import collections
+import dataclasses
+import hashlib
+import json
+import random
+
+import numpy as np
+import pytest
+
+from pmmwm import FimpParams, HgaParams, InstanceSpec, baseline_ls, generate, solve
+from pmmwm.hga import Individual, evolve
+
+
+def _digest(*lists) -> str:
+    payload = json.dumps([[int(x) for x in values] for values in lists])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _params(seed: int, **kw) -> FimpParams:
+    return FimpParams(rng_seed=seed, hga=HgaParams(pop_size=8, max_generations=12,
+                                                   stall_limit=5), **kw)
+
+
+# (spec, FimpParams overrides, objective, sha256 of mate and part_of)
+SOLVE_CASES = [
+    (InstanceSpec(30, 30, 3, 12, 0.6, "INDEPENDENT", 1000, 11), dict(max_iterations=4),
+     887,
+     "74eabbf998ee7e6f303c09df8ff98375b34cd5c630324dfe6dd2d0b33256ffe2"),
+    (InstanceSpec(30, 36, 5, 7, 0.4, "CONSISTENT", 500, 12), dict(max_iterations=4),
+     617,
+     "27c14416c32e8d02812b056f395ef39bdf2995865ce6b0dc3d14bc13d6c38266"),
+    # tight capacity (n1/m = 2): bans fire and lower the incumbent 401 -> 375
+    (InstanceSpec(32, 32, 16, 2, 0.3, "CONSISTENT", 1000, 21), dict(max_iterations=20),
+     375,
+     "65d278d6e04681bab4acfd31767b691f9cfb00a41a9833a33e544ac0fe950a52"),
+]
+
+BASELINE_CASES = [
+    (InstanceSpec(30, 30, 5, 7, 0.5, "CONSISTENT", 1000, 14), dict(max_iterations=6),
+     1332,
+     "30358103063c95a5882495b9123c284169708a8a2e95c7d8726958331f03af67"),
+    (InstanceSpec(24, 24, 12, 2, 0.3, "CONSISTENT", 1000, 15),
+     dict(max_iterations=10, tenure=4), 439,
+     "d680ee0c28a776d2e8a6cb99fc71f511c1e9db1b5710bc2cb54a1a1385173c65"),
+]
+
+# (weight seed, n, weight range, m, ubar, objective, sha256 of part_of)
+EVOLVE_CASES = [
+    (40, 40, 1000, 4, 12, 5038,
+     "00c27b6bb822df2d79b8cca683650378b5f9b342c50c1739e10f73cb5534587e"),
+    (41, 24, 20, 6, 4, 41,
+     "b7411659bc38f4df70386bff25dad93bcf7cd6acf489f2ae51a658d39311a092"),
+]
+
+
+@pytest.mark.parametrize("spec, overrides, objective, digest", SOLVE_CASES,
+                         ids=["indep", "cons", "tight"])
+def test_solve_golden(spec, overrides, objective, digest):
+    g = generate(spec)
+    sol = solve(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).solution
+    assert (sol.objective, _digest(sol.mate, sol.partition.part_of)) == (objective, digest)
+
+
+@pytest.mark.parametrize("spec, overrides, objective, digest", BASELINE_CASES,
+                         ids=["cons", "tight"])
+def test_baseline_golden(spec, overrides, objective, digest):
+    g = generate(spec)
+    sol = baseline_ls(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).solution
+    assert (sol.objective, _digest(sol.mate, sol.partition.part_of)) == (objective, digest)
+
+
+# evolve has taken the weights both as a list of (u, w) items and as one
+# int64 vector indexed by U-vertex; the cases run unchanged against either.
+_Item = collections.namedtuple("_Item", "u w")
+
+
+def _evolve(weights, m, ubar, params):
+    if "part" in {f.name for f in dataclasses.fields(Individual)}:
+        best = evolve(np.array(weights, dtype=np.int64), m, ubar, params)
+        return best.fitness[0], best.part.tolist()
+    best = evolve([_Item(u, w) for u, w in enumerate(weights)], m, ubar, params)
+    return best.fitness[0], best.assignment.part_of
+
+
+@pytest.mark.parametrize("seed, n, w_max, m, ubar, objective, digest", EVOLVE_CASES,
+                         ids=["wide", "narrow"])
+def test_evolve_golden(seed, n, w_max, m, ubar, objective, digest):
+    rng = random.Random(seed)
+    weights = [rng.randint(1, w_max) for _ in range(n)]
+    params = HgaParams(pop_size=10, max_generations=30, stall_limit=8, rng_seed=seed)
+    found, part_of = _evolve(weights, m, ubar, params)
+    assert (found, _digest(part_of)) == (objective, digest)
