@@ -40,7 +40,7 @@ from .matching import (
     repair_after_unban,
     solve_full,
 )
-from .numpart import WeightedItem, greedy_lpt, kk_multiway, min_max_brute
+from .numpart import greedy_lpt, kk_multiway, min_max_brute
 from .orchestrator import BanList, FimpParams, RunResult, modify_graph, solve
 
 __version__ = "0.1.0"

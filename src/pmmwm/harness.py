@@ -17,6 +17,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InfeasibleInstance, TooLarge
 from .graph import (
     BipartiteGraph,
@@ -24,15 +26,17 @@ from .graph import (
     Solution,
     load_instance,
 )
-from .hga import make_individual, mls_improve
+from .hga import Individual, fitness_of, mls_improve
 from .matching import solve_full
-from .numpart import BRUTE_FORCE_GUARD, WeightedItem, bounded_min_max, greedy_lpt
+from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
 from .orchestrator import (
     BanList,
     FimpParams,
     IterationRecord,
     RunResult,
     RunStats,
+    _age_tenures,
+    _ban_candidates,
     solve,
 )
 
@@ -104,7 +108,8 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
 
     Bans that would destroy feasibility are vetoed using a plain
     perfect-matching check (not charged to match time; only the per-iteration
-    full solves are).
+    full solves are). As in ``solve``, the graph's ban flags are restored on
+    every exit.
     """
     params.validate()
     if m * ubar < g.n1:
@@ -118,78 +123,61 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     vetoed: dict[tuple[int, int], int] = {}
     incumbent: Solution | None = None
     iterations = 0
+    saved_bans = g.banned.copy()
 
-    for it in range(params.max_iterations):
-        elapsed_ms = (time.perf_counter() - t_start) * 1000.0
-        if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
-            break
-        iterations = it + 1
-
-        t0 = time.perf_counter()
-        st = solve_full(g)
-        solve_ms = time.perf_counter() - t0
-        match_time += solve_ms
-
-        if m == 1:
-            incumbent = Solution(mate=[int(v) for v in st.mate_u],
-                                 partition=PartitionAssignment(1, ubar, [0] * g.n1),
-                                 objective=st.total_weight)
-            trace.append(IterationRecord(it, incumbent.objective,
-                                         incumbent.objective, 0,
-                                         solve_ms * 1000.0, 0.0))
-            break
-
-        items = [WeightedItem(u, int(g.weight[u, st.mate_u[u]]))
-                 for u in range(g.n1)]
-        t0 = time.perf_counter()
-        ind = mls_improve(make_individual(greedy_lpt(items, m, ubar), items),
-                          items, ubar, levels=(1,))
-        part_iter = time.perf_counter() - t0
-        part_time += part_iter
-
-        current = Solution(mate=[int(v) for v in st.mate_u],
-                           partition=ind.assignment.copy(),
-                           objective=ind.fitness[0])
-        if incumbent is None or current.objective < incumbent.objective:
-            incumbent = Solution(mate=list(current.mate),
-                                 partition=current.partition.copy(),
-                                 objective=current.objective)
-
-        expired = bans.age()
-        for (u, v) in expired:
-            g.unban_edge(u, v)
-        expired_veto = []
-        for edge in sorted(vetoed):
-            vetoed[edge] -= 1
-            if vetoed[edge] <= 0:
-                expired_veto.append(edge)
-        for edge in expired_veto:
-            del vetoed[edge]
-
-        sums = [0] * m
-        for u in range(g.n1):
-            sums[current.partition.part_of[u]] += int(g.weight[u, current.mate[u]])
-        heaviest = sums.index(max(sums))
-        candidates = sorted(
-            (u for u in range(g.n1) if current.partition.part_of[u] == heaviest),
-            key=lambda u: (-int(g.weight[u, current.mate[u]]), u))
-        for u in candidates:
-            v = current.mate[u]
-            if (u, v) in vetoed or (u, v) in bans.entries:
-                continue
-            g.ban_edge(u, v)
-            if g.has_perfect_matching():
-                bans.entries[(u, v)] = params.tenure
+    try:
+        for it in range(params.max_iterations):
+            elapsed_ms = (time.perf_counter() - t_start) * 1000.0
+            if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
                 break
-            g.unban_edge(u, v)
-            vetoed[(u, v)] = params.tenure
-        trace.append(IterationRecord(it, current.objective, incumbent.objective,
-                                     len(bans), solve_ms * 1000.0,
-                                     part_iter * 1000.0))
+            iterations = it + 1
 
-    for (u, v) in sorted(bans.entries):
-        g.unban_edge(u, v)
-    bans.entries.clear()
+            t0 = time.perf_counter()
+            st = solve_full(g)
+            solve_ms = time.perf_counter() - t0
+            match_time += solve_ms
+
+            if m == 1:
+                incumbent = Solution(mate=st.mate_u.tolist(),
+                                     partition=PartitionAssignment(1, ubar, [0] * g.n1),
+                                     objective=st.total_weight)
+                trace.append(IterationRecord(it, incumbent.objective,
+                                             incumbent.objective, 0,
+                                             solve_ms * 1000.0, 0.0))
+                break
+
+            w = g.weight[np.arange(g.n1), st.mate_u]
+            t0 = time.perf_counter()
+            part = greedy_lpt(w, m, ubar)
+            ind = mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar, levels=(1,))
+            part_iter = time.perf_counter() - t0
+            part_time += part_iter
+
+            current = Solution(mate=st.mate_u.tolist(),
+                               partition=PartitionAssignment(m, ubar, ind.part.tolist()),
+                               objective=ind.fitness[0])
+            if incumbent is None or current.objective < incumbent.objective:
+                incumbent = current
+
+            for (u, v) in bans.age():
+                g.unban_edge(u, v)
+            _age_tenures(vetoed)
+            for u in _ban_candidates(g, current):
+                v = current.mate[u]
+                if (u, v) in vetoed or (u, v) in bans.entries:
+                    continue
+                g.ban_edge(u, v)
+                if g.has_perfect_matching():
+                    bans.entries[(u, v)] = params.tenure
+                    break
+                g.unban_edge(u, v)
+                vetoed[(u, v)] = params.tenure
+            trace.append(IterationRecord(it, current.objective, incumbent.objective,
+                                         len(bans), solve_ms * 1000.0,
+                                         part_iter * 1000.0))
+    finally:
+        g.banned[:] = saved_bans
+
     wall = (time.perf_counter() - t_start) * 1000.0
     stats = RunStats(params.rng_seed, iterations, wall, match_time * 1000.0,
                      part_time * 1000.0, trace)

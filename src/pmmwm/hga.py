@@ -1,11 +1,13 @@
 """Hybrid genetic algorithm with an elite strategy for the partition stage.
 
-Optimizes a PartitionAssignment for a fixed matching (a fixed weight per
-U-vertex). Fitness is the vector of partition weights sorted descending,
-compared lexicographically: entry 0 is the min-max objective and the deeper
-entries break ties toward better balance, which lets the search escape
-plateaus where only a lighter partition can improve. A strictly smaller
-objective always means strictly smaller fitness, so the ordering is
+Optimizes a partition for a fixed matching. The matched weights are one
+int64 vector ``w`` indexed by U-vertex, and a partition is one int64 array
+``part`` with ``part[u]`` the partition of vertex u; all sums are exact
+integer arithmetic. Fitness is the vector of partition weights sorted
+descending, compared lexicographically: entry 0 is the min-max objective and
+the deeper entries break ties toward better balance, which lets the search
+escape plateaus where only a lighter partition can improve. A strictly
+smaller objective always means strictly smaller fitness, so the ordering is
 consistent with the problem's objective.
 
 Population flow per generation: the best ``elite_count`` individuals survive
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityInfeasible
-from .graph import PartitionAssignment
-from .numpart import WeightedItem, greedy_in_order, greedy_lpt, kk_multiway
+from .numpart import greedy_in_order, greedy_lpt, kk_multiway
 
 
 @dataclass
@@ -47,30 +48,24 @@ class HgaParams:
             raise ValueError("need max_generations >= 0 and stall_limit >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Individual:
-    assignment: PartitionAssignment
+    """A partition ``part`` and its fitness; m is ``len(fitness)``. Compared
+    by identity, since ``part`` is an array."""
+
+    part: np.ndarray
     fitness: tuple[int, ...]
 
 
-def fitness_of(part_of: list[int], weights: list[WeightedItem], m: int) -> tuple[int, ...]:
-    sums = [0] * m
-    for it in weights:
-        sums[part_of[it.u]] += it.w
-    sums.sort(reverse=True)
-    return tuple(sums)
+def _part_sums(part, w: np.ndarray, m: int) -> np.ndarray:
+    sums = np.zeros(m, dtype=np.int64)
+    np.add.at(sums, part, w)
+    return sums
 
 
-def make_individual(assignment: PartitionAssignment,
-                    weights: list[WeightedItem]) -> Individual:
-    return Individual(assignment, fitness_of(assignment.part_of, weights, assignment.m))
-
-
-def _weight_array(weights: list[WeightedItem]) -> np.ndarray:
-    w = np.zeros(len(weights), dtype=np.int64)
-    for it in weights:
-        w[it.u] = it.w
-    return w
+def fitness_of(part, w: np.ndarray, m: int) -> tuple[int, ...]:
+    """Partition sums sorted descending, as Python ints."""
+    return tuple(sorted(_part_sums(part, w, m).tolist(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +174,7 @@ def _l3_two_for_one(part, w, sums, sizes, m, ubar, h) -> bool:
 _LEVEL_FUNCS = {1: _l1_relocate, 2: _l2_swap, 3: _l3_two_for_one}
 
 
-def mls_improve(ind: Individual, weights: list[WeightedItem], ubar: int,
+def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
                 levels: tuple[int, ...] = (1, 2, 3)) -> Individual:
     """Multilevel descent on the heaviest partition (ties: lowest index).
 
@@ -194,16 +189,12 @@ def mls_improve(ind: Individual, weights: list[WeightedItem], ubar: int,
     ``levels`` restricts the neighborhoods (the comparison baseline uses
     ``(1,)`` for a relocation-only descent).
     """
-    m = ind.assignment.m
-    n = len(ind.assignment.part_of)
-    if n == 0 or m == 1:
+    m = len(ind.fitness)
+    if len(ind.part) == 0 or m == 1:
         return ind
-    w = _weight_array(weights)
-    part = np.array(ind.assignment.part_of, dtype=np.int64)
-    sums = np.zeros(m, dtype=np.int64)
-    sizes = np.zeros(m, dtype=np.int64)
-    np.add.at(sums, part, w)
-    np.add.at(sizes, part, 1)
+    part = ind.part.copy()
+    sums = _part_sums(part, w, m)
+    sizes = np.bincount(part, minlength=m)
     funcs = [_LEVEL_FUNCS[lv] for lv in levels]
     moved_any = False
     while True:
@@ -216,16 +207,14 @@ def mls_improve(ind: Individual, weights: list[WeightedItem], ubar: int,
             break
     if not moved_any:
         return ind
-    part_list = [int(k) for k in part]
-    return Individual(PartitionAssignment(m, ubar, part_list),
-                      fitness_of(part_list, weights, m))
+    return Individual(part, fitness_of(part, w, m))
 
 
 # ---------------------------------------------------------------------------
 # Genetic operators
 
-def gpx_crossover(a: Individual, b: Individual, weights: list[WeightedItem],
-                  m: int, ubar: int, rng: random.Random) -> Individual:
+def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
+                  m: int, ubar: int) -> Individual:
     """Greedy partition crossover.
 
     The child is built in m rounds with alternating donors (``a`` first).
@@ -234,46 +223,27 @@ def gpx_crossover(a: Individual, b: Individual, weights: list[WeightedItem],
     ideal share (remaining total / remaining rounds, ties to the lowest
     index) into the next child partition. Leftover items are then placed
     heaviest-first into the lightest partition with spare capacity, so the
-    child is always feasible. The construction itself is deterministic.
+    child is always feasible. The construction is deterministic.
     """
-    n = len(weights)
-    w = _weight_array(weights)
-    parent_parts = []
-    for parent in (a, b):
-        groups: list[list[int]] = [[] for _ in range(m)]
-        for u, k in enumerate(parent.assignment.part_of):
-            groups[k].append(u)
-        parent_parts.append(groups)
-
-    child = [-1] * n
-    unassigned = [True] * n
+    child = np.full(len(w), -1, dtype=np.int64)
+    free = np.ones(len(w), dtype=bool)
     remaining_total = int(w.sum())
     for r in range(m):
-        donor = parent_parts[r % 2]
+        donor = (a, b)[r % 2].part
         rounds_left = m - r
-        best_k = 0
-        best_key = None
-        for k in range(m):
-            wk = sum(int(w[u]) for u in donor[k] if unassigned[u])
-            key = abs(wk * rounds_left - remaining_total)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_k = k
-        for u in donor[best_k]:
-            if unassigned[u]:
-                child[u] = r
-                unassigned[u] = False
-                remaining_total -= int(w[u])
+        restricted = _part_sums(donor[free], w[free], m).tolist()
+        best_k = min(range(m),
+                     key=lambda k: abs(restricted[k] * rounds_left - remaining_total))
+        taken = free & (donor == best_k)
+        child[taken] = r
+        free[taken] = False
+        remaining_total -= int(w[taken].sum())
 
-    sums = [0] * m
-    sizes = [0] * m
-    for u in range(n):
-        if child[u] >= 0:
-            sums[child[u]] += int(w[u])
-            sizes[child[u]] += 1
-    leftovers = sorted((u for u in range(n) if unassigned[u]),
-                       key=lambda u: (-int(w[u]), u))
-    for u in leftovers:
+    placed = ~free
+    sums = _part_sums(child[placed], w[placed], m).tolist()
+    sizes = np.bincount(child[placed], minlength=m).tolist()
+    leftovers = np.flatnonzero(free)
+    for u in leftovers[np.argsort(-w[leftovers], kind="stable")].tolist():
         best = -1
         for k in range(m):
             if sizes[k] < ubar and (best == -1 or sums[k] < sums[best]):
@@ -281,65 +251,66 @@ def gpx_crossover(a: Individual, b: Individual, weights: list[WeightedItem],
         child[u] = best
         sums[best] += int(w[u])
         sizes[best] += 1
-    return Individual(PartitionAssignment(m, ubar, child),
-                      fitness_of(child, weights, m))
+    return Individual(child, fitness_of(child, w, m))
 
 
-def mutate(ind: Individual, weights: list[WeightedItem], ubar: int,
+def mutate(ind: Individual, w: np.ndarray, ubar: int,
            rate: float, rng: random.Random) -> Individual:
     """With probability ``rate`` relocate one uniformly random item to a
     uniformly random different partition with spare capacity (no legal
     target: unchanged). Always feasible."""
     if rate <= 0.0 or rng.random() >= rate:
         return ind
-    m = ind.assignment.m
-    part_of = ind.assignment.part_of
-    u = rng.randrange(len(part_of))
-    cur = part_of[u]
-    sizes = ind.assignment.sizes()
+    m = len(ind.fitness)
+    u = rng.randrange(len(ind.part))
+    cur = ind.part[u]
+    sizes = np.bincount(ind.part, minlength=m)
     targets = [k for k in range(m) if k != cur and sizes[k] < ubar]
     if not targets:
         return ind
-    k = targets[rng.randrange(len(targets))]
-    new_part = list(part_of)
-    new_part[u] = k
-    return Individual(PartitionAssignment(m, ubar, new_part),
-                      fitness_of(new_part, weights, m))
+    part = ind.part.copy()
+    part[u] = targets[rng.randrange(len(targets))]
+    return Individual(part, fitness_of(part, w, m))
 
 
 # ---------------------------------------------------------------------------
 # Population management
 
-def init_population(weights: list[WeightedItem], m: int, ubar: int,
+def init_population(w: np.ndarray, m: int, ubar: int,
                     params: HgaParams, rng: random.Random | None = None) -> list[Individual]:
     """LPT seed, KK seed, then greedy constructions on shuffled item orders,
     each improved by MLS. Random individuals whose fitness duplicates an
     earlier one are re-randomized up to 3 times."""
     if rng is None:
         rng = random.Random(params.rng_seed)
-    if m * ubar < len(weights):
-        raise CapacityInfeasible(
-            f"m*ubar = {m * ubar} cannot hold {len(weights)} items")
+    n = len(w)
+    if m * ubar < n:
+        raise CapacityInfeasible(f"m*ubar = {m * ubar} cannot hold {n} items")
 
-    def random_greedy() -> PartitionAssignment:
-        order = sorted(weights, key=lambda it: it.u)
+    def improved(part: np.ndarray) -> Individual:
+        return mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar)
+
+    def random_greedy() -> np.ndarray:
+        order = list(range(n))
         rng.shuffle(order)
-        return greedy_in_order(order, m, ubar)
+        part = np.empty(n, dtype=np.int64)
+        part[order] = greedy_in_order(w[order], m, ubar)
+        return part
 
     population: list[Individual] = []
     seen: set[tuple[int, ...]] = set()
-    seeds = [greedy_lpt(weights, m, ubar)]
+    seeds = [greedy_lpt(w, m, ubar)]
     if params.pop_size >= 2:
-        seeds.append(kk_multiway(weights, m, ubar))
-    for assignment in seeds:
-        ind = mls_improve(make_individual(assignment, weights), weights, ubar)
+        seeds.append(kk_multiway(w, m, ubar))
+    for part in seeds:
+        ind = improved(part)
         population.append(ind)
         seen.add(ind.fitness)
     while len(population) < params.pop_size:
-        ind = mls_improve(make_individual(random_greedy(), weights), weights, ubar)
+        ind = improved(random_greedy())
         attempts = 0
         while ind.fitness in seen and attempts < 3:
-            ind = mls_improve(make_individual(random_greedy(), weights), weights, ubar)
+            ind = improved(random_greedy())
             attempts += 1
         population.append(ind)
         seen.add(ind.fitness)
@@ -352,24 +323,24 @@ def _tournament(population: list[Individual], rng: random.Random) -> Individual:
     return a if a.fitness <= b.fitness else b
 
 
-def evolve(weights: list[WeightedItem], m: int, ubar: int, params: HgaParams,
-           seed_assignment: PartitionAssignment | None = None,
+def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
+           seed_assignment: np.ndarray | None = None,
            on_generation=None) -> Individual:
     """Run the generational loop and return the best individual ever seen.
 
     ``seed_assignment`` optionally replaces the last random initial
-    individual (warm start between solver iterations). ``on_generation`` is
-    called as ``on_generation(gen, population, incumbent)`` after each
-    generation; the incumbent's fitness is non-increasing across generations
-    because the elite survives verbatim.
+    individual with a given partition (warm start between solver
+    iterations). ``on_generation`` is called as
+    ``on_generation(gen, population, incumbent)`` after each generation; the
+    incumbent's fitness is non-increasing across generations because the
+    elite survives verbatim.
     """
     params.validate()
     rng = random.Random(params.rng_seed)
-    population = init_population(weights, m, ubar, params, rng)
+    population = init_population(w, m, ubar, params, rng)
     if seed_assignment is not None and params.pop_size > 2:
-        injected = mls_improve(make_individual(seed_assignment.copy(), weights),
-                               weights, ubar)
-        population[-1] = injected
+        part = np.array(seed_assignment, dtype=np.int64)
+        population[-1] = mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar)
     best = min(population, key=lambda ind: ind.fitness)
     stall = 0
     for gen in range(params.max_generations):
@@ -380,9 +351,9 @@ def evolve(weights: list[WeightedItem], m: int, ubar: int, params: HgaParams,
         while len(next_pop) < params.pop_size:
             p1 = _tournament(population, rng)
             p2 = _tournament(population, rng)
-            child = gpx_crossover(p1, p2, weights, m, ubar, rng)
-            child = mutate(child, weights, ubar, params.mutation_rate, rng)
-            child = mls_improve(child, weights, ubar)
+            child = gpx_crossover(p1, p2, w, m, ubar)
+            child = mutate(child, w, ubar, params.mutation_rate, rng)
+            child = mls_improve(child, w, ubar)
             next_pop.append(child)
         population = next_pop
         gen_best = min(population, key=lambda ind: ind.fitness)

@@ -15,6 +15,7 @@ Costs per call on an n1 x n2 table:
     solve_full          n1 phases, O(n1^2 * n2)
     repair_after_ban    at most 1 phase, O(n1 * n2)
     repair_after_unban  at most 1 phase, O(n1 * n2)
+    batch_resolve       at most 1 phase per released edge
 
 Absent and banned edges participate as a saturating "infinite" weight; a
 phase whose cheapest reachable free vertex costs that much reports
@@ -216,24 +217,18 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
                   released: set[tuple[int, int]]) -> MatchState:
     """Re-optimize after a set of edges was unbanned in ``g``.
 
-    Small batches (at most n1/4 edges) are handled by sequential incremental
-    repairs in sorted edge order (the eff table lags the graph until each
-    edge's turn, which is sound: the state stays optimal for the
-    partially-restored graph); larger batches trigger one fresh solve. The
-    resulting weight is identical either way.
+    Sequential incremental repairs in sorted edge order, at most one phase
+    per edge (the eff table lags the graph until each edge's turn, which is
+    sound: the state stays optimal for the partially-restored graph).
     """
     edges = sorted(released)
-    if not edges:
-        return st
-    if len(edges) * 4 <= g.n1:
-        for (u, v) in edges:
-            if g.banned[u, v] or not g.has_edge(u, v):
-                raise ValueError(f"batch_resolve: edge ({u}, {v}) is not available")
-            _unban_repair(g, st, u, v)
-        if _checks_enabled():
-            check_invariants(g, st)
-        return st
-    return solve_full(g)
+    for (u, v) in edges:
+        if g.banned[u, v] or not g.has_edge(u, v):
+            raise ValueError(f"batch_resolve: edge ({u}, {v}) is not available")
+        _unban_repair(g, st, u, v)
+    if edges and _checks_enabled():
+        check_invariants(g, st)
+    return st
 
 
 def check_invariants(g: BipartiteGraph, st: MatchState) -> None:

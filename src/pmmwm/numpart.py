@@ -1,79 +1,69 @@
 """Constructive partitioning of a fixed weight vector into m capacity-bounded
 sets minimizing the maximum sum.
 
-Two constructors are provided: longest-processing-time greedy (LPT) and
-multi-way largest-differencing (Karmarkar-Karp), plus an exhaustive solver
-used as the test oracle. Both constructors are deterministic: items of equal
-weight are ordered by U-index and all ties break toward the lowest partition
-index. They seed the genetic algorithm's initial population; neither is an
-exact solver.
+Weights come as one int64 vector ``w`` indexed by U-vertex, and every
+partition is returned as one int64 array ``part`` with ``part[u]`` the
+partition of vertex u. Two constructors are provided: longest-processing-time
+greedy (LPT) and multi-way largest-differencing (Karmarkar-Karp), plus an
+exhaustive solver used as the test oracle. Both constructors are
+deterministic: items of equal weight are ordered by U-index and all ties
+break toward the lowest partition index. They seed the genetic algorithm's
+initial population; neither is an exact solver.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityInfeasible, TooLarge
-from .graph import PartitionAssignment
 
 BRUTE_FORCE_GUARD = 10_000_000
 
 
-@dataclass(frozen=True)
-class WeightedItem:
-    """A U-vertex together with its matched edge weight."""
-
-    u: int
-    w: int
-
-
-def _check_items(items: list[WeightedItem], m: int, ubar: int) -> None:
+def _check_capacity(n: int, m: int, ubar: int) -> None:
     if m < 1 or ubar < 1:
         raise CapacityInfeasible(f"need m >= 1 and ubar >= 1, got m={m} ubar={ubar}")
-    if m * ubar < len(items):
-        raise CapacityInfeasible(
-            f"m*ubar = {m * ubar} cannot hold {len(items)} items")
-    us = sorted(it.u for it in items)
-    if us != list(range(len(items))):
-        raise ValueError("item U-indices must be exactly 0..n-1")
+    if m * ubar < n:
+        raise CapacityInfeasible(f"m*ubar = {m * ubar} cannot hold {n} items")
 
 
-def _empty_assignment(m: int, ubar: int, n: int) -> PartitionAssignment:
-    return PartitionAssignment(m, ubar, [0] * n)
-
-
-def greedy_in_order(items: list[WeightedItem], m: int, ubar: int) -> PartitionAssignment:
-    """Assign items, in the given order, each to the lightest partition with
-    spare capacity (ties: lowest index)."""
-    _check_items(items, m, ubar)
-    part_of = [0] * len(items)
+def greedy_in_order(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
+    """Assign items in index order, each to the lightest partition with spare
+    capacity (ties: lowest index). To place items in another order, pass
+    ``w[order]`` and scatter the result back with ``part[order] = ...``."""
+    _check_capacity(len(w), m, ubar)
+    part = []
     sums = [0] * m
     sizes = [0] * m
-    for it in items:
+    for wi in w.tolist():
         best = -1
         for k in range(m):
             if sizes[k] < ubar and (best == -1 or sums[k] < sums[best]):
                 best = k
-        part_of[it.u] = best
-        sums[best] += it.w
+        part.append(best)
+        sums[best] += wi
         sizes[best] += 1
-    return PartitionAssignment(m, ubar, part_of)
+    return np.array(part, dtype=np.int64)
 
 
-def greedy_lpt(items: list[WeightedItem], m: int, ubar: int) -> PartitionAssignment:
-    """Longest-processing-time greedy: heaviest items placed first."""
-    ordered = sorted(items, key=lambda it: (-it.w, it.u))
-    return greedy_in_order(ordered, m, ubar)
+def greedy_lpt(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
+    """Longest-processing-time greedy: heaviest items placed first (ties:
+    lowest U-index)."""
+    order = np.argsort(-w, kind="stable")
+    part = np.empty(len(w), dtype=np.int64)
+    part[order] = greedy_in_order(w[order], m, ubar)
+    return part
 
 
 class _KKTuple:
-    """A partial m-way split: m disjoint item lists with sums kept sorted
+    """A partial m-way split: m disjoint U-index lists with sums kept sorted
     descending; spread = sums[0] - sums[m-1]."""
 
     __slots__ = ("subsets", "sums")
 
-    def __init__(self, subsets: list[list[WeightedItem]], sums: list[int]):
+    def __init__(self, subsets: list[list[int]], sums: list[int]):
         order = sorted(range(len(sums)), key=lambda i: -sums[i])
         self.subsets = [subsets[i] for i in order]
         self.sums = [sums[i] for i in order]
@@ -90,7 +80,7 @@ def _merge(a: _KKTuple, b: _KKTuple, m: int) -> _KKTuple:
     return _KKTuple(subsets, sums)
 
 
-def kk_multiway(items: list[WeightedItem], m: int, ubar: int) -> PartitionAssignment:
+def kk_multiway(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
     """Multi-way Karmarkar-Karp differencing with a capacity-repair pass.
 
     Classic differencing: every item starts as its own tuple; repeatedly the
@@ -99,19 +89,24 @@ def kk_multiway(items: list[WeightedItem], m: int, ubar: int) -> PartitionAssign
     ignores ubar, so a repair pass then moves the smallest item out of each
     overfull partition into the lightest partition with spare room.
     """
-    _check_items(items, m, ubar)
-    n = len(items)
+    n = len(w)
+    _check_capacity(n, m, ubar)
+    part = np.zeros(n, dtype=np.int64)
     if n == 0:
-        return _empty_assignment(m, ubar, 0)
+        return part
+    ws = w.tolist()
+
+    def by_weight(u: int) -> tuple[int, int]:
+        return ws[u], u
 
     heap: list[tuple[int, int, _KKTuple]] = []
     seq = 0
-    for it in sorted(items, key=lambda x: (-x.w, x.u)):
-        subsets: list[list[WeightedItem]] = [[] for _ in range(m)]
+    for u in sorted(range(n), key=lambda u: (-ws[u], u)):
+        subsets: list[list[int]] = [[] for _ in range(m)]
         sums = [0] * m
-        subsets[0] = [it]
-        sums[0] = it.w
-        heapq.heappush(heap, (-it.w, seq, _KKTuple(subsets, sums)))
+        subsets[0] = [u]
+        sums[0] = ws[u]
+        heapq.heappush(heap, (-ws[u], seq, _KKTuple(subsets, sums)))
         seq += 1
     while len(heap) > 1:
         _, _, a = heapq.heappop(heap)
@@ -121,9 +116,8 @@ def kk_multiway(items: list[WeightedItem], m: int, ubar: int) -> PartitionAssign
         seq += 1
     final = heap[0][2]
 
-    part_of = [0] * n
     sums = list(final.sums)
-    subsets = [sorted(sub, key=lambda it: (it.w, it.u)) for sub in final.subsets]
+    subsets = [sorted(sub, key=by_weight) for sub in final.subsets]
     sizes = [len(sub) for sub in subsets]
     while True:
         over = next((k for k in range(m) if sizes[k] > ubar), None)
@@ -135,15 +129,14 @@ def kk_multiway(items: list[WeightedItem], m: int, ubar: int) -> PartitionAssign
                 target = k
         moved = subsets[over].pop(0)  # smallest item of the overfull partition
         subsets[target].append(moved)
-        subsets[target].sort(key=lambda it: (it.w, it.u))
-        sums[over] -= moved.w
-        sums[target] += moved.w
+        subsets[target].sort(key=by_weight)
+        sums[over] -= ws[moved]
+        sums[target] += ws[moved]
         sizes[over] -= 1
         sizes[target] += 1
     for k in range(m):
-        for it in subsets[k]:
-            part_of[it.u] = k
-    return PartitionAssignment(m, ubar, part_of)
+        part[subsets[k]] = k
+    return part
 
 
 def bounded_min_max(weights: list[int], m: int, ubar: int,
@@ -196,20 +189,16 @@ def bounded_min_max(weights: list[int], m: int, ubar: int,
     return int(best_obj), best_labels
 
 
-def min_max_brute(items: list[WeightedItem], m: int, ubar: int) -> tuple[int, PartitionAssignment]:
+def min_max_brute(w: np.ndarray, m: int, ubar: int) -> tuple[int, np.ndarray]:
     """Exact minimum of the max partition sum by exhaustive enumeration.
 
     Guarded to m**n <= 10**7 labeled assignments; the oracle the heuristic
-    constructors are measured against.
+    constructors are measured against. Returns (objective, part).
     """
-    if m ** len(items) > BRUTE_FORCE_GUARD:
-        raise TooLarge(f"{m}**{len(items)} exceeds enumeration guard")
-    _check_items(items, m, ubar)
-    n = len(items)
-    if n == 0:
-        return 0, _empty_assignment(m, ubar, 0)
-    ws = [0] * n
-    for it in items:
-        ws[it.u] = it.w
-    obj, labels = bounded_min_max(ws, m, ubar)
-    return obj, PartitionAssignment(m, ubar, labels)
+    if m ** len(w) > BRUTE_FORCE_GUARD:
+        raise TooLarge(f"{m}**{len(w)} exceeds enumeration guard")
+    _check_capacity(len(w), m, ubar)
+    if len(w) == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    obj, labels = bounded_min_max(w.tolist(), m, ubar)
+    return obj, np.array(labels, dtype=np.int64)

@@ -7,8 +7,9 @@ iterations, forcing later matchings (repaired incrementally, never re-solved
 from scratch) to route around it. If the current objective drifts more than
 ``recovery_threshold`` above the incumbent, all bans are released at once
 with probability ``recovery_prob``, pulling the search back toward the best
-known region. The incumbent is a deep snapshot of the best (matching,
-partition) pair ever seen and its objective is non-increasing over the run.
+known region. The incumbent is the best (matching, partition) pair ever
+seen, built fresh each iteration and never mutated, and its objective is
+non-increasing over the run.
 
 With m == 1 the problem collapses to plain min-weight perfect matching:
 banning could only worsen the optimum, so the loop exits after iteration 0.
@@ -16,15 +17,17 @@ banning could only worsen the optimum, so the loop exits after iteration 0.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InfeasibleInstance, NoPerfectMatching
-from .graph import BipartiteGraph, PartitionAssignment, Solution
+from .graph import BipartiteGraph, PartitionAssignment, Solution, partition_weights
 from .hga import HgaParams, evolve
 from .matching import MatchState, batch_resolve, repair_after_ban, solve_full
-from .numpart import WeightedItem
 
 
 @dataclass
@@ -48,6 +51,18 @@ class FimpParams:
             raise ValueError("recovery_threshold must be >= 0")
 
 
+def _age_tenures(tenures: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """Decrement every tenure and drop/return the expired edges, sorted."""
+    expired = []
+    for edge in sorted(tenures):
+        tenures[edge] -= 1
+        if tenures[edge] <= 0:
+            expired.append(edge)
+    for edge in expired:
+        del tenures[edge]
+    return expired
+
+
 class BanList:
     """Banned edges with remaining tenure; mirrors the graph's ban flags."""
 
@@ -59,14 +74,7 @@ class BanList:
 
     def age(self) -> list[tuple[int, int]]:
         """Decrement every tenure and drop/return the expired edges."""
-        expired = []
-        for edge in sorted(self.entries):
-            self.entries[edge] -= 1
-            if self.entries[edge] <= 0:
-                expired.append(edge)
-        for edge in expired:
-            del self.entries[edge]
-        return expired
+        return _age_tenures(self.entries)
 
 
 @dataclass
@@ -95,8 +103,14 @@ class RunResult:
     stats: RunStats
 
 
-def _matched_items(g: BipartiteGraph, st: MatchState) -> list[WeightedItem]:
-    return [WeightedItem(u, int(g.weight[u, st.mate_u[u]])) for u in range(g.n1)]
+def _ban_candidates(g: BipartiteGraph, sol: Solution) -> list[int]:
+    """U-vertices of the heaviest partition (ties: lowest index), heaviest
+    matched edge first (ties: lowest U-index)."""
+    sums = partition_weights(g, sol)
+    heaviest = sums.index(max(sums))
+    part_of, mate = sol.partition.part_of, sol.mate
+    return sorted((u for u in range(g.n1) if part_of[u] == heaviest),
+                  key=lambda u: (-int(g.weight[u, mate[u]]), u))
 
 
 def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
@@ -117,13 +131,7 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
     for (u, v) in expired:
         g.unban_edge(u, v)
     st = batch_resolve(g, st, set(expired))
-    expired_veto = []
-    for edge in sorted(vetoed):
-        vetoed[edge] -= 1
-        if vetoed[edge] <= 0:
-            expired_veto.append(edge)
-    for edge in expired_veto:
-        del vetoed[edge]
+    _age_tenures(vetoed)
 
     current = sol.objective
     if incumbent_objective > 0:
@@ -138,14 +146,7 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
             bans.entries.clear()
             return batch_resolve(g, st, set(release))
 
-    sums = [0] * sol.partition.m
-    for u in range(g.n1):
-        sums[sol.partition.part_of[u]] += int(g.weight[u, sol.mate[u]])
-    heaviest = sums.index(max(sums))
-    candidates = sorted(
-        (u for u in range(g.n1) if sol.partition.part_of[u] == heaviest),
-        key=lambda u: (-int(g.weight[u, sol.mate[u]]), u))
-    for u in candidates:
+    for u in _ban_candidates(g, sol):
         v = sol.mate[u]
         if (u, v) in vetoed or (u, v) in bans.entries:
             continue
@@ -164,9 +165,9 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
 def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult:
     """Run the full iterative solver and return the incumbent plus statistics.
 
-    The graph's ban flags are scratch state for the run: they are cleared
-    before returning, so the reported solution validates against the pristine
-    instance.
+    The graph's ban flags are scratch state for the run: they are restored
+    on every exit, an exception included, so the reported solution validates
+    against the pristine instance.
     """
     params.validate()
     if m * ubar < g.n1:
@@ -195,61 +196,52 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     vetoed: dict[tuple[int, int], int] = {}
     incumbent: Solution | None = None
     prev_mate: list[int] | None = None
-    prev_part: PartitionAssignment | None = None
+    prev_part: np.ndarray | None = None
     iterations = 0
     pending_match = match_time  # iteration 0 charges the initial full solve
+    saved_bans = g.banned.copy()
 
-    for it in range(params.max_iterations):
-        elapsed_ms = (time.perf_counter() - t_start) * 1000.0
-        if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
-            break
-        iterations = it + 1
+    try:
+        for it in range(params.max_iterations):
+            elapsed_ms = (time.perf_counter() - t_start) * 1000.0
+            if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
+                break
+            iterations = it + 1
 
-        warm = None
-        mate_now = [int(v) for v in st.mate_u]
-        if prev_mate is not None and prev_part is not None:
-            changed = sum(1 for a, b in zip(prev_mate, mate_now) if a != b)
-            if changed <= 2:
-                warm = prev_part
+            warm = None
+            mate_now = st.mate_u.tolist()
+            if prev_mate is not None:
+                changed = sum(1 for a, b in zip(prev_mate, mate_now) if a != b)
+                if changed <= 2:
+                    warm = prev_part
 
-        items = _matched_items(g, st)
-        hga_params = HgaParams(
-            pop_size=params.hga.pop_size,
-            max_generations=params.hga.max_generations,
-            stall_limit=params.hga.stall_limit,
-            mutation_rate=params.hga.mutation_rate,
-            elite_count=params.hga.elite_count,
-            rng_seed=rng.getrandbits(63),
-        )
-        t0 = time.perf_counter()
-        best_ind = evolve(items, m, ubar, hga_params, seed_assignment=warm)
-        hga_iter = time.perf_counter() - t0
-        hga_time += hga_iter
+            w = g.weight[np.arange(g.n1), st.mate_u]
+            hga_params = dataclasses.replace(params.hga, rng_seed=rng.getrandbits(63))
+            t0 = time.perf_counter()
+            best_ind = evolve(w, m, ubar, hga_params, seed_assignment=warm)
+            hga_iter = time.perf_counter() - t0
+            hga_time += hga_iter
 
-        current = Solution(mate=mate_now,
-                           partition=best_ind.assignment.copy(),
-                           objective=best_ind.fitness[0])
-        if incumbent is None or current.objective < incumbent.objective:
-            incumbent = Solution(mate=list(current.mate),
-                                 partition=current.partition.copy(),
-                                 objective=current.objective)
-        prev_mate = mate_now
-        prev_part = best_ind.assignment
+            current = Solution(mate=mate_now,
+                               partition=PartitionAssignment(m, ubar, best_ind.part.tolist()),
+                               objective=best_ind.fitness[0])
+            if incumbent is None or current.objective < incumbent.objective:
+                incumbent = current
+            prev_mate = mate_now
+            prev_part = best_ind.part
 
-        t0 = time.perf_counter()
-        st = modify_graph(g, st, current, incumbent.objective, bans, vetoed,
-                          params, rng)
-        repair_iter = time.perf_counter() - t0
-        match_time += repair_iter
-        trace.append(IterationRecord(it, current.objective, incumbent.objective,
-                                     len(bans),
-                                     (pending_match + repair_iter) * 1000.0,
-                                     hga_iter * 1000.0))
-        pending_match = 0.0
-
-    for (u, v) in sorted(bans.entries):
-        g.unban_edge(u, v)
-    bans.entries.clear()
+            t0 = time.perf_counter()
+            st = modify_graph(g, st, current, incumbent.objective, bans, vetoed,
+                              params, rng)
+            repair_iter = time.perf_counter() - t0
+            match_time += repair_iter
+            trace.append(IterationRecord(it, current.objective, incumbent.objective,
+                                         len(bans),
+                                         (pending_match + repair_iter) * 1000.0,
+                                         hga_iter * 1000.0))
+            pending_match = 0.0
+    finally:
+        g.banned[:] = saved_bans
 
     wall = (time.perf_counter() - t_start) * 1000.0
     stats = RunStats(params.rng_seed, iterations, wall, match_time * 1000.0,

@@ -97,7 +97,7 @@ def improving_neighbor_exists(part_of, weights, m: int, ubar: int) -> bool:
     """True if any single relocation, swap, or 2-for-1 exchange from the
     heaviest partition lexicographically lowers the sorted weight vector."""
     n = len(part_of)
-    w = {it.u: it.w for it in weights}
+    w = [int(x) for x in weights]
     sums = [0] * m
     sizes = [0] * m
     for u in range(n):

@@ -12,14 +12,16 @@ import random
 import statistics
 import time
 
+import numpy as np
+
 from pmmwm.cli import main as cli_main
 from pmmwm.errors import NoPerfectMatching
 from pmmwm.graph import Solution, load_solution, save_instance, validate_solution
 from pmmwm.harness import baseline_ls, exact_oracle
-from pmmwm.hga import HgaParams, evolve, make_individual, mls_improve
+from pmmwm.hga import HgaParams, Individual, evolve, fitness_of, mls_improve
 from pmmwm.instgen import InstanceSpec, generate
 from pmmwm.matching import check_invariants, repair_after_ban, repair_after_unban, solve_full
-from pmmwm.numpart import WeightedItem, bounded_min_max, greedy_lpt, kk_multiway
+from pmmwm.numpart import bounded_min_max, greedy_lpt, kk_multiway
 from pmmwm.orchestrator import FimpParams, solve
 
 from conftest import (
@@ -160,11 +162,11 @@ def test_criterion_5_hga_optimality_small():
     hits = 0
     worst = 0.0
     for seed in range(100):
-        items = [WeightedItem(u, rng.randint(1, 100)) for u in range(8)]
+        items = np.array([rng.randint(1, 100) for u in range(8)], dtype=np.int64)
         t0 = time.perf_counter()
         best = evolve(items, 3, 3, HgaParams(rng_seed=seed))
         worst = max(worst, time.perf_counter() - t0)
-        opt = bounded_min_max([it.w for it in items], 3, 3)[0]
+        opt = bounded_min_max(items.tolist(), 3, 3)[0]
         if best.fitness[0] == opt:
             hits += 1
     ok = hits >= 95 and worst < 1.0
@@ -242,12 +244,12 @@ def test_criterion_8_invariant_suite(tmp_path):
     rng = random.Random(808)
 
     # elitism: every generation's best assignment survives into the next
-    items = [WeightedItem(u, rng.randint(1, 60)) for u in range(10)]
+    items = np.array([rng.randint(1, 60) for u in range(10)], dtype=np.int64)
     snapshots = []
     evolve(items, 3, 4,
            HgaParams(pop_size=8, max_generations=25, stall_limit=25, rng_seed=8),
            on_generation=lambda g, pop, inc: snapshots.append(
-               ([i.fitness for i in pop], [i.assignment.part_of for i in pop])))
+               ([i.fitness for i in pop], [i.part.tolist() for i in pop])))
     elitism_ok = True
     for prev, cur in zip(snapshots, snapshots[1:]):
         best_idx = prev[0].index(min(prev[0]))
@@ -268,10 +270,11 @@ def test_criterion_8_invariant_suite(tmp_path):
         n = rng.randint(2, 12)
         m = rng.randint(2, 4)
         ubar = rng.randint((n + m - 1) // m, n)
-        its = [WeightedItem(u, rng.randint(1, 99)) for u in range(n)]
-        once = mls_improve(make_individual(greedy_lpt(its, m, ubar), its), its, ubar)
+        its = np.array([rng.randint(1, 99) for u in range(n)], dtype=np.int64)
+        lpt = greedy_lpt(its, m, ubar)
+        once = mls_improve(Individual(lpt, fitness_of(lpt, its, m)), its, ubar)
         twice = mls_improve(once, its, ubar)
-        idempotent_ok &= once.assignment.part_of == twice.assignment.part_of
+        idempotent_ok &= once.part.tolist() == twice.part.tolist()
 
     # validation fuzzing: 1000 corrupted solutions, all flagged
     example = make_example_graph()
@@ -324,14 +327,14 @@ def test_criterion_9_constructor_quality():
     lpt_total = 0
     sound = True
     for _ in range(100):
-        items = [WeightedItem(u, rng.randint(1, 1000)) for u in range(16)]
-        ws = [it.w for it in items]
+        items = np.array([rng.randint(1, 1000) for u in range(16)], dtype=np.int64)
+        ws = items.tolist()
         opt = bounded_min_max(ws, 4, 16)[0]
 
         def objective(pa):
             sums = [0] * 4
-            for it in items:
-                sums[pa.part_of[it.u]] += it.w
+            for u, k in enumerate(pa.tolist()):
+                sums[k] += ws[u]
             return max(sums)
 
         kk = objective(kk_multiway(items, 4, 16))

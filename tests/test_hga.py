@@ -1,29 +1,34 @@
 import random
 
+import numpy as np
 import pytest
 
-from pmmwm.graph import PartitionAssignment
 from pmmwm.hga import (
     HgaParams,
+    Individual,
     evolve,
     fitness_of,
     gpx_crossover,
     init_population,
-    make_individual,
     mls_improve,
     mutate,
 )
-from pmmwm.numpart import WeightedItem, greedy_lpt, kk_multiway, min_max_brute
+from pmmwm.numpart import greedy_lpt, kk_multiway, min_max_brute
 
 from oracles import improving_neighbor_exists
 
 
 def items_of(*weights):
-    return [WeightedItem(u, w) for u, w in enumerate(weights)]
+    return np.array(weights, dtype=np.int64)
 
 
 def individual(part_of, weights, m, ubar):
-    return make_individual(PartitionAssignment(m, ubar, list(part_of)), weights)
+    part = np.array(part_of, dtype=np.int64)
+    return Individual(part, fitness_of(part, weights, m))
+
+
+def sizes_of(part, m):
+    return np.bincount(part, minlength=m).tolist()
 
 
 class TestFitness:
@@ -58,7 +63,7 @@ class TestMls:
         assert ind.fitness == (5, 4, 2)
         improved = mls_improve(ind, items, 3)
         assert improved.fitness[0] == 4
-        assert improved.assignment.part_of == [0, 0, 1, 1, 2, 1]
+        assert improved.part.tolist() == [0, 0, 1, 1, 2, 1]
 
     def test_already_optimal_unchanged(self):
         items = items_of(3, 3, 3)
@@ -73,11 +78,11 @@ class TestMls:
             ubar = rng.randint((n + m - 1) // m, n)
             items = items_of(*[rng.randint(1, 50) for _ in range(n)])
             start = greedy_lpt(items, m, ubar)
-            out = mls_improve(make_individual(start, items), items, ubar)
-            assert out.fitness <= fitness_of(start.part_of, items, m)
-            assert max(out.assignment.sizes()) <= ubar
+            out = mls_improve(individual(start, items, m, ubar), items, ubar)
+            assert out.fitness <= fitness_of(start, items, m)
+            assert max(sizes_of(out.part, m)) <= ubar
             assert not improving_neighbor_exists(
-                out.assignment.part_of, items, m, ubar)
+                out.part.tolist(), items, m, ubar)
 
     def test_idempotent(self):
         rng = random.Random(33)
@@ -93,13 +98,13 @@ class TestMls:
             once = mls_improve(individual(part, items, m, ubar), items, ubar)
             twice = mls_improve(once, items, ubar)
             assert once.fitness == twice.fitness
-            assert once.assignment.part_of == twice.assignment.part_of
+            assert once.part.tolist() == twice.part.tolist()
 
     def test_l1_only_descent_is_weaker_or_equal(self):
         rng = random.Random(8)
         for _ in range(40):
             items = items_of(*[rng.randint(1, 60) for _ in range(12)])
-            start = make_individual(greedy_lpt(items, 3, 12), items)
+            start = individual(greedy_lpt(items, 3, 12), items, 3, 12)
             full = mls_improve(start, items, 12)
             l1 = mls_improve(start, items, 12, levels=(1,))
             assert full.fitness <= l1.fitness
@@ -113,7 +118,7 @@ class TestMls:
         assert l1.fitness == (11, 9)
         full = mls_improve(ind, items, 2)
         assert full.fitness == (10, 10)
-        assert full.assignment.part_of == [1, 0, 1, 0]
+        assert full.part.tolist() == [1, 0, 1, 0]
 
 
 class TestGpx:
@@ -130,12 +135,12 @@ class TestGpx:
                 if max(cand.count(k) for k in range(m)) <= ubar:
                     part = cand
             parent = individual(part, items, m, ubar)
-            child = gpx_crossover(parent, parent, items, m, ubar, rng)
+            child = gpx_crossover(parent, parent, items, m, ubar)
             parent_sets = sorted(
                 (sorted(u for u in range(n) if part[u] == k) for k in range(m)),
                 key=lambda s: (len(s), s))
             child_sets = sorted(
-                (sorted(u for u in range(n) if child.assignment.part_of[u] == k)
+                (sorted(u for u in range(n) if child.part.tolist()[u] == k)
                  for k in range(m)),
                 key=lambda s: (len(s), s))
             assert [s for s in parent_sets if s] == [s for s in child_sets if s]
@@ -148,8 +153,8 @@ class TestGpx:
         items = items_of(9, 8, 3, 3, 2, 1)
         a = individual([0, 1, 0, 1, 0, 1], items, 2, 4)
         b = individual([0, 0, 1, 1, 1, 1], items, 2, 4)
-        child = gpx_crossover(a, b, items, 2, 4, random.Random(0))
-        assert child.assignment.part_of == [0, 1, 0, 1, 0, 1]
+        child = gpx_crossover(a, b, items, 2, 4)
+        assert child.part.tolist() == [0, 1, 0, 1, 0, 1]
         assert child.fitness == (14, 12)
 
     def test_child_always_feasible(self):
@@ -167,11 +172,11 @@ class TestGpx:
                         return individual(cand, items, m, ubar)
 
             child = gpx_crossover(random_feasible(), random_feasible(),
-                                  items, m, ubar, rng)
-            sizes = child.assignment.sizes()
+                                  items, m, ubar)
+            sizes = sizes_of(child.part, m)
             assert max(sizes) <= ubar
-            assert sorted(child.assignment.part_of) != [] or n == 0
-            assert all(0 <= k < m for k in child.assignment.part_of)
+            assert sorted(child.part.tolist()) != [] or n == 0
+            assert all(0 <= k < m for k in child.part.tolist())
 
 
 class TestMutate:
@@ -201,17 +206,18 @@ class TestMutate:
         rng = random.Random(42)
         rng.random()
         u = rng.randrange(2)
-        expected = [1 - ind.assignment.part_of[0], ind.assignment.part_of[1]] \
-            if u == 0 else [ind.assignment.part_of[0], 1 - ind.assignment.part_of[1]]
-        assert out.assignment.part_of == expected
+        before = ind.part.tolist()
+        expected = [1 - before[0], before[1]] \
+            if u == 0 else [before[0], 1 - before[1]]
+        assert out.part.tolist() == expected
 
     def test_always_feasible(self):
         rng = random.Random(3)
         items = items_of(*[rng.randint(1, 9) for _ in range(9)])
-        ind = make_individual(greedy_lpt(items, 3, 3), items)
+        ind = individual(greedy_lpt(items, 3, 3), items, 3, 3)
         for _ in range(200):
             ind = mutate(ind, items, 3, 1.0, rng)
-            assert max(ind.assignment.sizes()) <= 3
+            assert max(sizes_of(ind.part, 3)) <= 3
 
 
 class TestInitPopulation:
@@ -220,8 +226,8 @@ class TestInitPopulation:
         params = HgaParams(pop_size=2, rng_seed=9)
         pop = init_population(items, 2, 5, params)
         assert len(pop) == 2
-        lpt = mls_improve(make_individual(greedy_lpt(items, 2, 5), items), items, 5)
-        kk = mls_improve(make_individual(kk_multiway(items, 2, 5), items), items, 5)
+        lpt = mls_improve(individual(greedy_lpt(items, 2, 5), items, 2, 5), items, 5)
+        kk = mls_improve(individual(kk_multiway(items, 2, 5), items, 2, 5), items, 5)
         assert pop[0].fitness == lpt.fitness
         assert pop[1].fitness == kk.fitness
 
@@ -234,13 +240,13 @@ class TestInitPopulation:
         items = items_of(9, 4, 7, 1, 3, 8, 2)
         a = init_population(items, 3, 3, HgaParams(pop_size=8, rng_seed=77))
         b = init_population(items, 3, 3, HgaParams(pop_size=8, rng_seed=77))
-        assert [i.assignment.part_of for i in a] == [i.assignment.part_of for i in b]
+        assert [i.part.tolist() for i in a] == [i.part.tolist() for i in b]
         assert [i.fitness for i in a] == [i.fitness for i in b]
 
     def test_population_feasible(self):
         items = items_of(9, 4, 7, 1, 3, 8, 2, 6)
         pop = init_population(items, 3, 3, HgaParams(pop_size=10, rng_seed=5))
-        assert all(max(ind.assignment.sizes()) <= 3 for ind in pop)
+        assert all(max(sizes_of(ind.part, 3)) <= 3 for ind in pop)
 
 
 class TestEvolve:
@@ -275,7 +281,7 @@ class TestEvolve:
 
         def watch(gen, population, incumbent):
             fits = [ind.fitness for ind in population]
-            parts = [ind.assignment.part_of for ind in population]
+            parts = [ind.part.tolist() for ind in population]
             seen.append((min(fits), fits, parts, incumbent.fitness))
 
         evolve(items, 3, 4, params, on_generation=watch)
@@ -294,7 +300,7 @@ class TestEvolve:
                            rng_seed=99)
         a = evolve(items, 2, 4, params)
         b = evolve(items, 2, 4, params)
-        assert a.assignment.part_of == b.assignment.part_of
+        assert a.part.tolist() == b.part.tolist()
         assert a.fitness == b.fitness
 
     def test_warm_start_injection(self):

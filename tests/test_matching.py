@@ -243,16 +243,18 @@ class TestBatchResolve:
         st = solve_full(g)
         original = st.total_weight
         bans = []
-        for u in range(4):  # > n1/4, forces the full-solve path
+        for u in range(4):  # half of U: a large batch still repairs edge by edge
             v = int(st.mate_u[u])
             g.ban_edge(u, v)
             st = repair_after_ban(g, st, u, v)
             bans.append((u, v))
         for e in bans:
             g.unban_edge(*e)
+        phases = st.phase_count
         st = batch_resolve(g, st, set(bans))
         check_invariants(g, st)
         assert st.total_weight == original
+        assert st.phase_count - phases <= len(bans)
 
 
 class TestScaling:

@@ -1,10 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from pmmwm.errors import CapacityInfeasible, TooLarge
 from pmmwm.numpart import (
-    WeightedItem,
     greedy_in_order,
     greedy_lpt,
     kk_multiway,
@@ -15,14 +15,18 @@ from oracles import brute_force_partition_min_max
 
 
 def items_of(*weights):
-    return [WeightedItem(u, w) for u, w in enumerate(weights)]
+    return np.array(weights, dtype=np.int64)
 
 
-def sums_of(assignment, items):
-    sums = [0] * assignment.m
-    for it in items:
-        sums[assignment.part_of[it.u]] += it.w
+def sums_of(part, w, m):
+    sums = [0] * m
+    for u, k in enumerate(part.tolist()):
+        sums[k] += int(w[u])
     return sums
+
+
+def sizes_of(part, m):
+    return np.bincount(part, minlength=m).tolist()
 
 
 class TestGreedyLpt:
@@ -32,24 +36,24 @@ class TestGreedyLpt:
         #   5 -> P0 (13,13); 4 -> tie, lowest index -> P0 (17,13)
         items = items_of(8, 7, 6, 5, 4)
         pa = greedy_lpt(items, 2, 5)
-        assert sorted(sums_of(pa, items), reverse=True) == [17, 13]
-        assert pa.part_of == [0, 1, 1, 0, 0]
+        assert sorted(sums_of(pa, items, 2), reverse=True) == [17, 13]
+        assert pa.tolist() == [0, 1, 1, 0, 0]
 
     def test_single_item(self):
         items = items_of(9)
         pa = greedy_lpt(items, 3, 1)
-        assert pa.part_of == [0]
-        assert sums_of(pa, items) == [9, 0, 0]
+        assert pa.tolist() == [0]
+        assert sums_of(pa, items, 3) == [9, 0, 0]
 
     def test_equal_items_balance(self):
         items = items_of(*([1] * 10))
         pa = greedy_lpt(items, 2, 5)
-        assert sums_of(pa, items) == [5, 5]
+        assert sums_of(pa, items, 2) == [5, 5]
 
     def test_capacity_forces_spill(self):
         items = items_of(5, 4, 3)
         pa = greedy_lpt(items, 2, 2)
-        assert max(pa.sizes()) <= 2
+        assert max(sizes_of(pa, 2)) <= 2
 
     def test_capacity_infeasible(self):
         with pytest.raises(CapacityInfeasible):
@@ -59,7 +63,7 @@ class TestGreedyLpt:
         # position order: 1 -> P0 (1,0); 8 -> P1 (1,8); 2 -> P0 (3,8)
         items = items_of(1, 8, 2)
         by_position = greedy_in_order(items, 2, 3)
-        assert by_position.part_of == [0, 1, 0]
+        assert by_position.tolist() == [0, 1, 0]
 
 
 class TestKkMultiway:
@@ -68,7 +72,7 @@ class TestKkMultiway:
         # then [11,8] vs [6,5] -> [16,14]: spread 2.
         items = items_of(8, 7, 6, 5, 4)
         pa = kk_multiway(items, 2, 5)
-        sums = sorted(sums_of(pa, items), reverse=True)
+        sums = sorted(sums_of(pa, items, 2), reverse=True)
         assert sums == [16, 14]
         # KK is suboptimal here; a perfect split exists
         assert brute_force_partition_min_max([8, 7, 6, 5, 4], 2, 5) == 15
@@ -76,19 +80,19 @@ class TestKkMultiway:
     def test_single_item(self):
         items = items_of(6)
         pa = kk_multiway(items, 2, 1)
-        assert sorted(sums_of(pa, items), reverse=True) == [6, 0]
+        assert sorted(sums_of(pa, items, 2), reverse=True) == [6, 0]
 
     def test_forced_bijection(self):
         items = items_of(4, 9, 2)
         pa = kk_multiway(items, 3, 1)
-        assert sorted(pa.part_of) == [0, 1, 2]
-        assert max(sums_of(pa, items)) == 9
+        assert sorted(pa.tolist()) == [0, 1, 2]
+        assert max(sums_of(pa, items, 3)) == 9
 
     def test_capacity_repair_enforced(self):
         # skewed weights make plain differencing stack items on one side
         items = items_of(100, 1, 1, 1, 1, 1)
         pa = kk_multiway(items, 2, 3)
-        assert max(pa.sizes()) <= 3
+        assert max(sizes_of(pa, 2)) <= 3
 
     def test_capacity_infeasible(self):
         with pytest.raises(CapacityInfeasible):
@@ -102,9 +106,9 @@ class TestKkMultiway:
             ubar = rng.randint((n + m - 1) // m, n)
             items = items_of(*[rng.randint(0, 50) for _ in range(n)])
             pa = kk_multiway(items, m, ubar)
-            assert max(pa.sizes()) <= ubar
-            assert sorted(pa.part_of) == sorted(pa.part_of)
-            assert len(pa.part_of) == n
+            assert max(sizes_of(pa, m)) <= ubar
+            assert sorted(pa.tolist()) == sorted(pa.tolist())
+            assert len(pa.tolist()) == n
 
 
 class TestMinMaxBrute:
@@ -112,16 +116,16 @@ class TestMinMaxBrute:
         items = items_of(8, 7, 6, 5, 4)
         obj, pa = min_max_brute(items, 2, 5)
         assert obj == 15
-        assert max(sums_of(pa, items)) == 15
+        assert max(sums_of(pa, items, 2)) == 15
 
     def test_forced(self):
         obj, _ = min_max_brute(items_of(4, 4, 4), 3, 1)
         assert obj == 4
 
     def test_empty(self):
-        obj, pa = min_max_brute([], 2, 1)
+        obj, pa = min_max_brute(items_of(), 2, 1)
         assert obj == 0
-        assert pa.part_of == []
+        assert pa.tolist() == []
 
     def test_guard(self):
         with pytest.raises(TooLarge):
@@ -136,7 +140,7 @@ class TestMinMaxBrute:
             ws = [rng.randint(0, 30) for _ in range(n)]
             obj, pa = min_max_brute(items_of(*ws), m, ubar)
             assert obj == brute_force_partition_min_max(ws, m, ubar)
-            assert max(pa.sizes()) <= ubar
+            assert max(sizes_of(pa, m)) <= ubar
 
 
 class TestQualityProperties:
@@ -147,14 +151,14 @@ class TestQualityProperties:
             m = rng.randint(1, 4)
             ubar = rng.randint((n + m - 1) // m, n)
             items = items_of(*[rng.randint(1, 99) for _ in range(n)])
-            total = sum(it.w for it in items)
-            top = max(it.w for it in items)
+            total = sum(items.tolist())
+            top = max(items.tolist())
             for pa in (greedy_lpt(items, m, ubar), kk_multiway(items, m, ubar)):
-                obj = max(sums_of(pa, items))
+                obj = max(sums_of(pa, items, m))
                 assert obj <= total
                 assert obj >= top
                 assert obj >= -(-total // m)  # ceil(total / m)
-                assert max(pa.sizes()) <= ubar
+                assert max(sizes_of(pa, m)) <= ubar
 
     def test_kk_at_least_brute_and_often_equal(self):
         # Calibrated once against this frozen distribution (12 items, m=3,
@@ -166,7 +170,7 @@ class TestQualityProperties:
         for _ in range(200):
             items = items_of(*[rng.randint(1, 30) for _ in range(12)])
             pa = kk_multiway(items, 3, 12)
-            kk_obj = max(sums_of(pa, items))
+            kk_obj = max(sums_of(pa, items, 3))
             opt, _ = min_max_brute(items, 3, 12)
             assert kk_obj >= opt
             if kk_obj == opt:
@@ -179,6 +183,6 @@ class TestQualityProperties:
         lpt_total = 0
         for _ in range(100):
             items = items_of(*[rng.randint(1, 1000) for _ in range(16)])
-            kk_total += max(sums_of(kk_multiway(items, 4, 16), items))
-            lpt_total += max(sums_of(greedy_lpt(items, 4, 16), items))
+            kk_total += max(sums_of(kk_multiway(items, 4, 16), items, 4))
+            lpt_total += max(sums_of(greedy_lpt(items, 4, 16), items, 4))
         assert kk_total <= lpt_total

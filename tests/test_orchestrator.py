@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pmmwm import harness, orchestrator
 from pmmwm.errors import InfeasibleInstance
 from pmmwm.graph import (
     BipartiteGraph,
@@ -79,6 +80,24 @@ class TestSolve:
                 sums[result.solution.partition.part_of[u]] += \
                     int(g.weight[u, result.solution.mate[u]])
             assert max(sums) == result.solution.objective
+
+    @pytest.mark.parametrize("module, name", [(orchestrator, "evolve"),
+                                              (harness, "mls_improve")],
+                             ids=["solve", "baseline_ls"])
+    def test_ban_flags_restored_when_a_stage_raises(self, monkeypatch, module, name):
+        g = random_dense_graph(8, 8, 2, 5, random.Random(23), density=0.8)
+        real = getattr(module, name)
+
+        def raise_once_banned(*args, **kwargs):
+            if g.banned.any():
+                raise KeyError("stage failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, raise_once_banned)
+        run = solve if module is orchestrator else harness.baseline_ls
+        with pytest.raises(KeyError, match="stage failed"):
+            run(g, 2, 5, small_params(seed=1, iterations=20))
+        assert not g.banned.any()
 
     def test_time_limit_stops_early(self):
         rng = random.Random(31)
