@@ -58,6 +58,11 @@ EVOLVE_CASES = [
      "00c27b6bb822df2d79b8cca683650378b5f9b342c50c1739e10f73cb5534587e"),
     (41, 24, 20, 6, 4, 41,
      "b7411659bc38f4df70386bff25dad93bcf7cd6acf489f2ae51a658d39311a092"),
+    # the benchmark's shapes: groups (n1=200, m=10) and tight (2 items per part)
+    (42, 200, 1000, 10, 24, 9566,
+     "9e39c7dbf0c281e92900cce906c8afa7f6f4d03dc6f1a985eab9408dfca966a7"),
+    (43, 48, 1000, 24, 2, 1092,
+     "3c883c37d2853a2a6bdb8d2c1106f4df9666d7d014dc8d14f457c1e7ddcae13f"),
 ]
 
 
@@ -91,7 +96,7 @@ def _evolve(weights, m, ubar, params):
 
 
 @pytest.mark.parametrize("seed, n, w_max, m, ubar, objective, digest", EVOLVE_CASES,
-                         ids=["wide", "narrow"])
+                         ids=["wide", "narrow", "groups", "tight"])
 def test_evolve_golden(seed, n, w_max, m, ubar, objective, digest):
     rng = random.Random(seed)
     weights = [rng.randint(1, w_max) for _ in range(n)]
