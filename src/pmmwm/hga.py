@@ -71,34 +71,48 @@ def fitness_of(part, w: np.ndarray, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Multilevel local search
 #
-# L2/L3 decide "does this move lower the full sorted fitness vector?" from
-# just the two partitions it touches: with the rest of the multiset fixed,
-# the lexicographic order of the full vectors equals the order of the sorted
-# changed pairs (all other entries cancel out of the comparison). The old
-# pair is (sums[h], sums[k]) with sums[h] the global max.
+# Every move takes weight off the heaviest partition h and puts it on one
+# other partition k, so it changes exactly two sums: (s_h, s_k) becomes
+# (s_h - d, s_k + d) for the net weight d the move shifts. With the rest of
+# the multiset fixed, the lexicographic order of the full sorted vectors
+# equals the order of the sorted changed pairs (all other entries cancel out
+# of the comparison), so a move improves iff (hi, lo) < (s_h, s_k) with
+# hi >= lo the new pair. The pair keeps its total, so hi == s_h forces
+# lo == s_k, and the test is hi < s_h: 0 < d < s_h - s_k. ``_improves``
+# applies it to a whole array of moves at once for all three levels. Each
+# level evaluates its move set with array operations and picks the same move
+# as a scan in the order its docstring gives.
+
+def _improves(s_h, delta: np.ndarray, s_k: np.ndarray) -> np.ndarray:
+    """Mask of the moves that shift ``delta`` from h (sum s_h, the maximum)
+    to partitions with sums ``s_k`` and lower the sorted fitness vector."""
+    return (delta > 0) & (delta < s_h - s_k)
+
 
 def _l1_relocate(part, w, sums, sizes, m, ubar, h) -> bool:
-    """Best-improvement relocation of one item out of the heaviest partition."""
+    """Best-improvement relocation of one item x of h to a partition k != h
+    with room.
+
+    Scan order: x ascending, then k ascending. Of the improving moves the
+    one whose whole sorted sums vector is lexicographically smallest wins;
+    ties go to the first in scan order (a stable lexsort of one sorted row
+    per improving move).
+    """
     h_items = np.flatnonzero(part == h)
-    current = tuple(sorted(sums.tolist(), reverse=True))
-    best_fit = None
-    best_move = None
-    base = sums.tolist()
-    for x in h_items:
-        wx = int(w[x])
-        for k in range(m):
-            if k == h or sizes[k] >= ubar:
-                continue
-            s = list(base)
-            s[h] -= wx
-            s[k] += wx
-            fit = tuple(sorted(s, reverse=True))
-            if fit < current and (best_fit is None or fit < best_fit):
-                best_fit = fit
-                best_move = (int(x), k)
-    if best_move is None:
+    ks = np.flatnonzero((sizes < ubar) & (np.arange(m) != h))
+    improving = _improves(sums[h], w[h_items][:, None], sums[ks][None, :])
+    xi, ki = np.nonzero(improving)
+    if xi.size == 0:
         return False
-    x, k = best_move
+    best = 0
+    if xi.size > 1:
+        rows = np.repeat(sums[None, :], xi.size, axis=0)
+        moved = w[h_items[xi]]
+        rows[:, h] -= moved
+        rows[np.arange(xi.size), ks[ki]] += moved
+        rows = -np.sort(-rows, axis=1)
+        best = np.lexsort(rows.T[::-1])[0]
+    x, k = int(h_items[xi[best]]), int(ks[ki[best]])
     part[x] = k
     sums[h] -= w[x]
     sums[k] += w[x]
@@ -108,66 +122,57 @@ def _l1_relocate(part, w, sums, sizes, m, ubar, h) -> bool:
 
 
 def _l2_swap(part, w, sums, sizes, m, ubar, h) -> bool:
-    """First-improvement swap between the heaviest partition and any other."""
+    """First-improvement swap of an item x of h with an item y outside h.
+
+    Scan order: x ascending, then y ascending (row-major over one
+    |h| x (items outside h) mask).
+    """
     h_items = np.flatnonzero(part == h)
-    s_h = int(sums[h])
-    other = part != h
-    sums_by_item = sums[part]
-    for x in h_items:
-        wx = int(w[x])
-        delta = wx - w
-        new_a = s_h - delta
-        new_b = sums_by_item + delta
-        hi = np.maximum(new_a, new_b)
-        lo = np.minimum(new_a, new_b)
-        improving = other & ((hi < s_h) | ((hi == s_h) & (lo < sums_by_item)))
-        idx = np.flatnonzero(improving)
-        if idx.size:
-            y = int(idx[0])
-            k = int(part[y])
-            part[x] = k
-            part[y] = h
-            sums[h] += w[y] - w[x]
-            sums[k] += w[x] - w[y]
-            return True
-    return False
+    others = np.flatnonzero(part != h)
+    delta = w[h_items][:, None] - w[others][None, :]
+    improving = _improves(sums[h], delta, sums[part[others]][None, :])
+    if not improving.any():
+        return False
+    i, j = divmod(int(np.argmax(improving)), others.size)
+    x, y = int(h_items[i]), int(others[j])
+    k = int(part[y])
+    part[x] = k
+    part[y] = h
+    sums[h] += w[y] - w[x]
+    sums[k] += w[x] - w[y]
+    return True
 
 
 def _l3_two_for_one(part, w, sums, sizes, m, ubar, h) -> bool:
-    """First-improvement exchange of two heaviest-partition items for one."""
+    """First-improvement exchange of two items x1 < x2 of h for one item y
+    of a partition with room.
+
+    Scan order: x1 ascending, then x2 ascending, then y ascending; the loop
+    runs over x1 and each step tests all (x2, y) at once.
+    """
     h_items = np.flatnonzero(part == h)
-    if h_items.size < 2:
+    ys = np.flatnonzero((part != h) & (sizes[part] < ubar))
+    if h_items.size < 2 or ys.size == 0:
         return False
-    s_h = int(sums[h])
-    other = part != h
-    sums_by_item = sums[part]
-    room = other & (sizes[part] < ubar)
-    if not room.any():
-        return False
-    for i in range(len(h_items)):
-        x1 = int(h_items[i])
-        for j in range(i + 1, len(h_items)):
-            x2 = int(h_items[j])
-            wpair = int(w[x1]) + int(w[x2])
-            delta = wpair - w
-            new_a = s_h - delta
-            new_b = sums_by_item + delta
-            hi = np.maximum(new_a, new_b)
-            lo = np.minimum(new_a, new_b)
-            improving = room & ((hi < s_h) | ((hi == s_h) & (lo < sums_by_item)))
-            idx = np.flatnonzero(improving)
-            if idx.size:
-                y = int(idx[0])
-                k = int(part[y])
-                part[x1] = k
-                part[x2] = k
-                part[y] = h
-                moved = wpair - int(w[y])
-                sums[h] -= moved
-                sums[k] += moved
-                sizes[h] -= 1
-                sizes[k] += 1
-                return True
+    s_h = sums[h]
+    w_y = w[ys][None, :]
+    s_k = sums[part[ys]][None, :]
+    for i in range(h_items.size - 1):
+        pair = w[h_items[i]] + w[h_items[i + 1:]]
+        improving = _improves(s_h, pair[:, None] - w_y, s_k)
+        if improving.any():
+            j, yi = divmod(int(np.argmax(improving)), ys.size)
+            x1, x2, y = int(h_items[i]), int(h_items[i + 1 + j]), int(ys[yi])
+            k = int(part[y])
+            part[x1] = k
+            part[x2] = k
+            part[y] = h
+            moved = w[x1] + w[x2] - w[y]
+            sums[h] -= moved
+            sums[k] += moved
+            sizes[h] -= 1
+            sizes[k] += 1
+            return True
     return False
 
 
@@ -184,7 +189,7 @@ def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
     lexicographically lowers the fitness vector; after every improvement the
     descent restarts at level 1 and it stops when the deepest level finds
     nothing. The result is a fixed point: applying mls_improve again returns
-    an equal individual.
+    an equal individual. When no move applies, ``ind`` itself is returned.
 
     ``levels`` restricts the neighborhoods (the comparison baseline uses
     ``(1,)`` for a relocation-only descent).

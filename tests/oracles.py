@@ -141,3 +141,95 @@ def improving_neighbor_exists(part_of, weights, m: int, ubar: int) -> bool:
                     if f is not None and f < base:
                         return True
     return False
+
+
+def mls_reference(part_of, weights, m: int, ubar: int, levels=(1, 2, 3)):
+    """Multilevel local search by its rules alone; returns (part, fitness).
+
+    Every candidate move is judged by rebuilding and sorting the whole
+    weight vector, with no shortcut. The descent works on the heaviest
+    partition h (lowest index on ties) and restarts at the first level after
+    each move; it stops when no level in ``levels`` moves.
+      1: relocate one item of h to a partition k != h with room; the move
+         with the smallest sorted vector wins, ties to the first in
+         (item, k) order.
+      2: swap one item x of h with one item y outside h; the first
+         improving (x, y) in ascending order wins.
+      3: move two items x1 < x2 of h to the partition k of an item y outside
+         h (k with room) and y to h; the first improving (x1, x2, y) wins.
+    """
+    part = list(part_of)
+    w = [int(x) for x in weights]
+    n = len(part)
+    sums = [0] * m
+    sizes = [0] * m
+    for u in range(n):
+        sums[part[u]] += w[u]
+        sizes[part[u]] += 1
+
+    def fitness(s):
+        return tuple(sorted(s, reverse=True))
+
+    def moved_sums(moves):
+        s = list(sums)
+        for u, dst in moves:
+            s[part[u]] -= w[u]
+            s[dst] += w[u]
+        return s
+
+    def apply(moves):
+        for u, dst in moves:
+            sums[part[u]] -= w[u]
+            sizes[part[u]] -= 1
+            sums[dst] += w[u]
+            sizes[dst] += 1
+        for u, dst in moves:
+            part[u] = dst
+
+    def relocate(h, h_items, current):
+        best = None
+        for x in h_items:
+            for k in range(m):
+                if k == h or sizes[k] >= ubar:
+                    continue
+                f = fitness(moved_sums([(x, k)]))
+                if f < current and (best is None or f < best[0]):
+                    best = (f, [(x, k)])
+        if best is None:
+            return False
+        apply(best[1])
+        return True
+
+    def swap(h, h_items, current):
+        for x in h_items:
+            for y in range(n):
+                if part[y] == h:
+                    continue
+                moves = [(x, part[y]), (y, h)]
+                if fitness(moved_sums(moves)) < current:
+                    apply(moves)
+                    return True
+        return False
+
+    def two_for_one(h, h_items, current):
+        for i, x1 in enumerate(h_items):
+            for x2 in h_items[i + 1:]:
+                for y in range(n):
+                    k = part[y]
+                    if k == h or sizes[k] >= ubar:
+                        continue
+                    moves = [(x1, k), (x2, k), (y, h)]
+                    if fitness(moved_sums(moves)) < current:
+                        apply(moves)
+                        return True
+        return False
+
+    rules = {1: relocate, 2: swap, 3: two_for_one}
+    if n and m > 1:
+        while True:
+            h = sums.index(max(sums))
+            h_items = [u for u in range(n) if part[u] == h]
+            current = fitness(sums)
+            if not any(rules[lv](h, h_items, current) for lv in levels):
+                break
+    return part, fitness(sums)

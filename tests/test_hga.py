@@ -15,7 +15,7 @@ from pmmwm.hga import (
 )
 from pmmwm.numpart import greedy_lpt, kk_multiway, min_max_brute
 
-from oracles import improving_neighbor_exists
+from oracles import improving_neighbor_exists, mls_reference
 
 
 def items_of(*weights):
@@ -119,6 +119,44 @@ class TestMls:
         full = mls_improve(ind, items, 2)
         assert full.fitness == (10, 10)
         assert full.part.tolist() == [1, 0, 1, 0]
+
+
+def _mls_case(rng, kind):
+    """One random MLS input of the given kind: (part_of, weights, m, ubar)."""
+    n = rng.randint(1, 14)
+    m = 2 if kind == "m2" else rng.randint(2, 5)
+    if kind == "big":
+        weights = [rng.randint(0, 1 << 40) for _ in range(n)]
+    elif kind == "zeros":
+        weights = [0 if rng.random() < 0.4 else rng.randint(1, 30) for _ in range(n)]
+    elif kind == "all_zero":
+        weights = [0] * n
+    else:
+        weights = [rng.randint(1, 9) for _ in range(n)]
+    lo = -(-n // m)
+    ubar = lo if kind == "full" else rng.randint(lo, n)
+    slots = [k for k in range(m) for _ in range(ubar)]
+    rng.shuffle(slots)
+    return slots[:n], weights, m, ubar
+
+
+class TestMlsAgainstReference:
+    KINDS = ("ties", "big", "zeros", "all_zero", "m2", "full")
+    LEVELS = ((1, 2, 3), (1, 2, 3), (1,), (1, 2), (2, 3), (3,))
+
+    def test_same_moves_as_reference(self):
+        rng = random.Random(2024)
+        for case in range(2400):
+            kind = self.KINDS[case % len(self.KINDS)]
+            levels = self.LEVELS[(case // len(self.KINDS)) % len(self.LEVELS)]
+            part_of, weights, m, ubar = _mls_case(rng, kind)
+            w = items_of(*weights)
+            ind = individual(part_of, w, m, ubar)
+            ref_part, ref_fit = mls_reference(part_of, weights, m, ubar, levels)
+            out = mls_improve(ind, w, ubar, levels=levels)
+            assert (out.part.tolist(), out.fitness) == (ref_part, ref_fit), (case, kind)
+            if ref_part == part_of:
+                assert out is ind
 
 
 class TestGpx:
