@@ -13,6 +13,7 @@ minimizing the heaviest partition's matched weight. The main entry points:
 from .errors import (
     CapacityInfeasible,
     InfeasibleInstance,
+    InvalidSolution,
     NoPerfectMatching,
     ParseError,
     PmmwmError,

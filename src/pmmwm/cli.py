@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .errors import PmmwmError
+from .errors import InvalidSolution, PmmwmError
 from .graph import load_instance, save_solution, solution_to_dict, validate_solution
 from .harness import (
     bench,
@@ -90,7 +90,7 @@ def _cmd_solve(args) -> int:
     sol = result.solution
     violation = validate_solution(g, sol)
     if violation is not None:
-        raise AssertionError(f"solver produced invalid solution: {violation.message}")
+        raise InvalidSolution(f"solver produced invalid solution: {violation.message}")
     if args.json:
         payload = solution_to_dict(g, sol, seed=params.rng_seed,
                                    iterations=result.stats.iterations,

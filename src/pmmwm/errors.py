@@ -46,6 +46,12 @@ class TooLarge(PmmwmError):
     exit_code = 5
 
 
+class InvalidSolution(PmmwmError):
+    """A solver returned a solution that fails ``validate_solution``."""
+
+    exit_code = 7
+
+
 class SpecInvalid(PmmwmError):
     """Instance-generator specification violates its invariants."""
 

@@ -6,8 +6,9 @@ import pytest
 
 from pmmwm.cli import main
 from pmmwm.graph import load_solution, save_instance
+from pmmwm.orchestrator import RunResult, RunStats
 
-from conftest import make_example_graph
+from conftest import example_base_solution, make_example_graph
 
 
 @pytest.fixture
@@ -119,6 +120,18 @@ class TestErrorCodes:
 
     def test_missing_file_io(self, capsys):
         assert run_cli(["solve", "/nonexistent/path.txt"]) == 3
+
+    def test_invalid_solution_exit_7(self, example_file, monkeypatch, capsys):
+        sol = example_base_solution()
+        sol.partition.part_of = [0, 0, 0, 0, 1, 2]   # partition 0 over ubar=3
+
+        def bad_run(g, algo, params):
+            return RunResult(sol, RunStats(params.rng_seed, 0, 0.0, 0.0, 0.0, []))
+
+        monkeypatch.setattr("pmmwm.cli.run_algorithm", bad_run)
+        assert run_cli(["solve", example_file]) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver produced invalid solution: ")
 
 
 class TestBenchAndCompare:
