@@ -41,6 +41,10 @@ SOLVE_CASES = [
     (InstanceSpec(32, 32, 16, 2, 0.3, "CONSISTENT", 1000, 21), dict(max_iterations=20),
      375,
      "65d278d6e04681bab4acfd31767b691f9cfb00a41a9833a33e544ac0fe950a52"),
+    # sparse tight instance: some bans would leave no perfect matching and are vetoed
+    (InstanceSpec(24, 24, 12, 2, 0.15, "CONSISTENT", 1000, 30),
+     dict(max_iterations=12, tenure=4), 605,
+     "bf8c26520e2605acc788a6991e676bea020899379068dbe369524b984bb8cf7c"),
 ]
 
 BASELINE_CASES = [
@@ -50,6 +54,10 @@ BASELINE_CASES = [
     (InstanceSpec(24, 24, 12, 2, 0.3, "CONSISTENT", 1000, 15),
      dict(max_iterations=10, tenure=4), 439,
      "d680ee0c28a776d2e8a6cb99fc71f511c1e9db1b5710bc2cb54a1a1385173c65"),
+    # sparse tight instance: some bans would leave no perfect matching and are vetoed
+    (InstanceSpec(24, 24, 12, 2, 0.15, "CONSISTENT", 1000, 30),
+     dict(max_iterations=12, tenure=4), 605,
+     "bf8c26520e2605acc788a6991e676bea020899379068dbe369524b984bb8cf7c"),
 ]
 
 # (weight seed, n, weight range, m, ubar, objective, sha256 of part_of)
@@ -67,7 +75,7 @@ EVOLVE_CASES = [
 
 
 @pytest.mark.parametrize("spec, overrides, objective, digest", SOLVE_CASES,
-                         ids=["indep", "cons", "tight"])
+                         ids=["indep", "cons", "tight", "veto"])
 def test_solve_golden(spec, overrides, objective, digest):
     g = generate(spec)
     sol = solve(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).solution
@@ -75,7 +83,7 @@ def test_solve_golden(spec, overrides, objective, digest):
 
 
 @pytest.mark.parametrize("spec, overrides, objective, digest", BASELINE_CASES,
-                         ids=["cons", "tight"])
+                         ids=["cons", "tight", "veto"])
 def test_baseline_golden(spec, overrides, objective, digest):
     g = generate(spec)
     sol = baseline_ls(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).solution
@@ -103,3 +111,21 @@ def test_evolve_golden(seed, n, w_max, m, ubar, objective, digest):
     params = HgaParams(pop_size=10, max_generations=30, stall_limit=8, rng_seed=seed)
     found, part_of = _evolve(weights, m, ubar, params)
     assert (found, _digest(part_of)) == (objective, digest)
+
+
+# The veto case ends on its iteration-0 solution, so its final digest alone
+# would miss a change on the ban path; this pins every iteration's objective,
+# incumbent and active ban count as well.
+VETO_TRACES = [
+    (solve, "0fcb530b882d0bf412336ae83bee668fd7fcaa446b2fe0c8c8cefe24ef62fb23"),
+    (baseline_ls, "212c1b40a6dc363fc2c393e9a1e968cd3d2cefcd002154b3d2fbdfb8801f0059"),
+]
+
+
+@pytest.mark.parametrize("run, digest", VETO_TRACES, ids=["solve", "baseline_ls"])
+def test_veto_trace_golden(run, digest):
+    spec, overrides = SOLVE_CASES[-1][:2]
+    g = generate(spec)
+    trace = run(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).stats.trace
+    assert _digest([r.objective for r in trace], [r.incumbent for r in trace],
+                   [r.bans_active for r in trace]) == digest
