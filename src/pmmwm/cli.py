@@ -3,8 +3,7 @@
 Subcommands: ``generate`` (one instance), ``benchmark-gen`` (a benchmark
 group), ``solve`` (run a solver on an instance), ``oracle`` (exact optimum of
 a tiny instance), ``bench`` (batch runs to CSV), ``compare`` (join two bench
-CSVs). Exit codes: 0 ok, 2 usage, 3 parse error, 4 infeasible, 5 oracle
-guard exceeded, 6 I/O error.
+CSVs). README.md's "Exit codes" table lists the exit codes.
 """
 
 from __future__ import annotations

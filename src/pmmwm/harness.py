@@ -3,8 +3,9 @@
 ``exact_oracle`` solves tiny instances to proven optimality by enumerating
 matchings jointly with capacity-feasible partitions; it anchors the
 acceptance tests. ``baseline_ls`` is the deliberately simpler comparison
-solver: the same outer banning loop, but with a full matching re-solve every
-iteration, greedy construction only, and relocation-only local search.
+solver: it runs ``orchestrator.run_loop``, the outer banning loop of
+``solve``, with a full matching re-solve every iteration, greedy
+construction only, relocation-only local search and no recovery.
 ``bench`` runs a directory of instances and emits one CSV row per run;
 ``compare`` joins two such CSVs into a win/tie/loss table.
 """
@@ -12,7 +13,6 @@ iteration, greedy construction only, and relocation-only local search.
 from __future__ import annotations
 
 import csv
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,16 +29,7 @@ from .graph import (
 from .hga import Individual, fitness_of, mls_improve
 from .matching import solve_full
 from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
-from .orchestrator import (
-    BanList,
-    FimpParams,
-    IterationRecord,
-    RunResult,
-    RunStats,
-    _age_tenures,
-    _ban_candidates,
-    solve,
-)
+from .orchestrator import FimpParams, RunResult, age_bans, ban_first, run_loop, solve
 
 ORACLE_MAX_N1 = 8
 
@@ -103,85 +94,34 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
 
 def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
                 params: FimpParams) -> RunResult:
-    """Comparison anchor: full matching re-solve every iteration, greedy
-    construction, relocation-only local search, banning without recovery.
+    """Comparison anchor: ``run_loop`` with a full matching re-solve, greedy
+    construction, relocation-only local search and banning without recovery
+    in each step.
 
     Bans that would destroy feasibility are vetoed using a plain
     perfect-matching check (not charged to match time; only the per-iteration
-    full solves are). As in ``solve``, the graph's ban flags are restored on
-    every exit.
+    full solves are).
     """
-    params.validate()
-    if m * ubar < g.n1:
-        raise InfeasibleInstance(f"m*ubar = {m * ubar} < n1 = {g.n1}")
-    rng = random.Random(params.rng_seed)
-    t_start = time.perf_counter()
-    match_time = 0.0
-    part_time = 0.0
-    trace: list[IterationRecord] = []
-    bans = BanList()
-    vetoed: dict[tuple[int, int], int] = {}
-    incumbent: Solution | None = None
-    iterations = 0
-    saved_bans = g.banned.copy()
+    def step(it, bans, vetoed, keep):
+        t0 = time.perf_counter()
+        st = solve_full(g)
+        match_s = time.perf_counter() - t0
 
-    try:
-        for it in range(params.max_iterations):
-            elapsed_ms = (time.perf_counter() - t_start) * 1000.0
-            if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
-                break
-            iterations = it + 1
+        w = g.weight[np.arange(g.n1), st.mate_u]
+        t0 = time.perf_counter()
+        part = greedy_lpt(w, m, ubar)
+        ind = mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar, levels=(1,))
+        part_s = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            st = solve_full(g)
-            solve_ms = time.perf_counter() - t0
-            match_time += solve_ms
+        current = Solution(mate=st.mate_u.tolist(), objective=ind.fitness[0],
+                           partition=PartitionAssignment(m, ubar, ind.part.tolist()))
+        keep(current)
+        age_bans(g, bans, vetoed)
+        ban_first(g, current, bans, vetoed, params.tenure,
+                  lambda u, v: g.has_perfect_matching())
+        return current, match_s, part_s
 
-            if m == 1:
-                incumbent = Solution(mate=st.mate_u.tolist(),
-                                     partition=PartitionAssignment(1, ubar, [0] * g.n1),
-                                     objective=st.total_weight)
-                trace.append(IterationRecord(it, incumbent.objective,
-                                             incumbent.objective, 0,
-                                             solve_ms * 1000.0, 0.0))
-                break
-
-            w = g.weight[np.arange(g.n1), st.mate_u]
-            t0 = time.perf_counter()
-            part = greedy_lpt(w, m, ubar)
-            ind = mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar, levels=(1,))
-            part_iter = time.perf_counter() - t0
-            part_time += part_iter
-
-            current = Solution(mate=st.mate_u.tolist(),
-                               partition=PartitionAssignment(m, ubar, ind.part.tolist()),
-                               objective=ind.fitness[0])
-            if incumbent is None or current.objective < incumbent.objective:
-                incumbent = current
-
-            for (u, v) in bans.age():
-                g.unban_edge(u, v)
-            _age_tenures(vetoed)
-            for u in _ban_candidates(g, current):
-                v = current.mate[u]
-                if (u, v) in vetoed or (u, v) in bans.entries:
-                    continue
-                g.ban_edge(u, v)
-                if g.has_perfect_matching():
-                    bans.entries[(u, v)] = params.tenure
-                    break
-                g.unban_edge(u, v)
-                vetoed[(u, v)] = params.tenure
-            trace.append(IterationRecord(it, current.objective, incumbent.objective,
-                                         len(bans), solve_ms * 1000.0,
-                                         part_iter * 1000.0))
-    finally:
-        g.banned[:] = saved_bans
-
-    wall = (time.perf_counter() - t_start) * 1000.0
-    stats = RunStats(params.rng_seed, iterations, wall, match_time * 1000.0,
-                     part_time * 1000.0, trace)
-    return RunResult(incumbent, stats)
+    return run_loop(g, m, ubar, params, step)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def _improves(s_h, delta: np.ndarray, s_k: np.ndarray) -> np.ndarray:
     return (delta > 0) & (delta < s_h - s_k)
 
 
-def _l1_relocate(part, w, sums, sizes, m, ubar, h) -> bool:
+def _l1_relocate(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
     """Best-improvement relocation of one item x of h to a partition k != h
     with room.
 
@@ -98,7 +98,6 @@ def _l1_relocate(part, w, sums, sizes, m, ubar, h) -> bool:
     ties go to the first in scan order (a stable lexsort of one sorted row
     per improving move).
     """
-    h_items = np.flatnonzero(part == h)
     ks = np.flatnonzero((sizes < ubar) & (np.arange(m) != h))
     improving = _improves(sums[h], w[h_items][:, None], sums[ks][None, :])
     xi, ki = np.nonzero(improving)
@@ -121,13 +120,12 @@ def _l1_relocate(part, w, sums, sizes, m, ubar, h) -> bool:
     return True
 
 
-def _l2_swap(part, w, sums, sizes, m, ubar, h) -> bool:
+def _l2_swap(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
     """First-improvement swap of an item x of h with an item y outside h.
 
     Scan order: x ascending, then y ascending (row-major over one
     |h| x (items outside h) mask).
     """
-    h_items = np.flatnonzero(part == h)
     others = np.flatnonzero(part != h)
     delta = w[h_items][:, None] - w[others][None, :]
     improving = _improves(sums[h], delta, sums[part[others]][None, :])
@@ -143,14 +141,13 @@ def _l2_swap(part, w, sums, sizes, m, ubar, h) -> bool:
     return True
 
 
-def _l3_two_for_one(part, w, sums, sizes, m, ubar, h) -> bool:
+def _l3_two_for_one(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
     """First-improvement exchange of two items x1 < x2 of h for one item y
     of a partition with room.
 
     Scan order: x1 ascending, then x2 ascending, then y ascending; the loop
     runs over x1 and each step tests all (x2, y) at once.
     """
-    h_items = np.flatnonzero(part == h)
     ys = np.flatnonzero((part != h) & (sizes[part] < ubar))
     if h_items.size < 2 or ys.size == 0:
         return False
@@ -204,8 +201,9 @@ def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
     moved_any = False
     while True:
         h = int(np.argmax(sums))
+        h_items = np.flatnonzero(part == h)  # levels only read part until one moves
         for func in funcs:
-            if func(part, w, sums, sizes, m, ubar, h):
+            if func(part, w, sums, sizes, m, ubar, h, h_items):
                 moved_any = True
                 break
         else:

@@ -11,8 +11,11 @@ known region. The incumbent is the best (matching, partition) pair ever
 seen, built fresh each iteration and never mutated, and its objective is
 non-increasing over the run.
 
-With m == 1 the problem collapses to plain min-weight perfect matching:
-banning could only worsen the optimum, so the loop exits after iteration 0.
+``solve`` and ``harness.baseline_ls`` both run ``run_loop``, which owns the
+checks, the time limit, the incumbent, the trace and the graph's ban flags;
+each supplies only its per-iteration step. With m == 1 the problem collapses
+to plain min-weight perfect matching: banning could only worsen the optimum,
+so ``run_loop`` does one full solve and no step.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import dataclasses
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -103,14 +107,38 @@ class RunResult:
     stats: RunStats
 
 
-def _ban_candidates(g: BipartiteGraph, sol: Solution) -> list[int]:
-    """U-vertices of the heaviest partition (ties: lowest index), heaviest
-    matched edge first (ties: lowest U-index)."""
+def age_bans(g: BipartiteGraph, bans: BanList,
+             vetoed: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """Age every ban and veto by one iteration; unban and return the
+    expired bans."""
+    expired = bans.age()
+    for (u, v) in expired:
+        g.unban_edge(u, v)
+    _age_tenures(vetoed)
+    return expired
+
+
+def ban_first(g: BipartiteGraph, sol: Solution, bans: BanList,
+              vetoed: dict[tuple[int, int], int], tenure: int,
+              feasible: Callable[[int, int], bool]) -> None:
+    """Ban the heaviest matched edge (u, v) of the heaviest partition (ties:
+    lowest partition index, then lowest U-index) that is neither banned nor
+    vetoed and that ``feasible(u, v)`` accepts once banned. A rejected edge is
+    unbanned and vetoed for ``tenure`` iterations; none left: no ban."""
     sums = partition_weights(g, sol)
     heaviest = sums.index(max(sums))
     part_of, mate = sol.partition.part_of, sol.mate
-    return sorted((u for u in range(g.n1) if part_of[u] == heaviest),
-                  key=lambda u: (-int(g.weight[u, mate[u]]), u))
+    for u in sorted((u for u in range(g.n1) if part_of[u] == heaviest),
+                    key=lambda u: (-int(g.weight[u, mate[u]]), u)):
+        v = mate[u]
+        if (u, v) in vetoed or (u, v) in bans.entries:
+            continue
+        g.ban_edge(u, v)
+        if feasible(u, v):
+            bans.entries[(u, v)] = tenure
+            return
+        g.unban_edge(u, v)
+        vetoed[(u, v)] = tenure
 
 
 def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
@@ -119,19 +147,13 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
                  rng: random.Random) -> MatchState:
     """One graph-modification step; returns the (possibly new) match state.
 
-    In order: (i) age tenures and restore expired edges, (ii) if the current
-    objective sits ``recovery_threshold`` above the incumbent, release every
-    ban with probability ``recovery_prob``, (iii) otherwise ban the heaviest
-    matched edge of the heaviest partition (ties: lowest U-index). A ban that
-    would destroy feasibility is vetoed: the edge is restored, marked
-    unbannable for ``tenure`` iterations, and the next-heaviest candidate is
-    tried instead (none left: no ban this iteration).
+    In order: (i) ``age_bans`` and re-match the expired edges, (ii) if the
+    current objective sits ``recovery_threshold`` above the incumbent,
+    release every ban with probability ``recovery_prob``, (iii) otherwise
+    ``ban_first``, where a ban that ``repair_after_ban`` finds leaves no
+    perfect matching is vetoed.
     """
-    expired = bans.age()
-    for (u, v) in expired:
-        g.unban_edge(u, v)
-    st = batch_resolve(g, st, set(expired))
-    _age_tenures(vetoed)
+    st = batch_resolve(g, st, set(age_bans(g, bans, vetoed)))
 
     current = sol.objective
     if incumbent_objective > 0:
@@ -146,104 +168,104 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
             bans.entries.clear()
             return batch_resolve(g, st, set(release))
 
-    for u in _ban_candidates(g, sol):
-        v = sol.mate[u]
-        if (u, v) in vetoed or (u, v) in bans.entries:
-            continue
-        g.ban_edge(u, v)
+    def repaired(u: int, v: int) -> bool:
+        nonlocal st
         try:
             st = repair_after_ban(g, st, u, v)
         except NoPerfectMatching:
-            g.unban_edge(u, v)
-            vetoed[(u, v)] = params.tenure
-            continue
-        bans.entries[(u, v)] = params.tenure
-        break
+            return False
+        return True
+
+    ban_first(g, sol, bans, vetoed, params.tenure, repaired)
     return st
 
 
-def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult:
-    """Run the full iterative solver and return the incumbent plus statistics.
+def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
+             step: Callable) -> RunResult:
+    """The outer match-partition loop of ``solve`` and ``baseline_ls``.
 
-    The graph's ban flags are scratch state for the run: they are restored
-    on every exit, an exception included, so the reported solution validates
-    against the pristine instance.
+    ``step(it, bans, vetoed, keep)`` runs iteration ``it`` and returns its
+    solution with the seconds charged to matching and to partitioning; it may
+    ban edges, and passes the solution to ``keep``, which returns the
+    incumbent after replacing it on strict improvement. The graph's ban flags
+    are restored on every exit, an exception included.
     """
     params.validate()
     if m * ubar < g.n1:
         raise InfeasibleInstance(f"m*ubar = {m * ubar} < n1 = {g.n1}")
-    rng = random.Random(params.rng_seed)
     t_start = time.perf_counter()
-    match_time = 0.0
-    hga_time = 0.0
     trace: list[IterationRecord] = []
-
-    t0 = time.perf_counter()
-    st = solve_full(g)
-    match_time += time.perf_counter() - t0
-
-    if m == 1:
-        sol = Solution(mate=[int(v) for v in st.mate_u],
-                       partition=PartitionAssignment(1, ubar, [0] * g.n1),
-                       objective=st.total_weight)
+    if m == 1:  # plain min-weight perfect matching: banning could only worsen it
+        st = solve_full(g)
+        match_ms = (time.perf_counter() - t_start) * 1000.0
+        sol = Solution(mate=st.mate_u.tolist(), objective=st.total_weight,
+                       partition=PartitionAssignment(1, ubar, [0] * g.n1))
+        trace.append(IterationRecord(0, sol.objective, sol.objective, 0, match_ms, 0.0))
         wall = (time.perf_counter() - t_start) * 1000.0
-        trace.append(IterationRecord(0, sol.objective, sol.objective, 0,
-                                     match_time * 1000.0, 0.0))
-        return RunResult(sol, RunStats(params.rng_seed, 1, wall,
-                                       match_time * 1000.0, 0.0, trace))
+        return RunResult(sol, RunStats(params.rng_seed, 1, wall, match_ms, 0.0, trace))
 
     bans = BanList()
     vetoed: dict[tuple[int, int], int] = {}
     incumbent: Solution | None = None
-    prev_mate: list[int] | None = None
-    prev_part: np.ndarray | None = None
-    iterations = 0
-    pending_match = match_time  # iteration 0 charges the initial full solve
     saved_bans = g.banned.copy()
+
+    def keep(sol: Solution) -> Solution:
+        nonlocal incumbent
+        if incumbent is None or sol.objective < incumbent.objective:
+            incumbent = sol
+        return incumbent
 
     try:
         for it in range(params.max_iterations):
             elapsed_ms = (time.perf_counter() - t_start) * 1000.0
             if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
                 break
-            iterations = it + 1
-
-            warm = None
-            mate_now = st.mate_u.tolist()
-            if prev_mate is not None:
-                changed = sum(1 for a, b in zip(prev_mate, mate_now) if a != b)
-                if changed <= 2:
-                    warm = prev_part
-
-            w = g.weight[np.arange(g.n1), st.mate_u]
-            hga_params = dataclasses.replace(params.hga, rng_seed=rng.getrandbits(63))
-            t0 = time.perf_counter()
-            best_ind = evolve(w, m, ubar, hga_params, seed_assignment=warm)
-            hga_iter = time.perf_counter() - t0
-            hga_time += hga_iter
-
-            current = Solution(mate=mate_now,
-                               partition=PartitionAssignment(m, ubar, best_ind.part.tolist()),
-                               objective=best_ind.fitness[0])
-            if incumbent is None or current.objective < incumbent.objective:
-                incumbent = current
-            prev_mate = mate_now
-            prev_part = best_ind.part
-
-            t0 = time.perf_counter()
-            st = modify_graph(g, st, current, incumbent.objective, bans, vetoed,
-                              params, rng)
-            repair_iter = time.perf_counter() - t0
-            match_time += repair_iter
+            current, match_s, part_s = step(it, bans, vetoed, keep)
             trace.append(IterationRecord(it, current.objective, incumbent.objective,
-                                         len(bans),
-                                         (pending_match + repair_iter) * 1000.0,
-                                         hga_iter * 1000.0))
-            pending_match = 0.0
+                                         len(bans), match_s * 1000.0, part_s * 1000.0))
     finally:
         g.banned[:] = saved_bans
 
     wall = (time.perf_counter() - t_start) * 1000.0
-    stats = RunStats(params.rng_seed, iterations, wall, match_time * 1000.0,
-                     hga_time * 1000.0, trace)
-    return RunResult(incumbent, stats)
+    return RunResult(incumbent, RunStats(params.rng_seed, len(trace), wall,
+                                         sum(r.match_ms for r in trace),
+                                         sum(r.hga_ms for r in trace), trace))
+
+
+def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult:
+    """FIMP-HGA: ``run_loop`` with a step that evolves a partition of the
+    current matching (seeded with the previous one when at most 2 mates
+    changed), then calls ``modify_graph``, which repairs the matching. Only
+    iteration 0 solves it from scratch, and is charged for that."""
+    rng = random.Random(params.rng_seed)
+    st: MatchState | None = None
+    prev_mate: list[int] | None = None
+    prev_part: np.ndarray | None = None
+
+    def step(it, bans, vetoed, keep):
+        nonlocal st, prev_mate, prev_part
+        match_s = 0.0
+        if st is None:
+            t0 = time.perf_counter()
+            st = solve_full(g)
+            match_s = time.perf_counter() - t0
+
+        mate_now = st.mate_u.tolist()
+        warm = None
+        if prev_mate is not None and sum(a != b for a, b in zip(prev_mate, mate_now)) <= 2:
+            warm = prev_part
+        w = g.weight[np.arange(g.n1), st.mate_u]
+        hga_params = dataclasses.replace(params.hga, rng_seed=rng.getrandbits(63))
+        t0 = time.perf_counter()
+        best = evolve(w, m, ubar, hga_params, seed_assignment=warm)
+        hga_s = time.perf_counter() - t0
+
+        current = Solution(mate=mate_now, objective=best.fitness[0],
+                           partition=PartitionAssignment(m, ubar, best.part.tolist()))
+        prev_mate, prev_part = mate_now, best.part
+        t0 = time.perf_counter()
+        st = modify_graph(g, st, current, keep(current).objective, bans, vetoed,
+                          params, rng)
+        return current, match_s + (time.perf_counter() - t0), hga_s
+
+    return run_loop(g, m, ubar, params, step)

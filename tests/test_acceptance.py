@@ -24,7 +24,7 @@ from pmmwm.matching import check_invariants, repair_after_ban, repair_after_unba
 from pmmwm.numpart import bounded_min_max, greedy_lpt, kk_multiway
 from pmmwm.orchestrator import FimpParams, solve
 
-from conftest import (
+from helpers import (
     example_base_solution,
     example_rematched_solution,
     example_relocated_solution,

@@ -8,7 +8,7 @@ from pmmwm.cli import main
 from pmmwm.graph import load_solution, save_instance
 from pmmwm.orchestrator import RunResult, RunStats
 
-from conftest import example_base_solution, make_example_graph
+from helpers import example_base_solution, make_example_graph
 
 
 @pytest.fixture

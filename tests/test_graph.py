@@ -15,7 +15,7 @@ from pmmwm.graph import (
     validate_solution,
 )
 
-from conftest import (
+from helpers import (
     example_base_solution,
     example_rematched_solution,
     example_relocated_solution,

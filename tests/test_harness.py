@@ -19,7 +19,7 @@ from pmmwm.instgen import InstanceSpec, write_instance
 from pmmwm.matching import solve_full
 from pmmwm.orchestrator import FimpParams, solve
 
-from conftest import make_example_graph, random_dense_graph
+from helpers import make_example_graph, random_dense_graph
 from oracles import permutation_first_oracle
 
 

@@ -12,7 +12,7 @@ from pmmwm.matching import (
     solve_full,
 )
 
-from conftest import random_complete_graph, random_dense_graph
+from helpers import random_complete_graph, random_dense_graph
 from oracles import brute_force_min_matching
 
 

@@ -14,7 +14,7 @@ from pmmwm.hga import HgaParams
 from pmmwm.matching import check_invariants, solve_full
 from pmmwm.orchestrator import BanList, FimpParams, modify_graph, solve
 
-from conftest import make_example_graph, random_dense_graph
+from helpers import make_example_graph, random_dense_graph
 
 
 def small_params(seed=0, iterations=25, **kw):
@@ -22,6 +22,10 @@ def small_params(seed=0, iterations=25, **kw):
     defaults = dict(max_iterations=iterations, tenure=5, hga=hga, rng_seed=seed)
     defaults.update(kw)
     return FimpParams(**defaults)
+
+
+both_solvers = pytest.mark.parametrize("run", [solve, harness.baseline_ls],
+                                       ids=["solve", "baseline_ls"])
 
 
 class TestSolve:
@@ -39,10 +43,11 @@ class TestSolve:
         assert result.solution.objective == solve_full(g).total_weight
         assert result.solution.partition.part_of == [0] * 6
 
-    def test_incumbent_objective_non_increasing(self):
+    @both_solvers
+    def test_incumbent_objective_non_increasing(self, run):
         rng = random.Random(5)
         g = random_dense_graph(8, 8, 2, 5, rng, density=0.9)
-        result = solve(g, 2, 5, small_params(seed=3, iterations=30))
+        result = run(g, 2, 5, small_params(seed=3, iterations=30))
         incumbents = [rec.incumbent for rec in result.stats.trace]
         assert incumbents == sorted(incumbents, reverse=True)
         assert result.solution.objective == incumbents[-1]
@@ -64,10 +69,11 @@ class TestSolve:
         with pytest.raises(InfeasibleInstance):
             solve(g, 2, 2, small_params())
 
-    def test_graph_restored_after_run(self):
+    @both_solvers
+    def test_graph_restored_after_run(self, run):
         rng = random.Random(23)
         g = random_dense_graph(8, 8, 2, 5, rng, density=0.8)
-        solve(g, 2, 5, small_params(seed=1, iterations=20))
+        run(g, 2, 5, small_params(seed=1, iterations=20))
         assert not g.banned.any()
 
     def test_solution_objective_matches_reported(self):
@@ -99,11 +105,12 @@ class TestSolve:
             run(g, 2, 5, small_params(seed=1, iterations=20))
         assert not g.banned.any()
 
-    def test_time_limit_stops_early(self):
+    @both_solvers
+    def test_time_limit_stops_early(self, run):
         rng = random.Random(31)
         g = random_dense_graph(10, 10, 3, 4, rng, density=1.0)
-        result = solve(g, 3, 4, small_params(seed=2, iterations=10_000,
-                                             time_limit_ms=200))
+        result = run(g, 3, 4, small_params(seed=2, iterations=10_000,
+                                           time_limit_ms=200))
         assert result.stats.iterations < 10_000
         assert result.solution is not None
 
