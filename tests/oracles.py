@@ -48,6 +48,64 @@ def brute_force_min_matching_mate(g: BipartiteGraph):
     return best, [int(v) for v in perms[idx]]
 
 
+def augment_reference(eff, alpha, beta, mate_u, mate_v, start_u: int,
+                      inf_cutoff: int) -> bool:
+    """One shortest-augmenting-path phase on plain Python lists.
+
+    Rematches the free U-vertex ``start_u`` in place and returns True, or
+    returns False with every list untouched when no free column is reachable
+    at a cost below ``inf_cutoff``. The rules, written out loop by loop:
+    distances start at the reduced costs of row ``start_u``; each step
+    settles the unsettled column of least distance (lowest index on ties),
+    stops at the first free one, and otherwise relaxes every unsettled column
+    through the settled column's mate with a strict ``<``. The dual update
+    then adds ``mu - dist[j]`` to the mate of each settled column j but the
+    last and subtracts it from ``beta[j]`` (``mu`` is the path cost), adds
+    ``mu`` to ``alpha[start_u]``, and the path is flipped back to
+    ``start_u``.
+    """
+    n2 = len(beta)
+    row = eff[start_u]
+    dist = [row[k] - alpha[start_u] - beta[k] for k in range(n2)]
+    way = [-1] * n2
+    settled = [False] * n2
+    order = []
+    while True:
+        j = -1
+        for k in range(n2):
+            if not settled[k] and (j == -1 or dist[k] < dist[j]):
+                j = k
+        if j == -1 or dist[j] >= inf_cutoff:
+            return False
+        settled[j] = True
+        order.append(j)
+        if mate_v[j] == -1:
+            break
+        r = mate_v[j]
+        for k in range(n2):
+            if not settled[k]:
+                cand = dist[j] + eff[r][k] - alpha[r] - beta[k]
+                if cand < dist[k]:
+                    dist[k] = cand
+                    way[k] = j
+
+    mu = dist[order[-1]]
+    for j in order[:-1]:
+        alpha[mate_v[j]] += mu - dist[j]
+        beta[j] -= mu - dist[j]
+    alpha[start_u] += mu
+
+    j = order[-1]
+    while way[j] != -1:
+        r = mate_v[way[j]]
+        mate_v[j] = r
+        mate_u[r] = j
+        j = way[j]
+    mate_v[j] = start_u
+    mate_u[start_u] = j
+    return True
+
+
 def labeled_partitions(n: int, m: int, ubar: int):
     """Yield every labeled capacity-feasible assignment of n items to m parts."""
     for combo in itertools.product(range(m), repeat=n):

@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from pmmwm import matching
 from pmmwm.errors import NoPerfectMatching
 from pmmwm.graph import BipartiteGraph
 from pmmwm.matching import (
@@ -13,7 +15,7 @@ from pmmwm.matching import (
 )
 
 from helpers import random_complete_graph, random_dense_graph
-from oracles import brute_force_min_matching
+from oracles import augment_reference, brute_force_min_matching
 
 
 def complete(weights, m=1, ubar=None):
@@ -255,6 +257,121 @@ class TestBatchResolve:
         check_invariants(g, st)
         assert st.total_weight == original
         assert st.phase_count - phases <= len(bans)
+
+
+def _reference_phase(st, start_u):
+    """Drop-in for ``matching._augment`` that runs ``augment_reference``."""
+    st.phase_count += 1
+    eff, alpha, beta = st.eff.tolist(), st.alpha.tolist(), st.beta.tolist()
+    mate_u, mate_v = st.mate_u.tolist(), st.mate_v.tolist()
+    if not augment_reference(eff, alpha, beta, mate_u, mate_v, start_u,
+                             matching._INF_CUTOFF):
+        raise NoPerfectMatching(f"no augmenting path from U-vertex {start_u}")
+    st.alpha[:] = alpha
+    st.beta[:] = beta
+    st.mate_u[:] = mate_u
+    st.mate_v[:] = mate_v
+
+
+def _snapshot(st):
+    return (st.mate_u.tolist(), st.mate_v.tolist(), st.alpha.tolist(),
+            st.beta.tolist(), st.eff.tolist(), st.total_weight, st.phase_count)
+
+
+def _tie_graph(rng: random.Random) -> BipartiteGraph:
+    """Small seeded graph: weights in 1..w_max with w_max mostly 1-3, absent
+    and pre-banned edges, n2 >= n1, and about one in four graphs with a Hall
+    violation (k + 1 rows whose edges all lie in k columns)."""
+    n1 = rng.randint(1, 8)
+    n2 = n1 + rng.choice([0, 0, 1, 3])
+    w_max = rng.choice([1, 2, 3, 3, 40])
+    density = rng.choice([1.0, 0.7, 0.4])
+    planted = rng.sample(range(n2), n1)
+    weight = {}
+    for u in range(n1):
+        for v in range(n2):
+            if v == planted[u] or rng.random() < density:
+                weight[u, v] = rng.randint(1, w_max)
+    if n1 > 1 and rng.random() < 0.25:
+        k = rng.randint(1, n1 - 1)
+        cols = set(rng.sample(range(n2), k))
+        weight = {(u, v): w for (u, v), w in weight.items() if u > k or v in cols}
+    g = BipartiteGraph.from_edges(n1, n2, 1, n1, [(u, v, w) for (u, v), w in weight.items()])
+    for (u, v) in weight:
+        if rng.random() < 0.1:
+            g.ban_edge(u, v)
+    return g
+
+
+class TestAgainstReferencePhase:
+    """Every public matcher operation, run once with ``_augment`` and once
+    with the list-based ``augment_reference`` in its place, must leave
+    identical mates, potentials, weights and phase counts."""
+
+    @staticmethod
+    def _both(op, states):
+        """Apply ``op(st)`` to the real and the reference state; return
+        whether it raised NoPerfectMatching (both sides must agree)."""
+        outcomes = []
+        for st, phase in zip(states, (matching._augment, _reference_phase)):
+            with mock.patch.object(matching, "_augment", phase):
+                try:
+                    op(st)
+                    outcomes.append(False)
+                except NoPerfectMatching:
+                    outcomes.append(True)
+        assert outcomes[0] == outcomes[1]
+        assert _snapshot(states[0]) == _snapshot(states[1])
+        return outcomes[0]
+
+    def test_operations_match_reference(self):
+        rng = random.Random(505)
+        seen = {"infeasible": 0, "vetoed": 0, "ban": 0, "unban": 0, "batch": 0}
+        for _ in range(160):
+            g = _tie_graph(rng)
+            states = []
+            for phase in (matching._augment, _reference_phase):
+                with mock.patch.object(matching, "_augment", phase):
+                    try:
+                        states.append(solve_full(g))
+                    except NoPerfectMatching:
+                        states.append(None)
+            if states[0] is None or states[1] is None:
+                assert states[0] is states[1] is None
+                seen["infeasible"] += 1
+                continue
+            assert _snapshot(states[0]) == _snapshot(states[1])
+            banned = [(int(u), int(v)) for u, v in zip(*g.banned.nonzero())]
+            for _ in range(25):
+                roll = rng.random()
+                if roll < 0.5 or not banned:
+                    avail = list(zip(*g.available_mask().nonzero()))
+                    matched = [(u, int(states[0].mate_u[u])) for u in range(g.n1)]
+                    u, v = map(int, rng.choice(matched if rng.random() < 0.7 else avail))
+                    before = _snapshot(states[0])
+                    g.ban_edge(u, v)
+                    if self._both(lambda st: repair_after_ban(g, st, u, v), states):
+                        g.unban_edge(u, v)
+                        # the vetoed phase changed nothing but the phase count
+                        assert _snapshot(states[0])[:-1] == before[:-1]
+                        seen["vetoed"] += 1
+                    else:
+                        banned.append((u, v))
+                        seen["ban"] += 1
+                elif roll < 0.75:
+                    u, v = banned.pop(rng.randrange(len(banned)))
+                    g.unban_edge(u, v)
+                    assert not self._both(lambda st: repair_after_unban(g, st, u, v), states)
+                    seen["unban"] += 1
+                else:
+                    rng.shuffle(banned)
+                    cut = rng.randint(1, len(banned))
+                    released, banned = set(banned[:cut]), banned[cut:]
+                    for e in released:
+                        g.unban_edge(*e)
+                    assert not self._both(lambda st: batch_resolve(g, st, released), states)
+                    seen["batch"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestScaling:
