@@ -21,6 +21,19 @@ Absent and banned edges participate as a saturating "infinite" weight; a
 phase whose cheapest reachable free vertex costs that much reports
 NoPerfectMatching without mutating the state.
 
+Each Dijkstra step of a phase settles one column in a few in-place vector
+operations over preallocated rows, with no boolean fancy indexing: an
+``argmin`` over the working distances (settled columns hold ``_MASKED``, so
+no mask is built), one row add and one scalar add for the candidate
+distances through the settled column's mate, one ``np.less`` and two
+``np.copyto(..., where=)`` for the strict-``<`` relaxation. The candidate row
+includes a per-phase penalty row that is ``_MASKED`` on settled columns;
+since reduced costs are non-negative under dual feasibility, a settled
+column's candidate is never below ``_MASKED`` and the relaxation cannot touch
+it. Ties go to the lowest column index and the phase stops at the first free
+column settled. All of this stays within int64: see the bound at
+``_MASKED``.
+
 Set the environment variable ``PMMWM_CHECK_INVARIANTS=1`` to run a full
 dual-feasibility / complementary-slackness scan after every public operation
 (used by the test suite; far too slow for production runs).
@@ -37,7 +50,12 @@ from .graph import ABSENT, BipartiteGraph
 
 INF = 1 << 61          # effective weight of absent/banned edges
 _INF_CUTOFF = 1 << 59  # any path cost this large must use a forbidden edge
-_MASKED = 1 << 62      # argmin filler for settled columns
+# Distance and penalty of settled columns. The largest candidate is a settled
+# column's: INF + _MASKED - beta + dist - alpha, with dist < _INF_CUTOFF (only
+# columns closer than that are relaxed from), alpha >= 0 >= beta and |beta|
+# about n1 * max_w <= graph.MAX_TOTAL_WEIGHT = 2**55. INF + _MASKED +
+# _INF_CUTOFF is 2**63 - 2**59, so int64 holds it for any |beta| < 2**59.
+_MASKED = 1 << 62
 FREE = -1
 
 
@@ -79,8 +97,14 @@ class MatchState:
 def _augment(st: MatchState, start_u: int) -> None:
     """Rematch the free vertex ``start_u`` along a shortest augmenting path.
 
-    Dijkstra runs with the potentials frozen at phase start; the dual update
-    applied at the end is the accumulated-delta form of the classic
+    Dijkstra runs with the potentials frozen at phase start. ``dist`` holds
+    the tentative distance of each unsettled column and ``_MASKED`` on
+    settled ones; ``base`` is the penalty row folded with ``-beta``
+    (``_MASKED - beta[j]`` once column j is settled), so a step through the
+    settled column j matched to row r computes ``eff[r] + base + dist[j] -
+    alpha[r]`` into ``cand`` and copies it wherever it is strictly smaller.
+    The settled columns and their distances are kept in two lists for the
+    dual update applied at the end, the accumulated-delta form of the classic
     per-iteration update, so dual feasibility and tightness of matched edges
     are preserved. Raises NoPerfectMatching (state untouched) when no free
     vertex is reachable over available edges.
@@ -90,35 +114,41 @@ def _augment(st: MatchState, start_u: int) -> None:
     mate_u, mate_v = st.mate_u, st.mate_v
     n2 = st.n2
 
-    dist = eff[start_u] - alpha[start_u] - beta
+    dist = eff[start_u] - alpha[start_u] - beta  # _MASKED once settled
+    base = -beta                                 # _MASKED - beta once settled
     way = np.full(n2, -1, dtype=np.int64)
-    settled = np.zeros(n2, dtype=bool)
-    order: list[int] = []
+    cand = np.empty(n2, dtype=np.int64)
+    upd = np.empty(n2, dtype=bool)
+    cols: list[int] = []
+    col_dist: list[int] = []
 
     while True:
-        j = int(np.argmin(np.where(settled, _MASKED, dist)))
-        if settled[j] or dist[j] >= _INF_CUTOFF:
+        j = int(dist.argmin())
+        dj = int(dist[j])
+        if dj >= _INF_CUTOFF:
             raise NoPerfectMatching(
                 f"no augmenting path from U-vertex {start_u}")
-        settled[j] = True
-        order.append(j)
-        if mate_v[j] == FREE:
-            break
+        cols.append(j)
+        col_dist.append(dj)
+        dist[j] = _MASKED
+        base[j] += _MASKED
         r = int(mate_v[j])
-        cand = dist[j] + (eff[r] - alpha[r] - beta)
-        upd = ~settled & (cand < dist)
-        dist[upd] = cand[upd]
-        way[upd] = j
+        if r == FREE:
+            break
+        np.add(eff[r], base, out=cand)
+        cand += dj - int(alpha[r])
+        np.less(cand, dist, out=upd)
+        np.copyto(dist, cand, where=upd)
+        np.copyto(way, j, where=upd)
 
     # Dual update: every settled column except the free endpoint, and the
     # rows matched to them, shift by the remaining distance to the path cost.
-    jfree = order[-1]
-    mu = int(dist[jfree])
-    inner = np.array(order[:-1], dtype=np.int64)
-    if inner.size:
-        adj = mu - dist[inner]
-        alpha[mate_v[inner]] += adj
-        beta[inner] -= adj
+    jfree = cols[-1]
+    mu = col_dist[-1]
+    inner = np.array(cols[:-1], dtype=np.int64)
+    adj = mu - np.array(col_dist[:-1], dtype=np.int64)
+    alpha[mate_v[inner]] += adj
+    beta[inner] -= adj
     alpha[start_u] += mu
 
     j = jfree
