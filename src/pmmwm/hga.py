@@ -20,6 +20,7 @@ results.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,7 +329,7 @@ def _tournament(population: list[Individual], rng: random.Random) -> Individual:
 
 def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
            seed_assignment: np.ndarray | None = None,
-           on_generation=None) -> Individual:
+           on_generation=None, deadline: float | None = None) -> Individual:
     """Run the generational loop and return the best individual ever seen.
 
     ``seed_assignment`` optionally replaces the last random initial
@@ -336,7 +337,10 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
     iterations). ``on_generation`` is called as
     ``on_generation(gen, population, incumbent)`` after each generation; the
     incumbent's fitness is non-increasing across generations because the
-    elite survives verbatim.
+    elite survives verbatim. ``deadline`` is a ``time.perf_counter()`` value
+    checked before each generation: once it has passed, no further
+    generation starts. ``init_population`` is not interrupted, so a run
+    takes at least that long and at most one generation past the deadline.
     """
     params.validate()
     rng = random.Random(params.rng_seed)
@@ -348,6 +352,8 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
     stall = 0
     for gen in range(params.max_generations):
         if stall >= params.stall_limit:
+            break
+        if deadline is not None and time.perf_counter() >= deadline:
             break
         population.sort(key=lambda ind: ind.fitness)
         next_pop = population[:params.elite_count]

@@ -236,8 +236,12 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     """FIMP-HGA: ``run_loop`` with a step that evolves a partition of the
     current matching (seeded with the previous one when at most 2 mates
     changed), then calls ``modify_graph``, which repairs the matching. Only
-    iteration 0 solves it from scratch, and is charged for that."""
+    iteration 0 solves it from scratch, and is charged for that. With a
+    ``time_limit_ms`` the HGA also stops starting generations once the limit
+    has passed, so iteration 0 ends soon after it."""
     rng = random.Random(params.rng_seed)
+    deadline = (None if params.time_limit_ms is None
+                else time.perf_counter() + params.time_limit_ms / 1000.0)
     st: MatchState | None = None
     prev_mate: list[int] | None = None
     prev_part: np.ndarray | None = None
@@ -257,7 +261,7 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
         w = g.weight[np.arange(g.n1), st.mate_u]
         hga_params = dataclasses.replace(params.hga, rng_seed=rng.getrandbits(63))
         t0 = time.perf_counter()
-        best = evolve(w, m, ubar, hga_params, seed_assignment=warm)
+        best = evolve(w, m, ubar, hga_params, seed_assignment=warm, deadline=deadline)
         hga_s = time.perf_counter() - t0
 
         current = Solution(mate=mate_now, objective=best.fitness[0],

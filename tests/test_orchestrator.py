@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from pmmwm import harness, orchestrator
+from pmmwm import InstanceSpec, generate, harness, hga, orchestrator
 from pmmwm.errors import InfeasibleInstance
 from pmmwm.graph import (
     BipartiteGraph,
@@ -113,6 +114,30 @@ class TestSolve:
                                            time_limit_ms=200))
         assert result.stats.iterations < 10_000
         assert result.solution is not None
+
+    def test_time_limit_interrupts_the_hga(self, monkeypatch):
+        # Unlimited, this one evolve call runs 150 generations of about
+        # 40 ms each at n1=200 (pop 20): some 6 s against a 300 ms limit.
+        g = generate(InstanceSpec(200, 200, 10, 24, 1.0, "CONSISTENT", 1000, 5))
+        init_s = []
+
+        def timed_init(*args, **kwargs):
+            t0 = time.perf_counter()
+            population = real_init(*args, **kwargs)
+            init_s.append(time.perf_counter() - t0)
+            return population
+
+        real_init = hga.init_population
+        monkeypatch.setattr(hga, "init_population", timed_init)
+        params = FimpParams(max_iterations=50, time_limit_ms=300, rng_seed=0,
+                            hga=HgaParams(pop_size=20, max_generations=150,
+                                          stall_limit=150))
+        t0 = time.perf_counter()
+        result = solve(g, 10, 24, params)
+        wall = time.perf_counter() - t0
+        assert result.stats.iterations == 1
+        # init_population is not interrupted; the rest ends within 3x the limit
+        assert wall < 3 * 0.300 + sum(init_s)
 
 
 class TestModifyGraph:
