@@ -1,11 +1,12 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from pmmwm import matching
 from pmmwm.errors import NoPerfectMatching
-from pmmwm.graph import BipartiteGraph
+from pmmwm.graph import MAX_TOTAL_WEIGHT, MAX_WEIGHT, BipartiteGraph
 from pmmwm.matching import (
     batch_resolve,
     check_invariants,
@@ -16,6 +17,14 @@ from pmmwm.matching import (
 
 from helpers import random_complete_graph, random_dense_graph
 from oracles import augment_reference, brute_force_min_matching
+
+
+@pytest.fixture(autouse=True)
+def _certify(request, monkeypatch):
+    """Every matcher call in this module ends with a check_invariants scan,
+    except in TestScaling, whose wall-clock comparison must not time it."""
+    if request.cls is not TestScaling:
+        monkeypatch.setenv("PMMWM_CHECK_INVARIANTS", "1")
 
 
 def complete(weights, m=1, ubar=None):
@@ -372,6 +381,111 @@ class TestAgainstReferencePhase:
                     assert not self._both(lambda st: batch_resolve(g, st, released), states)
                     seen["batch"] += 1
         assert min(seen.values()) >= 20, seen
+
+
+def _heavy_graph(rng: random.Random, n1: int, n2: int) -> BipartiteGraph:
+    """Weights up to the largest a graph accepts for this n1 (n1 * max_w at
+    MAX_TOTAL_WEIGHT, capped at MAX_WEIGHT), mixed with near-zero ones so the
+    potentials spread widely; about 1 in 5 edges absent and row 0 sparse
+    (its planted edge plus one more)."""
+    top = min(MAX_WEIGHT, MAX_TOTAL_WEIGHT // n1)
+    planted = rng.sample(range(n2), n1)
+    extra = rng.choice([v for v in range(n2) if v != planted[0]])
+    edges = []
+    for u in range(n1):
+        for v in range(n2):
+            keep = v in (planted[u], extra) if u == 0 else (
+                v == planted[u] or rng.random() < 0.8)
+            if keep:
+                w = rng.choice([top, top - rng.randint(0, 1000), rng.randint(0, 1000),
+                                rng.randint(0, top)])
+                edges.append((u, v, w))
+    g = BipartiteGraph.from_edges(n1, n2, 1, n1, edges)
+    assert int(g.weight.max()) == top and n1 * top == MAX_TOTAL_WEIGHT
+    return g
+
+
+class TestInt64Headroom:
+    """The penalty row adds 2**62 to candidate rows that can hold INF = 2**61
+    plus potentials of about n1 * max_w; these graphs sit at the weight
+    limits and the autouse fixture certifies every operation."""
+
+    @pytest.mark.parametrize("n1", [8, 64])
+    def test_ban_unban_at_max_weight(self, n1):
+        rng = random.Random(n1)
+        small = n1 <= 8
+        for _ in range(6 if small else 2):
+            g = _heavy_graph(rng, n1, n1)
+            st = solve_full(g)
+            if small:
+                assert st.total_weight == brute_force_min_matching(g)
+            banned, vetoed = [], 0
+            for _ in range(30):
+                if banned and rng.random() < 0.3:
+                    u, v = banned.pop(rng.randrange(len(banned)))
+                    g.unban_edge(u, v)
+                    st = repair_after_unban(g, st, u, v)
+                else:
+                    u = 0 if rng.random() < 0.3 else rng.randrange(n1)
+                    v = int(st.mate_u[u])
+                    g.ban_edge(u, v)
+                    try:
+                        st = repair_after_ban(g, st, u, v)
+                        banned.append((u, v))
+                    except NoPerfectMatching:
+                        g.unban_edge(u, v)
+                        vetoed += 1
+                check_invariants(g, st)
+                fresh = brute_force_min_matching(g) if small else solve_full(g).total_weight
+                assert st.total_weight == fresh
+            released = set(banned)
+            for e in released:
+                g.unban_edge(*e)
+            st = batch_resolve(g, st, released)
+            check_invariants(g, st)
+            assert vetoed  # row 0 has two edges: banning both is vetoed
+
+
+class TestAgainstScipy:
+    """``solve_full`` and repairs against scipy's linear_sum_assignment at
+    sizes the brute-force oracle cannot reach."""
+
+    @staticmethod
+    def _optimum(g: BipartiteGraph) -> int:
+        lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        avail = g.available_mask()
+        big = int(g.weight.max()) * g.n1 + 1  # above any matching of real edges
+        cost = np.where(avail, g.weight, big)
+        rows, cols = lsa(cost)
+        assert avail[rows, cols].all(), "the optimum used an absent edge"
+        return int(cost[rows, cols].sum())
+
+    @pytest.mark.parametrize("n1", [50, 200, 500])
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_full_solve_and_repairs(self, n1, density):
+        pytest.importorskip("scipy.optimize")
+        rng = random.Random(n1 + int(density * 10))
+        g = random_dense_graph(n1, n1, 1, n1, rng, density=density, w_max=1000)
+        st = solve_full(g)
+        assert st.total_weight == self._optimum(g)
+        if n1 == 500:
+            return  # repairs at n1=500 would mostly time scipy
+        banned = []
+        for _ in range(20):
+            if banned and rng.random() < 0.3:
+                u, v = banned.pop(rng.randrange(len(banned)))
+                g.unban_edge(u, v)
+                st = repair_after_unban(g, st, u, v)
+            else:
+                u = rng.randrange(n1)
+                v = int(st.mate_u[u])
+                g.ban_edge(u, v)
+                try:
+                    st = repair_after_ban(g, st, u, v)
+                    banned.append((u, v))
+                except NoPerfectMatching:
+                    g.unban_edge(u, v)
+            assert st.total_weight == self._optimum(g)
 
 
 class TestScaling:
