@@ -405,6 +405,30 @@ def _heavy_graph(rng: random.Random, n1: int, n2: int) -> BipartiteGraph:
     return g
 
 
+def _ban_unban_walk(g, st, rng, steps, pick_u):
+    """Take ``steps`` random repair steps on ``st``: restore a banned edge
+    (30%) or ban the matched edge of ``pick_u()``, unbanning it again when
+    the ban is vetoed. Yields the state and whether the step was a veto."""
+    banned = []
+    for _ in range(steps):
+        vetoed = False
+        if banned and rng.random() < 0.3:
+            u, v = banned.pop(rng.randrange(len(banned)))
+            g.unban_edge(u, v)
+            st = repair_after_unban(g, st, u, v)
+        else:
+            u = pick_u()
+            v = int(st.mate_u[u])
+            g.ban_edge(u, v)
+            try:
+                st = repair_after_ban(g, st, u, v)
+                banned.append((u, v))
+            except NoPerfectMatching:
+                g.unban_edge(u, v)
+                vetoed = True
+        yield st, vetoed
+
+
 class TestInt64Headroom:
     """The penalty row adds 2**62 to candidate rows that can hold INF = 2**61
     plus potentials of about n1 * max_w; these graphs sit at the weight
@@ -419,31 +443,19 @@ class TestInt64Headroom:
             st = solve_full(g)
             if small:
                 assert st.total_weight == brute_force_min_matching(g)
-            banned, vetoed = [], 0
-            for _ in range(30):
-                if banned and rng.random() < 0.3:
-                    u, v = banned.pop(rng.randrange(len(banned)))
-                    g.unban_edge(u, v)
-                    st = repair_after_unban(g, st, u, v)
-                else:
-                    u = 0 if rng.random() < 0.3 else rng.randrange(n1)
-                    v = int(st.mate_u[u])
-                    g.ban_edge(u, v)
-                    try:
-                        st = repair_after_ban(g, st, u, v)
-                        banned.append((u, v))
-                    except NoPerfectMatching:
-                        g.unban_edge(u, v)
-                        vetoed += 1
-                check_invariants(g, st)
+            vetoes = 0
+            # row 0 has two edges, so banning both is vetoed
+            for st, vetoed in _ban_unban_walk(
+                    g, st, rng, 30, lambda: 0 if rng.random() < 0.3 else rng.randrange(n1)):
+                vetoes += vetoed
                 fresh = brute_force_min_matching(g) if small else solve_full(g).total_weight
                 assert st.total_weight == fresh
-            released = set(banned)
+            released = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
             for e in released:
                 g.unban_edge(*e)
             st = batch_resolve(g, st, released)
             check_invariants(g, st)
-            assert vetoed  # row 0 has two edges: banning both is vetoed
+            assert vetoes
 
 
 class TestAgainstScipy:
@@ -468,23 +480,7 @@ class TestAgainstScipy:
         g = random_dense_graph(n1, n1, 1, n1, rng, density=density, w_max=1000)
         st = solve_full(g)
         assert st.total_weight == self._optimum(g)
-        if n1 == 500:
-            return  # repairs at n1=500 would mostly time scipy
-        banned = []
-        for _ in range(20):
-            if banned and rng.random() < 0.3:
-                u, v = banned.pop(rng.randrange(len(banned)))
-                g.unban_edge(u, v)
-                st = repair_after_unban(g, st, u, v)
-            else:
-                u = rng.randrange(n1)
-                v = int(st.mate_u[u])
-                g.ban_edge(u, v)
-                try:
-                    st = repair_after_ban(g, st, u, v)
-                    banned.append((u, v))
-                except NoPerfectMatching:
-                    g.unban_edge(u, v)
+        for st, _ in _ban_unban_walk(g, st, rng, 20, lambda: rng.randrange(n1)):
             assert st.total_weight == self._optimum(g)
 
 
