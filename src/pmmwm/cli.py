@@ -44,8 +44,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit-ms", type=int, default=None)
     parser.add_argument("--max-iterations", type=int, default=500)
     parser.add_argument("--tenure", type=int, default=20)
-    parser.add_argument("--recovery-threshold", type=float, default=0.05)
-    parser.add_argument("--recovery-prob", type=float, default=0.5)
     parser.add_argument("--pop-size", type=int, default=20)
     parser.add_argument("--elite-count", type=int, default=1)
     parser.add_argument("--mutation-rate", type=float, default=0.2)
@@ -59,9 +57,7 @@ def _params_from(args: argparse.Namespace) -> FimpParams:
                     elite_count=args.elite_count)
     return FimpParams(max_iterations=args.max_iterations,
                       time_limit_ms=args.time_limit_ms, tenure=args.tenure,
-                      recovery_threshold=args.recovery_threshold,
-                      recovery_prob=args.recovery_prob, hga=hga,
-                      rng_seed=args.seed)
+                      hga=hga, rng_seed=args.seed)
 
 
 def _cmd_generate(args) -> int:
@@ -224,6 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench" and not (args.dir or args.manifest):
         parser.error("bench requires --dir or --manifest")
+    if args.command in ("solve", "bench"):
+        try:
+            _params_from(args).validate()
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except PmmwmError as exc:

@@ -4,8 +4,10 @@
 matchings jointly with capacity-feasible partitions; it anchors the
 acceptance tests. ``baseline_ls`` is the deliberately simpler comparison
 solver: it runs ``orchestrator.run_loop``, the outer banning loop of
-``solve``, with a full matching re-solve every iteration, greedy
-construction only, relocation-only local search and no recovery.
+``solve``, with the same ban policy, but re-solves the matching from scratch
+every iteration, checks a ban's feasibility with a plain perfect-matching
+test, and partitions by greedy construction and relocation-only local
+search.
 ``bench`` runs a directory of instances and emits one CSV row per run;
 ``compare`` joins two such CSVs into a win/tie/loss table.
 """
@@ -95,12 +97,13 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
 def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
                 params: FimpParams) -> RunResult:
     """Comparison anchor: ``run_loop`` with a full matching re-solve, greedy
-    construction, relocation-only local search and banning without recovery
-    in each step.
+    construction and relocation-only local search in each step.
 
-    Bans that would destroy feasibility are vetoed using a plain
-    perfect-matching check (not charged to match time; only the per-iteration
-    full solves are).
+    Bans age and are chosen by ``age_bans`` and ``ban_first``, as in
+    ``solve``; the two ban loops differ only in the feasibility check and the
+    matching. Here a plain perfect-matching check vetoes a ban (not charged
+    to match time; only the per-iteration full solves are), and the next
+    step re-solves the matching instead of repairing it.
     """
     def step(it, bans, vetoed, keep):
         t0 = time.perf_counter()

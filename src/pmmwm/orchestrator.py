@@ -1,21 +1,20 @@
-"""Iterative match-partition solver with edge banning and recovery.
+"""Iterative match-partition solver with edge banning.
 
 Each iteration holds the matching fixed while the genetic algorithm
-re-partitions the matched weights, then perturbs the graph: the heaviest
-matched edge inside the heaviest partition is banned for ``tenure``
-iterations, forcing later matchings (repaired incrementally, never re-solved
-from scratch) to route around it. If the current objective drifts more than
-``recovery_threshold`` above the incumbent, all bans are released at once
-with probability ``recovery_prob``, pulling the search back toward the best
-known region. The incumbent is the best (matching, partition) pair ever
-seen, built fresh each iteration and never mutated, and its objective is
-non-increasing over the run.
+re-partitions the matched weights, then changes the graph in ``modify_graph``:
+bans whose tenure has run out are lifted and the matching re-matched around
+them, then the heaviest matched edge inside the heaviest partition is banned
+for ``tenure`` iterations, forcing later matchings (repaired incrementally,
+never re-solved from scratch) to route around it. The incumbent is the best
+(matching, partition) pair ever seen, built fresh each iteration and never
+mutated, and its objective is non-increasing over the run.
 
 ``solve`` and ``harness.baseline_ls`` both run ``run_loop``, which owns the
-checks, the time limit, the incumbent, the trace and the graph's ban flags;
-each supplies only its per-iteration step. With m == 1 the problem collapses
-to plain min-weight perfect matching: banning could only worsen the optimum,
-so ``run_loop`` does one full solve and no step.
+checks, the time limit, the incumbent, the trace and the graph's ban flags,
+and both age and ban with ``age_bans`` and ``ban_first``; each supplies only
+its per-iteration step. With m == 1 the problem collapses to plain
+min-weight perfect matching: banning could only worsen the optimum, so
+``run_loop`` does one full solve and no step.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ class FimpParams:
     max_iterations: int = 500
     time_limit_ms: int | None = None
     tenure: int = 20
-    recovery_threshold: float = 0.05
-    recovery_prob: float = 0.5
     hga: HgaParams = field(default_factory=HgaParams)
     rng_seed: int = 0
 
@@ -49,10 +46,7 @@ class FimpParams:
             raise ValueError("max_iterations must be >= 1")
         if self.tenure < 1:
             raise ValueError("tenure must be >= 1")
-        if not (0.0 <= self.recovery_prob <= 1.0):
-            raise ValueError("recovery_prob must be in [0, 1]")
-        if self.recovery_threshold < 0.0:
-            raise ValueError("recovery_threshold must be >= 0")
+        self.hga.validate()
 
 
 def _age_tenures(tenures: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
@@ -141,32 +135,17 @@ def ban_first(g: BipartiteGraph, sol: Solution, bans: BanList,
         vetoed[(u, v)] = tenure
 
 
-def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
-                 incumbent_objective: int, bans: BanList,
-                 vetoed: dict[tuple[int, int], int], params: FimpParams,
-                 rng: random.Random) -> MatchState:
-    """One graph-modification step; returns the (possibly new) match state.
+def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
+                 bans: BanList, vetoed: dict[tuple[int, int], int],
+                 tenure: int) -> MatchState:
+    """One graph-modification step; returns the new match state.
 
-    In order: (i) ``age_bans`` and re-match the expired edges, (ii) if the
-    current objective sits ``recovery_threshold`` above the incumbent,
-    release every ban with probability ``recovery_prob``, (iii) otherwise
-    ``ban_first``, where a ban that ``repair_after_ban`` finds leaves no
-    perfect matching is vetoed.
+    ``age_bans`` lifts the expired bans and ``batch_resolve`` re-matches
+    around them; then ``ban_first`` bans the next edge of ``sol`` for
+    ``tenure`` iterations, vetoing any ban that ``repair_after_ban`` finds
+    leaves no perfect matching.
     """
     st = batch_resolve(g, st, set(age_bans(g, bans, vetoed)))
-
-    current = sol.objective
-    if incumbent_objective > 0:
-        gap = (current - incumbent_objective) / incumbent_objective
-    else:
-        gap = float("inf") if current > 0 else 0.0
-    if gap >= params.recovery_threshold and bans.entries:
-        if rng.random() < params.recovery_prob:
-            release = sorted(bans.entries)
-            for (u, v) in release:
-                g.unban_edge(u, v)
-            bans.entries.clear()
-            return batch_resolve(g, st, set(release))
 
     def repaired(u: int, v: int) -> bool:
         nonlocal st
@@ -176,7 +155,7 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution,
             return False
         return True
 
-    ban_first(g, sol, bans, vetoed, params.tenure, repaired)
+    ban_first(g, sol, bans, vetoed, tenure, repaired)
     return st
 
 
@@ -186,9 +165,9 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
 
     ``step(it, bans, vetoed, keep)`` runs iteration ``it`` and returns its
     solution with the seconds charged to matching and to partitioning; it may
-    ban edges, and passes the solution to ``keep``, which returns the
-    incumbent after replacing it on strict improvement. The graph's ban flags
-    are restored on every exit, an exception included.
+    ban edges, and passes the solution to ``keep``, which records it as the
+    incumbent on strict improvement. The graph's ban flags are restored on
+    every exit, an exception included.
     """
     params.validate()
     if m * ubar < g.n1:
@@ -209,11 +188,10 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
     incumbent: Solution | None = None
     saved_bans = g.banned.copy()
 
-    def keep(sol: Solution) -> Solution:
+    def keep(sol: Solution) -> None:
         nonlocal incumbent
         if incumbent is None or sol.objective < incumbent.objective:
             incumbent = sol
-        return incumbent
 
     try:
         for it in range(params.max_iterations):
@@ -267,9 +245,9 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
         current = Solution(mate=mate_now, objective=best.fitness[0],
                            partition=PartitionAssignment(m, ubar, best.part.tolist()))
         prev_mate, prev_part = mate_now, best.part
+        keep(current)
         t0 = time.perf_counter()
-        st = modify_graph(g, st, current, keep(current).objective, bans, vetoed,
-                          params, rng)
+        st = modify_graph(g, st, current, bans=bans, vetoed=vetoed, tenure=params.tenure)
         return current, match_s + (time.perf_counter() - t0), hga_s
 
     return run_loop(g, m, ubar, params, step)

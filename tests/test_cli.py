@@ -1,12 +1,15 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pmmwm.cli import main
+from pmmwm.cli import _add_solver_flags, _params_from, main
 from pmmwm.graph import load_solution, save_instance
-from pmmwm.orchestrator import RunResult, RunStats
+from pmmwm.hga import HgaParams
+from pmmwm.orchestrator import FimpParams, RunResult, RunStats
 
 from helpers import example_base_solution, make_example_graph
 
@@ -118,6 +121,22 @@ class TestErrorCodes:
             run_cli(["solve", example_file, "--algo", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tenure", "0", "tenure must be >= 1"),
+        ("--pop-size", "1", "pop_size must be >= 2"),
+        ("--max-iterations", "0", "max_iterations must be >= 1"),
+    ], ids=["tenure", "pop-size", "max-iterations"])
+    def test_invalid_solver_value_exit_2(self, example_file, tmp_path, capsys,
+                                         command, flag, value, message):
+        args = ([command, example_file] if command == "solve" else
+                [command, "--dir", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_missing_file_io(self, capsys):
         assert run_cli(["solve", "/nonexistent/path.txt"]) == 3
 
@@ -132,6 +151,38 @@ class TestErrorCodes:
         assert run_cli(["solve", example_file]) == 7
         err = capsys.readouterr().err
         assert err.startswith("error: solver produced invalid solution: ")
+
+
+class TestSolverFlags:
+    """Every solver flag is a params field and every field a flag, so a
+    removed knob cannot leave a dead flag behind."""
+
+    FIMP = {f.name for f in dataclasses.fields(FimpParams)} - {"hga", "rng_seed"}
+    HGA = {f.name for f in dataclasses.fields(HgaParams)} - {"rng_seed"}
+
+    @pytest.fixture
+    def parser(self):
+        parser = argparse.ArgumentParser()
+        _add_solver_flags(parser)
+        return parser
+
+    def test_flags_are_the_params_fields(self, parser):
+        dests = {action.dest for action in parser._actions} - {"help"}
+        assert dests == self.FIMP | self.HGA | {"algo", "seed"}
+
+    def test_each_flag_reaches_params(self, parser):
+        defaults = _params_from(parser.parse_args([]))
+        assert defaults == FimpParams()
+        for name in sorted(self.FIMP | self.HGA):
+            params = _params_from(parser.parse_args(["--" + name.replace("_", "-"), "7"]))
+            if name in self.FIMP:
+                expected = dataclasses.replace(defaults, **{name: 7})
+            else:
+                expected = dataclasses.replace(
+                    defaults, hga=dataclasses.replace(defaults.hga, **{name: 7}))
+            assert params == expected, name
+        assert _params_from(parser.parse_args(["--seed", "7"])) == \
+            dataclasses.replace(defaults, rng_seed=7)
 
 
 class TestBenchAndCompare:

@@ -117,7 +117,7 @@ def test_evolve_golden(seed, n, w_max, m, ubar, objective, digest):
 # would miss a change on the ban path; this pins every iteration's objective,
 # incumbent and active ban count as well.
 VETO_TRACES = [
-    (solve, "0fcb530b882d0bf412336ae83bee668fd7fcaa446b2fe0c8c8cefe24ef62fb23"),
+    (solve, "212c1b40a6dc363fc2c393e9a1e968cd3d2cefcd002154b3d2fbdfb8801f0059"),
     (baseline_ls, "212c1b40a6dc363fc2c393e9a1e968cd3d2cefcd002154b3d2fbdfb8801f0059"),
 ]
 

@@ -53,6 +53,19 @@ class TestSolve:
         assert incumbents == sorted(incumbents, reverse=True)
         assert result.solution.objective == incumbents[-1]
 
+    @both_solvers
+    @pytest.mark.parametrize("spec", [
+        InstanceSpec(24, 24, 12, 2, 0.15, "CONSISTENT", 1000, 30),
+        InstanceSpec(32, 32, 16, 2, 0.3, "CONSISTENT", 1000, 21),
+    ], ids=["veto", "tight"])
+    def test_bans_only_expire(self, run, spec):
+        # with a tenure longer than the run no ban expires, so nothing else
+        # may lift one and the active count never falls
+        g = generate(spec)
+        result = run(g, spec.m, spec.ubar, small_params(iterations=20, tenure=50))
+        active = [rec.bans_active for rec in result.stats.trace]
+        assert active == sorted(active)
+
     def test_deterministic(self):
         rng = random.Random(17)
         g1 = random_dense_graph(7, 7, 2, 4, rng, density=0.9)
@@ -64,6 +77,11 @@ class TestSolve:
         assert r1.solution.objective == r2.solution.objective
         assert [t.objective for t in r1.stats.trace] == \
             [t.objective for t in r2.stats.trace]
+
+    def test_single_partition_checks_hga_params(self):
+        with pytest.raises(ValueError, match="pop_size"):
+            solve(make_example_graph(), 1, 6,
+                  small_params(hga=HgaParams(pop_size=1)))
 
     def test_infeasible_capacity(self):
         g = make_example_graph()
@@ -161,39 +179,18 @@ class TestModifyGraph:
             key=lambda u: (int(g.weight[u, sol.mate[u]]), -u))
         expect_edge = (expect_u, sol.mate[expect_u])
         bans = BanList()
-        params = FimpParams(tenure=4)
-        st = modify_graph(g, st, sol, sol.objective, bans, {}, params,
-                          random.Random(0))
+        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=4)
         assert bans.entries == {expect_edge: 4}
         assert g.banned[expect_edge]
         check_invariants(g, st)
 
-    def test_zero_gap_never_recovers(self):
+    def test_consecutive_calls_add_bans(self):
         g, st, sol, _ = self.build(seed=1)
         bans = BanList()
-        params = FimpParams(tenure=50, recovery_threshold=0.05,
-                            recovery_prob=1.0)
-        rng = random.Random(0)
-        st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
-        assert len(bans) == 1  # gap is 0 < threshold: ban, not recovery
-        st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
-        assert len(bans) == 2
-
-    def test_recovery_releases_everything(self):
-        g, st, sol, _ = self.build(seed=2)
-        bans = BanList()
-        params = FimpParams(tenure=50, recovery_threshold=0.05,
-                            recovery_prob=1.0)
-        rng = random.Random(0)
-        st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
+        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=50)
         assert len(bans) == 1
-        # pretend the incumbent is far better than the current solution
-        incumbent_objective = max(1, sol.objective // 2)
-        st = modify_graph(g, st, sol, incumbent_objective, bans, {}, params, rng)
-        assert len(bans) == 0
-        assert not g.banned.any()
-        check_invariants(g, st)
-        assert st.total_weight == solve_full(g).total_weight
+        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=50)
+        assert len(bans) == 2
 
     def test_vetoed_ban_restores_and_tries_next(self):
         # vertex 0 has a single edge: banning it is always infeasible, so the
@@ -209,9 +206,7 @@ class TestModifyGraph:
                        objective=st.total_weight)
         bans = BanList()
         vetoed = {}
-        params = FimpParams(tenure=6)
-        st = modify_graph(g, st, sol, sol.objective, bans, vetoed, params,
-                          random.Random(0))
+        st = modify_graph(g, st, sol, bans=bans, vetoed=vetoed, tenure=6)
         assert (0, 0) in vetoed and not g.banned[0, 0]
         assert len(bans) == 1 and (0, 0) not in bans.entries
         check_invariants(g, st)
@@ -219,17 +214,15 @@ class TestModifyGraph:
     def test_tenure_expiry_restores_edges(self):
         g, st, sol, _ = self.build(seed=3)
         bans = BanList()
-        params = FimpParams(tenure=2, recovery_threshold=10.0)
-        rng = random.Random(0)
-        st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
+        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=2)
         banned_edge = next(iter(bans.entries))
         assert bans.entries[banned_edge] == 2
-        st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
+        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=2)
         assert bans.entries[banned_edge] == 1
         # third call: the edge expires and is released; with the solution held
         # fixed it is immediately re-banned as the still-heaviest candidate,
         # which shows as a fresh tenure rather than a stale zero
-        st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
+        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=2)
         assert bans.entries[banned_edge] == 2
         flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
         assert flagged == set(bans.entries)
@@ -246,41 +239,35 @@ class TestModifyGraph:
     def test_banlist_mirrors_graph_flags(self):
         g, st, sol, _ = self.build(seed=4)
         bans = BanList()
-        params = FimpParams(tenure=3, recovery_threshold=10.0)
-        rng = random.Random(1)
         for _ in range(12):
-            st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
+            st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=3)
             flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
             assert flagged == set(bans.entries)
             assert all(t >= 1 for t in bans.entries.values())
             assert st.total_weight == solve_full(g).total_weight
 
     def test_monotone_ban_growth_without_expiry(self):
-        # effectively infinite tenure and disabled recovery: the banned set
-        # grows until candidates run out or get vetoed
+        # effectively infinite tenure: the banned set grows until candidates
+        # run out or get vetoed
         g, st, sol, _ = self.build(seed=5)
         bans = BanList()
-        params = FimpParams(tenure=10_000, recovery_threshold=float("inf"))
-        rng = random.Random(2)
         sizes = []
         for _ in range(10):
-            st = modify_graph(g, st, sol, sol.objective, bans, {}, params, rng)
+            st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=10_000)
             sizes.append(len(bans))
         assert sizes == sorted(sizes)
 
     def test_sampled_state_equals_full_resolve(self):
         rng = random.Random(6)
         g = random_dense_graph(8, 8, 2, 5, rng, density=0.7)
-        result_params = small_params(seed=9, iterations=12)
         st = solve_full(g)
         part = PartitionAssignment(2, 5, [u % 2 for u in range(8)])
         sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
                        objective=100)
         bans = BanList()
         vetoed = {}
-        rng2 = random.Random(3)
         for _ in range(10):
-            st = modify_graph(g, st, sol, 100, bans, vetoed, result_params, rng2)
+            st = modify_graph(g, st, sol, bans=bans, vetoed=vetoed, tenure=5)
             check_invariants(g, st)
             assert st.total_weight == solve_full(g).total_weight
             sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
