@@ -99,6 +99,9 @@ def _cmd_solve(args) -> int:
             "wall_time_ms": stats.wall_time_ms,
             "match_time_ms": stats.match_time_ms,
             "hga_time_ms": stats.hga_time_ms,
+            "lower_bound": (None if stats.lower_bound is None
+                            else g.display_value(stats.lower_bound)),
+            "certified_optimal": stats.certified_optimal,
             "trace": [
                 {"iteration": t.iteration, "objective": g.display_value(t.objective),
                  "incumbent": g.display_value(t.incumbent),

@@ -103,7 +103,8 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     ``solve``; the two ban loops differ only in the feasibility check and the
     matching. Here a plain perfect-matching check vetoes a ban (not charged
     to match time; only the per-iteration full solves are), and the next
-    step re-solves the matching instead of repairing it.
+    step re-solves the matching instead of repairing it. It reports no
+    lower bound, so it always runs the full ``max_iterations``.
     """
     def step(it, bans, vetoed, keep):
         t0 = time.perf_counter()
@@ -122,7 +123,7 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
         age_bans(g, bans, vetoed)
         ban_first(g, current, bans, vetoed, params.tenure,
                   lambda u, v: g.has_perfect_matching())
-        return current, match_s, part_s
+        return current, match_s, part_s, None
 
     return run_loop(g, m, ubar, params, step)
 

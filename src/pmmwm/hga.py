@@ -15,6 +15,13 @@ verbatim; the rest are produced by binary-tournament selection, greedy
 partition crossover, mutation and multilevel local search. Everything is
 driven by one seeded ``random.Random``, so identical inputs give bit-identical
 results.
+
+No partition of ``w`` into m parts has an objective below
+max(ceil(sum(w) / m), max(w)): the heaviest part holds at least the average
+and at least the heaviest item (the classic multi-way number-partitioning
+bound; the capacity ubar only removes partitions). Once the best individual
+reaches it the partition is proven optimal, and ``evolve`` starts no further
+generation.
 """
 
 from __future__ import annotations
@@ -341,6 +348,11 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
     checked before each generation: once it has passed, no further
     generation starts. ``init_population`` is not interrupted, so a run
     takes at least that long and at most one generation past the deadline.
+
+    No generation starts either once the best fitness[0] equals the lower
+    bound max(ceil(sum(w) / m), max(w)), checked in the same place: the
+    answer is then proven optimal. When the initial population (with the
+    warm start) already reaches it, ``on_generation`` is never called.
     """
     params.validate()
     rng = random.Random(params.rng_seed)
@@ -349,9 +361,10 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
         part = np.array(seed_assignment, dtype=np.int64)
         population[-1] = mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar)
     best = min(population, key=lambda ind: ind.fitness)
+    bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
     stall = 0
     for gen in range(params.max_generations):
-        if stall >= params.stall_limit:
+        if stall >= params.stall_limit or best.fitness[0] == bound:
             break
         if deadline is not None and time.perf_counter() >= deadline:
             break

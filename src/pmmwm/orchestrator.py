@@ -15,6 +15,14 @@ and both age and ban with ``age_bans`` and ``ban_first``; each supplies only
 its per-iteration step. With m == 1 the problem collapses to plain
 min-weight perfect matching: banning could only worsen the optimum, so
 ``run_loop`` does one full solve and no step.
+
+``max_iterations`` is a cap, not a count. Every solution's heaviest
+partition weighs at least ceil(W*/m), where W* is the weight of a
+minimum-weight perfect matching, which ``solve`` reads off its iteration-0
+``solve_full``. ``run_loop`` ends the run once the incumbent reaches that
+bound and reports it as certified optimal. ``harness.baseline_ls`` reports
+no bound, so it always runs its full budget, as the method it stands in for
+does.
 """
 
 from __future__ import annotations
@@ -93,6 +101,8 @@ class RunStats:
     match_time_ms: float
     hga_time_ms: float
     trace: list[IterationRecord]
+    lower_bound: int | None = None  # no solution of the instance is lighter
+    certified_optimal: bool = False  # the objective equals lower_bound
 
 
 @dataclass
@@ -164,10 +174,13 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
     """The outer match-partition loop of ``solve`` and ``baseline_ls``.
 
     ``step(it, bans, vetoed, keep)`` runs iteration ``it`` and returns its
-    solution with the seconds charged to matching and to partitioning; it may
-    ban edges, and passes the solution to ``keep``, which records it as the
-    incumbent on strict improvement. The graph's ban flags are restored on
-    every exit, an exception included.
+    solution, the seconds charged to matching and to partitioning, and a
+    lower bound on every solution's objective (``None``: no bound known); it
+    may ban edges, and passes the solution to ``keep``, which records it as
+    the incumbent on strict improvement. The loop runs at most
+    ``max_iterations`` steps and stops early, certified optimal, once the
+    incumbent reaches the bound. The graph's ban flags are restored on every
+    exit, an exception included.
     """
     params.validate()
     if m * ubar < g.n1:
@@ -181,11 +194,14 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
                        partition=PartitionAssignment(1, ubar, [0] * g.n1))
         trace.append(IterationRecord(0, sol.objective, sol.objective, 0, match_ms, 0.0))
         wall = (time.perf_counter() - t_start) * 1000.0
-        return RunResult(sol, RunStats(params.rng_seed, 1, wall, match_ms, 0.0, trace))
+        return RunResult(sol, RunStats(params.rng_seed, 1, wall, match_ms, 0.0, trace,
+                                       sol.objective, True))
 
     bans = BanList()
     vetoed: dict[tuple[int, int], int] = {}
     incumbent: Solution | None = None
+    lower_bound: int | None = None
+    certified = False
     saved_bans = g.banned.copy()
 
     def keep(sol: Solution) -> None:
@@ -198,16 +214,20 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
             elapsed_ms = (time.perf_counter() - t_start) * 1000.0
             if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
                 break
-            current, match_s, part_s = step(it, bans, vetoed, keep)
+            current, match_s, part_s, lower_bound = step(it, bans, vetoed, keep)
             trace.append(IterationRecord(it, current.objective, incumbent.objective,
                                          len(bans), match_s * 1000.0, part_s * 1000.0))
+            certified = lower_bound is not None and incumbent.objective == lower_bound
+            if certified:
+                break
     finally:
         g.banned[:] = saved_bans
 
     wall = (time.perf_counter() - t_start) * 1000.0
     return RunResult(incumbent, RunStats(params.rng_seed, len(trace), wall,
                                          sum(r.match_ms for r in trace),
-                                         sum(r.hga_ms for r in trace), trace))
+                                         sum(r.hga_ms for r in trace), trace,
+                                         lower_bound, certified))
 
 
 def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult:
@@ -216,21 +236,27 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     changed), then calls ``modify_graph``, which repairs the matching. Only
     iteration 0 solves it from scratch, and is charged for that. With a
     ``time_limit_ms`` the HGA also stops starting generations once the limit
-    has passed, so iteration 0 ends soon after it."""
+    has passed, so iteration 0 ends soon after it.
+
+    The lower bound is ceil(W*/m) with W* the weight of iteration 0's
+    matching, so the run stops once the incumbent reaches it and may use
+    fewer than ``max_iterations`` iterations."""
     rng = random.Random(params.rng_seed)
     deadline = (None if params.time_limit_ms is None
                 else time.perf_counter() + params.time_limit_ms / 1000.0)
     st: MatchState | None = None
     prev_mate: list[int] | None = None
     prev_part: np.ndarray | None = None
+    lower_bound: int | None = None
 
     def step(it, bans, vetoed, keep):
-        nonlocal st, prev_mate, prev_part
+        nonlocal st, prev_mate, prev_part, lower_bound
         match_s = 0.0
         if st is None:
             t0 = time.perf_counter()
             st = solve_full(g)
             match_s = time.perf_counter() - t0
+            lower_bound = -(-st.total_weight // m)
 
         mate_now = st.mate_u.tolist()
         warm = None
@@ -248,6 +274,6 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
         keep(current)
         t0 = time.perf_counter()
         st = modify_graph(g, st, current, bans=bans, vetoed=vetoed, tenure=params.tenure)
-        return current, match_s + (time.perf_counter() - t0), hga_s
+        return current, match_s + (time.perf_counter() - t0), hga_s, lower_bound
 
     return run_loop(g, m, ubar, params, step)

@@ -65,9 +65,21 @@ class TestSolveCommand:
         run_cli(["solve", example_file, "--seed", "3", "--max-iterations", "6",
                  "--pop-size", "6", "--stats", path])
         stats = json.load(open(path))
-        assert stats["iterations"] == len(stats["trace"]) == 6
+        # the optimum 4 equals ceil(W*/m), so the run ends certified
+        assert stats["iterations"] == len(stats["trace"])
+        assert stats["certified_optimal"] is True
+        assert stats["lower_bound"] == stats["trace"][-1]["incumbent"] == 4
         incumbents = [t["incumbent"] for t in stats["trace"]]
         assert incumbents == sorted(incumbents, reverse=True)
+
+    def test_baseline_stats_file(self, example_file, tmp_path):
+        path = str(tmp_path / "stats.json")
+        run_cli(["solve", example_file, "--algo", "baseline", "--seed", "3",
+                 "--max-iterations", "6", "--stats", path])
+        stats = json.load(open(path))
+        assert stats["iterations"] == len(stats["trace"]) == 6
+        assert stats["lower_bound"] is None
+        assert stats["certified_optimal"] is False
 
     def test_baseline_algo(self, example_file, capsys):
         assert run_cli(["solve", example_file, "--algo", "baseline",

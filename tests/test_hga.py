@@ -289,14 +289,28 @@ class TestInitPopulation:
 
 class TestEvolve:
     def test_uniform_population_stalls(self):
+        # with at most 2 items per partition the best is (6, 6, 3, 3), above
+        # the bound max(ceil(18 / 4), 3) = 5, so only the stall limit stops it
         items = items_of(*([3] * 6))
         params = HgaParams(pop_size=4, max_generations=100, stall_limit=5,
                            mutation_rate=0.0, rng_seed=2)
         generations = []
-        best = evolve(items, 2, 3, params,
+        best = evolve(items, 4, 2, params,
                       on_generation=lambda g, pop, inc: generations.append(g))
-        assert best.fitness == (9, 9)
+        assert best.fitness == (6, 6, 3, 3)
         assert len(generations) == 5  # stalls out, never hits max_generations
+
+    @pytest.mark.parametrize("weights, m, ubar, bound", [
+        ((8, 7, 6, 5, 4), 2, 3, 15),   # ceil(sum / m)
+        ((20, 1, 1, 1), 2, 3, 20),     # the heaviest item
+    ])
+    def test_stops_at_the_partition_bound(self, weights, m, ubar, bound):
+        generations = []
+        best = evolve(items_of(*weights), m, ubar,
+                      HgaParams(max_generations=50, stall_limit=50),
+                      on_generation=lambda g, pop, inc: generations.append(g))
+        assert best.fitness[0] == bound
+        assert generations == []
 
     def test_matches_brute_force_on_small_instances(self):
         rng = random.Random(1234)
@@ -312,6 +326,8 @@ class TestEvolve:
         assert hits >= 19
 
     def test_incumbent_monotone_and_elite_survives(self):
+        # 5 partitions of exactly 2 items: 17 needs a partner, so the optimum
+        # 19 stays above the bound max(ceil(77 / 5), 17) = 17
         items = items_of(17, 3, 9, 12, 5, 8, 4, 11, 2, 6)
         params = HgaParams(pop_size=8, max_generations=30, stall_limit=30,
                            rng_seed=3)
@@ -322,7 +338,8 @@ class TestEvolve:
             parts = [ind.part.tolist() for ind in population]
             seen.append((min(fits), fits, parts, incumbent.fitness))
 
-        evolve(items, 3, 4, params, on_generation=watch)
+        evolve(items, 5, 2, params, on_generation=watch)
+        assert len(seen) >= 2
         for idx in range(1, len(seen)):
             prev_best_fit = seen[idx - 1][0]
             prev_pop = seen[idx - 1]
@@ -331,6 +348,17 @@ class TestEvolve:
             # previous generation's best assignment survives verbatim
             prev_best_part = prev_pop[2][prev_pop[1].index(prev_best_fit)]
             assert prev_best_part in seen[idx][2]
+
+    def test_acceptance_elitism_input_runs_every_generation(self):
+        # acceptance criterion 8 checks elitism on this input; its best stays
+        # above the bound, so every one of the 25 generations runs
+        rng = random.Random(808)
+        items = items_of(*[rng.randint(1, 60) for _ in range(10)])
+        generations = []
+        evolve(items, 3, 4, HgaParams(pop_size=8, max_generations=25,
+                                      stall_limit=25, rng_seed=8),
+               on_generation=lambda g, pop, inc: generations.append(g))
+        assert len(generations) == 25
 
     def test_deterministic(self):
         items = items_of(14, 3, 9, 12, 5, 8)

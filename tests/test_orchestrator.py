@@ -42,6 +42,8 @@ class TestSolve:
         result = solve(g, 1, 6, small_params())
         assert result.stats.iterations == 1
         assert result.solution.objective == solve_full(g).total_weight
+        assert result.stats.lower_bound == result.solution.objective
+        assert result.stats.certified_optimal
         assert result.solution.partition.part_of == [0] * 6
 
     @both_solvers
@@ -110,7 +112,9 @@ class TestSolve:
                                               (harness, "mls_improve")],
                              ids=["solve", "baseline_ls"])
     def test_ban_flags_restored_when_a_stage_raises(self, monkeypatch, module, name):
-        g = random_dense_graph(8, 8, 2, 5, random.Random(23), density=0.8)
+        # two partitions of exactly 4: iteration 0 of solve is not certified,
+        # so a later step meets the bans
+        g = random_dense_graph(8, 8, 2, 4, random.Random(23), density=0.8)
         real = getattr(module, name)
 
         def raise_once_banned(*args, **kwargs):
@@ -121,7 +125,7 @@ class TestSolve:
         monkeypatch.setattr(module, name, raise_once_banned)
         run = solve if module is orchestrator else harness.baseline_ls
         with pytest.raises(KeyError, match="stage failed"):
-            run(g, 2, 5, small_params(seed=1, iterations=20))
+            run(g, 2, 4, small_params(seed=1, iterations=20))
         assert not g.banned.any()
 
     @both_solvers
@@ -135,8 +139,10 @@ class TestSolve:
 
     def test_time_limit_interrupts_the_hga(self, monkeypatch):
         # Unlimited, this one evolve call runs 150 generations of about
-        # 40 ms each at n1=200 (pop 20): some 6 s against a 300 ms limit.
-        g = generate(InstanceSpec(200, 200, 10, 24, 1.0, "CONSISTENT", 1000, 5))
+        # 90 ms each at n1=200, m=100, ubar=2 (pop 20): some 13 s against a
+        # 300 ms limit. Its best, 368, stays above the bound of 337, so only
+        # the deadline can stop it.
+        g = generate(InstanceSpec(200, 200, 100, 2, 1.0, "CONSISTENT", 1000, 5))
         init_s = []
 
         def timed_init(*args, **kwargs):
@@ -151,11 +157,40 @@ class TestSolve:
                             hga=HgaParams(pop_size=20, max_generations=150,
                                           stall_limit=150))
         t0 = time.perf_counter()
-        result = solve(g, 10, 24, params)
+        result = solve(g, 100, 2, params)
         wall = time.perf_counter() - t0
         assert result.stats.iterations == 1
         # init_population is not interrupted; the rest ends within 3x the limit
         assert wall < 3 * 0.300 + sum(init_s)
+
+
+class TestCertifiedStop:
+    # init_population reaches ceil(W*/m) on iteration 0's matching
+    SPEC = InstanceSpec(200, 200, 10, 24, 1.0, "CONSISTENT", 1000, 5)
+
+    def test_solve_stops_once_certified(self):
+        g = generate(self.SPEC)
+        result = solve(g, 10, 24, FimpParams(max_iterations=5, rng_seed=0))
+        bound = -(-solve_full(g).total_weight // 10)
+        assert result.stats.iterations == len(result.stats.trace) == 1
+        assert result.stats.certified_optimal
+        assert result.stats.lower_bound == result.solution.objective == bound
+        assert not g.banned.any()
+
+    def test_baseline_keeps_its_budget(self):
+        g = generate(self.SPEC)
+        result = harness.baseline_ls(g, 10, 24, FimpParams(max_iterations=5, rng_seed=0))
+        assert result.stats.iterations == 5
+        assert result.stats.lower_bound is None
+        assert not result.stats.certified_optimal
+
+    def test_uncertified_run_uses_its_budget(self):
+        g = random_dense_graph(8, 8, 2, 4, random.Random(23), density=0.8)
+        result = solve(g, 2, 4, small_params(seed=1, iterations=20))
+        assert result.stats.iterations == 20
+        assert result.stats.lower_bound == -(-solve_full(g).total_weight // 2)
+        assert result.solution.objective > result.stats.lower_bound
+        assert not result.stats.certified_optimal
 
 
 class TestModifyGraph:
