@@ -36,7 +36,8 @@ from .orchestrator import FimpParams, RunResult, age_bans, ban_first, run_loop, 
 ORACLE_MAX_N1 = 8
 
 REPORT_COLUMNS = ["instance", "algo", "seed", "objective", "optimum", "gap",
-                  "iterations", "wall_time_ms", "match_time_ms", "hga_time_ms"]
+                  "iterations", "wall_time_ms", "match_time_ms", "hga_time_ms",
+                  "lower_bound", "certified_optimal"]
 
 
 def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
@@ -143,6 +144,8 @@ class RunReport:
     wall_time_ms: float
     match_time_ms: float
     hga_time_ms: float
+    lower_bound: float | None = None  # RunStats.lower_bound in file units
+    certified_optimal: bool = False
 
 
 def run_algorithm(g: BipartiteGraph, algo: str, params: FimpParams) -> RunResult:
@@ -168,6 +171,7 @@ def report_for(path: str, instance_id: str, algo: str,
     objective = g.display_value(result.solution.objective)
     optimum_scaled = _try_oracle(g) if with_oracle else None
     optimum = g.display_value(optimum_scaled) if optimum_scaled is not None else None
+    lower_bound = result.stats.lower_bound
     gap = None
     if optimum_scaled is not None:
         if optimum_scaled > 0:
@@ -181,6 +185,8 @@ def report_for(path: str, instance_id: str, algo: str,
         wall_time_ms=result.stats.wall_time_ms,
         match_time_ms=result.stats.match_time_ms,
         hga_time_ms=result.stats.hga_time_ms,
+        lower_bound=None if lower_bound is None else g.display_value(lower_bound),
+        certified_optimal=result.stats.certified_optimal,
     )
 
 
@@ -234,6 +240,9 @@ def read_reports(path: str) -> list[RunReport]:
                 wall_time_ms=float(row["wall_time_ms"]),
                 match_time_ms=float(row["match_time_ms"]),
                 hga_time_ms=float(row["hga_time_ms"]),
+                # files written before these two columns read as no bound
+                lower_bound=opt_float(row.get("lower_bound")),
+                certified_optimal=row.get("certified_optimal") == "True",
             ))
     return reports
 

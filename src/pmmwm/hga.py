@@ -229,31 +229,48 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
     """Greedy partition crossover.
 
     The child is built in m rounds with alternating donors (``a`` first).
-    Each round copies, from the donor's partitions restricted to
-    still-unassigned items, the one whose restricted weight is closest to the
-    ideal share (remaining total / remaining rounds, ties to the lowest
-    index) into the next child partition. Leftover items are then placed
-    heaviest-first into the lightest partition with spare capacity, so the
-    child is always feasible. The construction is deterministic.
+    Round r copies, from the donor's partitions restricted to
+    still-unassigned items, the one whose restricted weight x minimizes
+    |x * (m - r) - remaining total| (the one closest to the ideal share,
+    ties to the lowest index) into child partition r. Leftover items are
+    then placed heaviest-first into the lightest partition with spare
+    capacity, so the child is always feasible. The construction is
+    deterministic.
+
+    An item is free until its partition in either donor has been taken, so
+    the rounds run on one m x m cross table: ``cross[i, j]`` is the weight
+    of the free items in partition i of ``a`` and partition j of ``b``. A
+    donor's restricted sums are the table's row (``a``) or column (``b``)
+    sums. Taking a partition subtracts its row from the column sums (or its
+    column from the row sums) and zeroes it, so a round costs O(m) and no
+    pass over the items. Each item's child partition is the first round
+    that took either of its donor partitions. The table only changes how
+    the restricted sums are found; the selection rule is the one above,
+    evaluated on Python ints, so ``x * (m - r)`` cannot overflow.
     """
-    child = np.full(len(w), -1, dtype=np.int64)
-    free = np.ones(len(w), dtype=bool)
+    cross = np.zeros((m, m), dtype=np.int64)
+    np.add.at(cross, (a.part, b.part), w)
+    tables = (cross, cross.T)  # rows are a's partitions, then b's
+    line_sums = [cross.sum(axis=1), cross.sum(axis=0)]  # row sums of tables[s]
+    taken_in = ([m] * m, [m] * m)  # round that took each partition; m: never
+    sums = [0] * m
     remaining_total = int(w.sum())
     for r in range(m):
-        donor = (a, b)[r % 2].part
-        rounds_left = m - r
-        restricted = _part_sums(donor[free], w[free], m).tolist()
-        best_k = min(range(m),
-                     key=lambda k: abs(restricted[k] * rounds_left - remaining_total))
-        taken = free & (donor == best_k)
-        child[taken] = r
-        free[taken] = False
-        remaining_total -= int(w[taken].sum())
+        s = r % 2
+        restricted = line_sums[s].tolist()
+        gaps = [abs(x * (m - r) - remaining_total) for x in restricted]
+        best_k = gaps.index(min(gaps))
+        if taken_in[s][best_k] == m:
+            taken_in[s][best_k] = r
+            line_sums[1 - s] -= tables[s][best_k]
+            line_sums[s][best_k] = 0
+            tables[s][best_k] = 0
+        sums[r] = restricted[best_k]
+        remaining_total -= sums[r]
 
-    placed = ~free
-    sums = _part_sums(child[placed], w[placed], m).tolist()
-    sizes = np.bincount(child[placed], minlength=m).tolist()
-    leftovers = np.flatnonzero(free)
+    child = np.minimum(np.array(taken_in[0])[a.part], np.array(taken_in[1])[b.part])
+    sizes = np.bincount(child, minlength=m + 1).tolist()  # sizes[m]: leftovers
+    leftovers = np.flatnonzero(child == m)
     for u in leftovers[np.argsort(-w[leftovers], kind="stable")].tolist():
         best = -1
         for k in range(m):
@@ -262,7 +279,7 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
         child[u] = best
         sums[best] += int(w[u])
         sizes[best] += 1
-    return Individual(child, fitness_of(child, w, m))
+    return Individual(child, tuple(sorted(sums, reverse=True)))
 
 
 def mutate(ind: Individual, w: np.ndarray, ubar: int,

@@ -291,3 +291,50 @@ def mls_reference(part_of, weights, m: int, ubar: int, levels=(1, 2, 3)):
             if not any(rules[lv](h, h_items, current) for lv in levels):
                 break
     return part, fitness(sums)
+
+
+def _part_sums(part, w, m: int):
+    sums = np.zeros(m, dtype=np.int64)
+    np.add.at(sums, part, w)
+    return sums
+
+
+def gpx_reference(a_part, b_part, w, m: int, ubar: int):
+    """Greedy partition crossover, one numpy pass over the free items per
+    round; returns (part, fitness).
+
+    m rounds with alternating donors (``a_part`` first): round r copies the
+    donor partition, restricted to the still-unassigned items, whose
+    restricted weight x minimizes |x * (m - r) - remaining total| (lowest
+    index on ties; Python ints, so no overflow) into child partition r.
+    Leftovers go heaviest-first (stable) to the lightest partition with room
+    (lowest index on ties). Fitness is the child's sorted sums, recomputed
+    from scratch.
+    """
+    child = np.full(len(w), -1, dtype=np.int64)
+    free = np.ones(len(w), dtype=bool)
+    remaining_total = int(w.sum())
+    for r in range(m):
+        donor = (a_part, b_part)[r % 2]
+        rounds_left = m - r
+        restricted = _part_sums(donor[free], w[free], m).tolist()
+        best_k = min(range(m),
+                     key=lambda k: abs(restricted[k] * rounds_left - remaining_total))
+        taken = free & (donor == best_k)
+        child[taken] = r
+        free[taken] = False
+        remaining_total -= int(w[taken].sum())
+
+    placed = ~free
+    sums = _part_sums(child[placed], w[placed], m).tolist()
+    sizes = np.bincount(child[placed], minlength=m).tolist()
+    leftovers = np.flatnonzero(free)
+    for u in leftovers[np.argsort(-w[leftovers], kind="stable")].tolist():
+        best = -1
+        for k in range(m):
+            if sizes[k] < ubar and (best == -1 or sums[k] < sums[best]):
+                best = k
+        child[u] = best
+        sums[best] += int(w[u])
+        sizes[best] += 1
+    return child, tuple(sorted(_part_sums(child, w, m).tolist(), reverse=True))

@@ -129,6 +129,30 @@ class TestBenchReports:
         again = bench(instances, "fimp-hga", tiny_params(seed=4))
         assert [r.objective for r in again] == [r.objective for r in reports]
 
+    def test_certificate_columns_round_trip(self, tmp_path):
+        instances = self.make_instances(tmp_path)
+        fimp = bench(instances, "fimp-hga", tiny_params(seed=4))
+        base = bench(instances, "baseline", tiny_params(seed=4))
+        for r in fimp:
+            assert r.lower_bound is not None and r.lower_bound <= r.objective
+            assert r.certified_optimal == (r.objective == r.lower_bound)
+        assert all(r.lower_bound is None and not r.certified_optimal for r in base)
+        out = str(tmp_path / "reports.csv")
+        write_reports(out, fimp + base)
+        assert open(out).readline().strip().endswith(",lower_bound,certified_optimal")
+        loaded = read_reports(out)
+        assert [(r.lower_bound, r.certified_optimal) for r in loaded] == \
+            [(r.lower_bound, r.certified_optimal) for r in fimp + base]
+
+    def test_reads_csv_without_certificate_columns(self, tmp_path):
+        out = tmp_path / "old.csv"
+        out.write_text("instance,algo,seed,objective,optimum,gap,iterations,"
+                       "wall_time_ms,match_time_ms,hga_time_ms\n"
+                       "i1,fimp-hga,0,7,,,3,1.5,0.5,1.0\n")
+        (r,) = read_reports(str(out))
+        assert (r.instance, r.objective, r.iterations) == ("i1", 7.0, 3)
+        assert r.lower_bound is None and r.certified_optimal is False
+
     def test_oracle_column_present_for_tiny(self, tmp_path):
         instances = self.make_instances(tmp_path, count=2)
         reports = bench(instances, "fimp-hga", tiny_params(seed=1))

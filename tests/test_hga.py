@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from pmmwm.graph import MAX_TOTAL_WEIGHT
 from pmmwm.hga import (
     HgaParams,
     Individual,
@@ -15,7 +16,7 @@ from pmmwm.hga import (
 )
 from pmmwm.numpart import greedy_lpt, kk_multiway, min_max_brute
 
-from oracles import improving_neighbor_exists, mls_reference
+from oracles import gpx_reference, improving_neighbor_exists, mls_reference
 
 
 def items_of(*weights):
@@ -215,6 +216,78 @@ class TestGpx:
             assert max(sizes) <= ubar
             assert sorted(child.part.tolist()) != [] or n == 0
             assert all(0 <= k < m for k in child.part.tolist())
+
+
+def _random_feasible(rng, n, m, ubar):
+    slots = [k for k in range(m) for _ in range(ubar)]
+    rng.shuffle(slots)
+    return np.array(slots[:n], dtype=np.int64)
+
+
+def _assert_gpx_matches_reference(a, b, w, m, ubar):
+    ref_part, ref_fit = gpx_reference(a.part, b.part, w, m, ubar)
+    child = gpx_crossover(a, b, w, m, ubar)
+    assert child.part.dtype == np.int64
+    assert (child.part.tolist(), child.fitness) == (ref_part.tolist(), ref_fit)
+
+
+class TestGpxAgainstReference:
+    # (n, m, ubar): the perfbench tight and groups shapes, then small m
+    SHAPES = ((48, 24, 2), (48, 24, 3), (200, 10, 24),
+              (12, 1, 12), (9, 2, 5), (7, 2, 7), (15, 4, 4), (5, 3, 2))
+    WEIGHTS = ("random", "equal", "zero")
+    PAIRS = 12  # per (shape, weights, parent kind): 8 * 3 * 4 * 12 = 1152
+
+    def test_same_child_as_reference(self):
+        rng = random.Random(8)
+        checked = 0
+        for n, m, ubar in self.SHAPES:
+            for kind in self.WEIGHTS:
+                if kind == "random":
+                    w = items_of(*[rng.randint(1, 1000) for _ in range(n)])
+                else:
+                    w = np.full(n, 7 if kind == "equal" else 0, dtype=np.int64)
+                pop = init_population(w, m, ubar, HgaParams(pop_size=6, rng_seed=n + m))
+
+                def pick():
+                    return pop[rng.randrange(len(pop))]
+
+                for _ in range(self.PAIRS):
+                    a = pick()
+                    pairs = [
+                        (a, pick()),
+                        (mutate(pick(), w, ubar, 1.0, rng), pick()),
+                        tuple(individual(_random_feasible(rng, n, m, ubar), w, m, ubar)
+                              for _ in range(2)),
+                        (a, a),
+                    ]
+                    for x, y in pairs:
+                        _assert_gpx_matches_reference(x, y, w, m, ubar)
+                        checked += 1
+        assert checked >= 1000
+
+    def test_exact_beyond_int64_products(self):
+        # The weights total MAX_TOTAL_WEIGHT and a's partition holding the
+        # two heavy items weighs x = (2**64 + total) // m. In round 0 its
+        # gap x * m - total is about 2**64 (the worst candidate), but an
+        # int64 product wraps it to under m, the best of all.
+        rng = random.Random(55)
+        n, m, ubar = 600, 600, 2
+        total = MAX_TOTAL_WEIGHT
+        x = ((1 << 64) + total) // m
+        for _ in range(3):
+            cuts = sorted(rng.sample(range(1, total - x), n - 3))
+            light = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total - x])]
+            w = items_of(*light, x // 2, x - x // 2)
+            assert int(w.sum()) == total
+            wrapped = (x * m - total + (1 << 63)) % (1 << 64) - (1 << 63)
+            assert abs(wrapped) < m
+            # a: the heavy items together in partition 0, the rest in 1..m-1
+            a = np.append(_random_feasible(rng, n - 2, m - 1, ubar) + 1, [0, 0])
+            _assert_gpx_matches_reference(
+                individual(a, w, m, ubar),
+                individual(_random_feasible(rng, n, m, ubar), w, m, ubar),
+                w, m, ubar)
 
 
 class TestMutate:
