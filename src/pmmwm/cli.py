@@ -9,6 +9,7 @@ CSVs). README.md's "Exit codes" table lists the exit codes.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import json
 import os
@@ -125,18 +126,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _instances_from_args(args) -> list[tuple[str, str]]:
-    if args.manifest:
-        import csv as _csv
-        base = os.path.dirname(args.manifest)
-        with open(args.manifest, newline="", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
-        return [(os.path.join(base, row["file"]), row["file"]) for row in rows]
-    manifest = os.path.join(args.dir, "manifest.csv")
-    if os.path.exists(manifest):
-        args.manifest = manifest
-        return _instances_from_args(args)
-    paths = sorted(glob.glob(os.path.join(args.dir, "*.txt")))
-    return [(p, os.path.basename(p)) for p in paths]
+    """(path, id) pairs listed by ``--manifest``, else by ``--dir``'s
+    manifest.csv when it has one, else every ``*.txt`` file in ``--dir``.
+    Manifest paths resolve relative to the manifest's directory."""
+    manifest = args.manifest
+    if not manifest:
+        manifest = os.path.join(args.dir, "manifest.csv")
+        if not os.path.exists(manifest):
+            paths = sorted(glob.glob(os.path.join(args.dir, "*.txt")))
+            return [(p, os.path.basename(p)) for p in paths]
+    base = os.path.dirname(manifest)
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        return [(os.path.join(base, row["file"]), row["file"])
+                for row in csv.DictReader(fh)]
 
 
 def _cmd_bench(args) -> int:

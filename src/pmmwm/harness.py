@@ -4,10 +4,11 @@
 matchings jointly with capacity-feasible partitions; it anchors the
 acceptance tests. ``baseline_ls`` is the deliberately simpler comparison
 solver: it runs ``orchestrator.run_loop``, the outer banning loop of
-``solve``, with the same ban policy, but re-solves the matching from scratch
-every iteration, checks a ban's feasibility with a plain perfect-matching
-test, and partitions by greedy construction and relocation-only local
-search.
+``solve``, with the same ban policy (one ``BanList`` holds its bans and
+vetoes), but re-solves the matching from scratch every iteration, checks a
+ban's feasibility with a plain perfect-matching test, and partitions by
+greedy construction and relocation-only local search. It reports no lower
+bound, so it runs its full iteration budget at every m.
 ``bench`` runs a directory of instances and emits one CSV row per run;
 ``compare`` joins two such CSVs into a win/tie/loss table.
 """
@@ -31,7 +32,7 @@ from .graph import (
 from .hga import Individual, fitness_of, mls_improve
 from .matching import solve_full
 from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
-from .orchestrator import FimpParams, RunResult, age_bans, ban_first, run_loop, solve
+from .orchestrator import FimpParams, RunResult, ban_first, run_loop, solve
 
 ORACLE_MAX_N1 = 8
 
@@ -100,14 +101,14 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     """Comparison anchor: ``run_loop`` with a full matching re-solve, greedy
     construction and relocation-only local search in each step.
 
-    Bans age and are chosen by ``age_bans`` and ``ban_first``, as in
+    Bans age and are chosen by ``BanList.age`` and ``ban_first``, as in
     ``solve``; the two ban loops differ only in the feasibility check and the
     matching. Here a plain perfect-matching check vetoes a ban (not charged
     to match time; only the per-iteration full solves are), and the next
     step re-solves the matching instead of repairing it. It reports no
     lower bound, so it always runs the full ``max_iterations``.
     """
-    def step(it, bans, vetoed, keep):
+    def step(it, bans):
         t0 = time.perf_counter()
         st = solve_full(g)
         match_s = time.perf_counter() - t0
@@ -120,10 +121,8 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
 
         current = Solution(mate=st.mate_u.tolist(), objective=ind.fitness[0],
                            partition=PartitionAssignment(m, ubar, ind.part.tolist()))
-        keep(current)
-        age_bans(g, bans, vetoed)
-        ban_first(g, current, bans, vetoed, params.tenure,
-                  lambda u, v: g.has_perfect_matching())
+        bans.age(g)
+        ban_first(g, current, bans, params.tenure, lambda u, v: g.has_perfect_matching())
         return current, match_s, part_s, None
 
     return run_loop(g, m, ubar, params, step)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityInfeasible
-from .numpart import greedy_in_order, greedy_lpt, kk_multiway
+from .numpart import _lightest_open, greedy_in_order, greedy_lpt, kk_multiway
 
 
 @dataclass
@@ -272,10 +272,7 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
     sizes = np.bincount(child, minlength=m + 1).tolist()  # sizes[m]: leftovers
     leftovers = np.flatnonzero(child == m)
     for u in leftovers[np.argsort(-w[leftovers], kind="stable")].tolist():
-        best = -1
-        for k in range(m):
-            if sizes[k] < ubar and (best == -1 or sums[k] < sums[best]):
-                best = k
+        best = _lightest_open(sums, sizes, ubar)  # sums has m entries: sizes[m] is never read
         child[u] = best
         sums[best] += int(w[u])
         sizes[best] += 1
@@ -327,10 +324,7 @@ def init_population(w: np.ndarray, m: int, ubar: int,
 
     population: list[Individual] = []
     seen: set[tuple[int, ...]] = set()
-    seeds = [greedy_lpt(w, m, ubar)]
-    if params.pop_size >= 2:
-        seeds.append(kk_multiway(w, m, ubar))
-    for part in seeds:
+    for part in (greedy_lpt(w, m, ubar), kk_multiway(w, m, ubar)):
         ind = improved(part)
         population.append(ind)
         seen.add(ind.fitness)

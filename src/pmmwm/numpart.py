@@ -29,6 +29,17 @@ def _check_capacity(n: int, m: int, ubar: int) -> None:
         raise CapacityInfeasible(f"m*ubar = {m * ubar} cannot hold {n} items")
 
 
+def _lightest_open(sums: list[int], sizes: list[int], ubar: int) -> int:
+    """The placement rule of every constructor: the index of the lightest of
+    the ``len(sums)`` partitions with fewer than ``ubar`` items (ties: lowest
+    index), or -1 when all are full."""
+    best = -1
+    for k in range(len(sums)):
+        if sizes[k] < ubar and (best == -1 or sums[k] < sums[best]):
+            best = k
+    return best
+
+
 def greedy_in_order(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
     """Assign items in index order, each to the lightest partition with spare
     capacity (ties: lowest index). To place items in another order, pass
@@ -38,10 +49,7 @@ def greedy_in_order(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
     sums = [0] * m
     sizes = [0] * m
     for wi in w.tolist():
-        best = -1
-        for k in range(m):
-            if sizes[k] < ubar and (best == -1 or sums[k] < sums[best]):
-                best = k
+        best = _lightest_open(sums, sizes, ubar)
         part.append(best)
         sums[best] += wi
         sizes[best] += 1
@@ -123,10 +131,7 @@ def kk_multiway(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
         over = next((k for k in range(m) if sizes[k] > ubar), None)
         if over is None:
             break
-        target = -1
-        for k in range(m):
-            if k != over and sizes[k] < ubar and (target == -1 or sums[k] < sums[target]):
-                target = k
+        target = _lightest_open(sums, sizes, ubar)  # never over: sizes[over] > ubar
         moved = subsets[over].pop(0)  # smallest item of the overfull partition
         subsets[target].append(moved)
         subsets[target].sort(key=by_weight)

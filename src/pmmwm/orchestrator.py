@@ -10,11 +10,11 @@ never re-solved from scratch) to route around it. The incumbent is the best
 mutated, and its objective is non-increasing over the run.
 
 ``solve`` and ``harness.baseline_ls`` both run ``run_loop``, which owns the
-checks, the time limit, the incumbent, the trace and the graph's ban flags,
-and both age and ban with ``age_bans`` and ``ban_first``; each supplies only
-its per-iteration step. With m == 1 the problem collapses to plain
-min-weight perfect matching: banning could only worsen the optimum, so
-``run_loop`` does one full solve and no step.
+checks, the time limit, the incumbent, the trace, the ``BanList`` and the
+graph's ban flags; each supplies only its per-iteration step. The
+``BanList`` is the whole ban policy's state: the active bans and the vetoes
+(bans found to leave no perfect matching), each with its remaining tenure;
+``BanList.age`` expires both and ``ban_first`` picks the next ban.
 
 ``max_iterations`` is a cap, not a count. Every solution's heaviest
 partition weighs at least ceil(W*/m), where W* is the weight of a
@@ -57,30 +57,28 @@ class FimpParams:
         self.hga.validate()
 
 
-def _age_tenures(tenures: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
-    """Decrement every tenure and drop/return the expired edges, sorted."""
-    expired = []
-    for edge in sorted(tenures):
-        tenures[edge] -= 1
-        if tenures[edge] <= 0:
-            expired.append(edge)
-    for edge in expired:
-        del tenures[edge]
-    return expired
-
-
 class BanList:
-    """Banned edges with remaining tenure; mirrors the graph's ban flags."""
+    """The ban policy's state: ``entries`` maps each banned edge to its
+    remaining tenure and mirrors the graph's ban flags; ``vetoed`` maps each
+    edge whose ban was rejected to the iterations left before it may be
+    tried again."""
 
     def __init__(self):
         self.entries: dict[tuple[int, int], int] = {}
+        self.vetoed: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def age(self) -> list[tuple[int, int]]:
-        """Decrement every tenure and drop/return the expired edges."""
-        return _age_tenures(self.entries)
+    def age(self, g: BipartiteGraph) -> list[tuple[int, int]]:
+        """Age every ban and veto by one iteration; unban the expired bans
+        in ``g`` and return them, sorted."""
+        expired = sorted(edge for edge, left in self.entries.items() if left <= 1)
+        self.entries = {edge: left - 1 for edge, left in self.entries.items() if left > 1}
+        self.vetoed = {edge: left - 1 for edge, left in self.vetoed.items() if left > 1}
+        for (u, v) in expired:
+            g.unban_edge(u, v)
+        return expired
 
 
 @dataclass
@@ -111,19 +109,7 @@ class RunResult:
     stats: RunStats
 
 
-def age_bans(g: BipartiteGraph, bans: BanList,
-             vetoed: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
-    """Age every ban and veto by one iteration; unban and return the
-    expired bans."""
-    expired = bans.age()
-    for (u, v) in expired:
-        g.unban_edge(u, v)
-    _age_tenures(vetoed)
-    return expired
-
-
-def ban_first(g: BipartiteGraph, sol: Solution, bans: BanList,
-              vetoed: dict[tuple[int, int], int], tenure: int,
+def ban_first(g: BipartiteGraph, sol: Solution, bans: BanList, tenure: int,
               feasible: Callable[[int, int], bool]) -> None:
     """Ban the heaviest matched edge (u, v) of the heaviest partition (ties:
     lowest partition index, then lowest U-index) that is neither banned nor
@@ -135,37 +121,35 @@ def ban_first(g: BipartiteGraph, sol: Solution, bans: BanList,
     for u in sorted((u for u in range(g.n1) if part_of[u] == heaviest),
                     key=lambda u: (-int(g.weight[u, mate[u]]), u)):
         v = mate[u]
-        if (u, v) in vetoed or (u, v) in bans.entries:
+        if (u, v) in bans.vetoed or (u, v) in bans.entries:
             continue
         g.ban_edge(u, v)
         if feasible(u, v):
             bans.entries[(u, v)] = tenure
             return
         g.unban_edge(u, v)
-        vetoed[(u, v)] = tenure
+        bans.vetoed[(u, v)] = tenure
 
 
 def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
-                 bans: BanList, vetoed: dict[tuple[int, int], int],
-                 tenure: int) -> MatchState:
-    """One graph-modification step; returns the new match state.
+                 bans: BanList, tenure: int) -> MatchState:
+    """One graph-modification step; repairs ``st`` in place and returns it.
 
-    ``age_bans`` lifts the expired bans and ``batch_resolve`` re-matches
+    ``bans.age`` lifts the expired bans and ``batch_resolve`` re-matches
     around them; then ``ban_first`` bans the next edge of ``sol`` for
     ``tenure`` iterations, vetoing any ban that ``repair_after_ban`` finds
     leaves no perfect matching.
     """
-    st = batch_resolve(g, st, set(age_bans(g, bans, vetoed)))
+    batch_resolve(g, st, set(bans.age(g)))
 
     def repaired(u: int, v: int) -> bool:
-        nonlocal st
         try:
-            st = repair_after_ban(g, st, u, v)
+            repair_after_ban(g, st, u, v)
         except NoPerfectMatching:
             return False
         return True
 
-    ban_first(g, sol, bans, vetoed, tenure, repaired)
+    ban_first(g, sol, bans, tenure, repaired)
     return st
 
 
@@ -173,48 +157,32 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
              step: Callable) -> RunResult:
     """The outer match-partition loop of ``solve`` and ``baseline_ls``.
 
-    ``step(it, bans, vetoed, keep)`` runs iteration ``it`` and returns its
-    solution, the seconds charged to matching and to partitioning, and a
-    lower bound on every solution's objective (``None``: no bound known); it
-    may ban edges, and passes the solution to ``keep``, which records it as
-    the incumbent on strict improvement. The loop runs at most
-    ``max_iterations`` steps and stops early, certified optimal, once the
-    incumbent reaches the bound. The graph's ban flags are restored on every
-    exit, an exception included.
+    ``step(it, bans)`` runs iteration ``it`` and returns its solution, the
+    seconds charged to matching and to partitioning, and a lower bound on
+    every solution's objective (``None``: no bound known); it may age and
+    add bans in ``bans``. The returned solution becomes the incumbent on
+    strict improvement. The loop runs at most ``max_iterations`` steps and
+    stops early, certified optimal, once the incumbent reaches the bound.
+    The graph's ban flags are restored on every exit, an exception included.
     """
     params.validate()
     if m * ubar < g.n1:
         raise InfeasibleInstance(f"m*ubar = {m * ubar} < n1 = {g.n1}")
     t_start = time.perf_counter()
     trace: list[IterationRecord] = []
-    if m == 1:  # plain min-weight perfect matching: banning could only worsen it
-        st = solve_full(g)
-        match_ms = (time.perf_counter() - t_start) * 1000.0
-        sol = Solution(mate=st.mate_u.tolist(), objective=st.total_weight,
-                       partition=PartitionAssignment(1, ubar, [0] * g.n1))
-        trace.append(IterationRecord(0, sol.objective, sol.objective, 0, match_ms, 0.0))
-        wall = (time.perf_counter() - t_start) * 1000.0
-        return RunResult(sol, RunStats(params.rng_seed, 1, wall, match_ms, 0.0, trace,
-                                       sol.objective, True))
-
     bans = BanList()
-    vetoed: dict[tuple[int, int], int] = {}
     incumbent: Solution | None = None
     lower_bound: int | None = None
     certified = False
     saved_bans = g.banned.copy()
-
-    def keep(sol: Solution) -> None:
-        nonlocal incumbent
-        if incumbent is None or sol.objective < incumbent.objective:
-            incumbent = sol
-
     try:
         for it in range(params.max_iterations):
             elapsed_ms = (time.perf_counter() - t_start) * 1000.0
             if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
                 break
-            current, match_s, part_s, lower_bound = step(it, bans, vetoed, keep)
+            current, match_s, part_s, lower_bound = step(it, bans)
+            if incumbent is None or current.objective < incumbent.objective:
+                incumbent = current
             trace.append(IterationRecord(it, current.objective, incumbent.objective,
                                          len(bans), match_s * 1000.0, part_s * 1000.0))
             certified = lower_bound is not None and incumbent.objective == lower_bound
@@ -249,7 +217,7 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     prev_part: np.ndarray | None = None
     lower_bound: int | None = None
 
-    def step(it, bans, vetoed, keep):
+    def step(it, bans):
         nonlocal st, prev_mate, prev_part, lower_bound
         match_s = 0.0
         if st is None:
@@ -271,9 +239,8 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
         current = Solution(mate=mate_now, objective=best.fitness[0],
                            partition=PartitionAssignment(m, ubar, best.part.tolist()))
         prev_mate, prev_part = mate_now, best.part
-        keep(current)
         t0 = time.perf_counter()
-        st = modify_graph(g, st, current, bans=bans, vetoed=vetoed, tenure=params.tenure)
+        modify_graph(g, st, current, bans=bans, tenure=params.tenure)
         return current, match_s + (time.perf_counter() - t0), hga_s, lower_bound
 
     return run_loop(g, m, ubar, params, step)

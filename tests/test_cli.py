@@ -8,6 +8,7 @@ import pytest
 
 from pmmwm.cli import _add_solver_flags, _params_from, main
 from pmmwm.graph import load_solution, save_instance
+from pmmwm.harness import read_reports
 from pmmwm.hga import HgaParams
 from pmmwm.orchestrator import FimpParams, RunResult, RunStats
 
@@ -237,6 +238,19 @@ class TestBenchAndCompare:
         assert run_cli(["bench", "--manifest", str(bench_dir / "trimmed.csv"),
                         "--out", out_csv, "--max-iterations", "3",
                         "--pop-size", "4", "--max-generations", "5"]) == 0
+
+    def test_bench_dir_reads_its_manifest(self, tmp_path, capsys):
+        # D/manifest.csv lists one of D's two instance files: only it runs
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        for seed in range(2):
+            run_cli(["generate", "--n1", "5", "--m", "2", "--ubar", "3",
+                     "--seed", str(seed), "--out", str(inst_dir / f"i{seed}.txt")])
+        (inst_dir / "manifest.csv").write_text("file\ni1.txt\n")
+        out_csv = str(tmp_path / "runs.csv")
+        assert run_cli(["bench", "--dir", str(inst_dir), "--out", out_csv,
+                        "--max-iterations", "3", "--pop-size", "4"]) == 0
+        assert [r.instance for r in read_reports(out_csv)] == ["i1.txt"]
 
     def test_bench_requires_input(self, capsys):
         with pytest.raises(SystemExit) as exc:

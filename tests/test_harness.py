@@ -76,10 +76,16 @@ class TestExactOracle:
 
 class TestBaseline:
     def test_single_partition_matches_fimp(self):
+        # m = 1: both return the min-weight perfect matching; only solve
+        # certifies it and stops, the baseline runs its whole budget
         g = make_example_graph()
         base = baseline_ls(g, 1, 6, tiny_params())
         fimp = solve(g, 1, 6, tiny_params())
+        assert base.solution.mate == fimp.solution.mate
+        assert base.solution.partition.part_of == fimp.solution.partition.part_of
         assert base.solution.objective == fimp.solution.objective
+        assert base.stats.iterations == tiny_params().max_iterations
+        assert base.stats.lower_bound is None
 
     def test_never_beats_oracle(self):
         rng = random.Random(7)

@@ -214,7 +214,7 @@ class TestModifyGraph:
             key=lambda u: (int(g.weight[u, sol.mate[u]]), -u))
         expect_edge = (expect_u, sol.mate[expect_u])
         bans = BanList()
-        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=4)
+        st = modify_graph(g, st, sol, bans=bans, tenure=4)
         assert bans.entries == {expect_edge: 4}
         assert g.banned[expect_edge]
         check_invariants(g, st)
@@ -222,9 +222,9 @@ class TestModifyGraph:
     def test_consecutive_calls_add_bans(self):
         g, st, sol, _ = self.build(seed=1)
         bans = BanList()
-        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=50)
+        st = modify_graph(g, st, sol, bans=bans, tenure=50)
         assert len(bans) == 1
-        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=50)
+        st = modify_graph(g, st, sol, bans=bans, tenure=50)
         assert len(bans) == 2
 
     def test_vetoed_ban_restores_and_tries_next(self):
@@ -240,42 +240,48 @@ class TestModifyGraph:
         sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
                        objective=st.total_weight)
         bans = BanList()
-        vetoed = {}
-        st = modify_graph(g, st, sol, bans=bans, vetoed=vetoed, tenure=6)
-        assert (0, 0) in vetoed and not g.banned[0, 0]
+        st = modify_graph(g, st, sol, bans=bans, tenure=6)
+        assert (0, 0) in bans.vetoed and not g.banned[0, 0]
         assert len(bans) == 1 and (0, 0) not in bans.entries
         check_invariants(g, st)
 
     def test_tenure_expiry_restores_edges(self):
         g, st, sol, _ = self.build(seed=3)
         bans = BanList()
-        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=2)
+        st = modify_graph(g, st, sol, bans=bans, tenure=2)
         banned_edge = next(iter(bans.entries))
         assert bans.entries[banned_edge] == 2
-        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=2)
+        st = modify_graph(g, st, sol, bans=bans, tenure=2)
         assert bans.entries[banned_edge] == 1
         # third call: the edge expires and is released; with the solution held
         # fixed it is immediately re-banned as the still-heaviest candidate,
         # which shows as a fresh tenure rather than a stale zero
-        st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=2)
+        st = modify_graph(g, st, sol, bans=bans, tenure=2)
         assert bans.entries[banned_edge] == 2
         flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
         assert flagged == set(bans.entries)
         check_invariants(g, st)
 
     def test_banlist_age_unit(self):
+        g = random_dense_graph(4, 4, 1, 4, random.Random(0), density=1.0)
         bans = BanList()
-        bans.entries = {(0, 1): 2, (2, 3): 1}
-        assert bans.age() == [(2, 3)]
+        for edge, left in {(0, 1): 2, (2, 3): 1}.items():
+            g.ban_edge(*edge)
+            bans.entries[edge] = left
+        bans.vetoed[(1, 2)] = 2
+        assert bans.age(g) == [(2, 3)]
         assert bans.entries == {(0, 1): 1}
-        assert bans.age() == [(0, 1)]
-        assert len(bans) == 0
+        assert bans.vetoed == {(1, 2): 1}
+        assert g.banned[0, 1] and not g.banned[2, 3]
+        assert bans.age(g) == [(0, 1)]
+        assert len(bans) == 0 and bans.vetoed == {}
+        assert not g.banned.any()
 
     def test_banlist_mirrors_graph_flags(self):
         g, st, sol, _ = self.build(seed=4)
         bans = BanList()
         for _ in range(12):
-            st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=3)
+            st = modify_graph(g, st, sol, bans=bans, tenure=3)
             flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
             assert flagged == set(bans.entries)
             assert all(t >= 1 for t in bans.entries.values())
@@ -288,7 +294,7 @@ class TestModifyGraph:
         bans = BanList()
         sizes = []
         for _ in range(10):
-            st = modify_graph(g, st, sol, bans=bans, vetoed={}, tenure=10_000)
+            st = modify_graph(g, st, sol, bans=bans, tenure=10_000)
             sizes.append(len(bans))
         assert sizes == sorted(sizes)
 
@@ -300,9 +306,8 @@ class TestModifyGraph:
         sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
                        objective=100)
         bans = BanList()
-        vetoed = {}
         for _ in range(10):
-            st = modify_graph(g, st, sol, bans=bans, vetoed=vetoed, tenure=5)
+            st = modify_graph(g, st, sol, bans=bans, tenure=5)
             check_invariants(g, st)
             assert st.total_weight == solve_full(g).total_weight
             sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
