@@ -108,7 +108,7 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     step re-solves the matching instead of repairing it. It reports no
     lower bound, so it always runs the full ``max_iterations``.
     """
-    def step(it, bans):
+    def step(it, bans, deadline):
         t0 = time.perf_counter()
         st = solve_full(g)
         match_s = time.perf_counter() - t0

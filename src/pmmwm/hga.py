@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityInfeasible
 from .numpart import _lightest_open, greedy_in_order, greedy_lpt, kk_multiway
 
 
@@ -303,39 +302,23 @@ def mutate(ind: Individual, w: np.ndarray, ubar: int,
 
 def init_population(w: np.ndarray, m: int, ubar: int,
                     params: HgaParams, rng: random.Random | None = None) -> list[Individual]:
-    """LPT seed, KK seed, then greedy constructions on shuffled item orders,
-    each improved by MLS. Random individuals whose fitness duplicates an
-    earlier one are re-randomized up to 3 times."""
+    """The LPT seed, the KK seed, then ``pop_size - 2`` greedy constructions
+    on shuffled item orders, each improved by MLS once. Raises
+    ``CapacityInfeasible`` (from ``greedy_lpt``) when m * ubar < len(w)."""
     if rng is None:
         rng = random.Random(params.rng_seed)
     n = len(w)
-    if m * ubar < n:
-        raise CapacityInfeasible(f"m*ubar = {m * ubar} cannot hold {n} items")
 
     def improved(part: np.ndarray) -> Individual:
         return mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar)
 
-    def random_greedy() -> np.ndarray:
+    population = [improved(greedy_lpt(w, m, ubar)), improved(kk_multiway(w, m, ubar))]
+    while len(population) < params.pop_size:
         order = list(range(n))
         rng.shuffle(order)
         part = np.empty(n, dtype=np.int64)
         part[order] = greedy_in_order(w[order], m, ubar)
-        return part
-
-    population: list[Individual] = []
-    seen: set[tuple[int, ...]] = set()
-    for part in (greedy_lpt(w, m, ubar), kk_multiway(w, m, ubar)):
-        ind = improved(part)
-        population.append(ind)
-        seen.add(ind.fitness)
-    while len(population) < params.pop_size:
-        ind = improved(random_greedy())
-        attempts = 0
-        while ind.fitness in seen and attempts < 3:
-            ind = improved(random_greedy())
-            attempts += 1
-        population.append(ind)
-        seen.add(ind.fitness)
+        population.append(improved(part))
     return population
 
 
@@ -345,14 +328,12 @@ def _tournament(population: list[Individual], rng: random.Random) -> Individual:
     return a if a.fitness <= b.fitness else b
 
 
-def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
-           seed_assignment: np.ndarray | None = None,
+def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
            on_generation=None, deadline: float | None = None) -> Individual:
-    """Run the generational loop and return the best individual ever seen.
+    """Run the generational loop from ``init_population`` and return the best
+    individual ever seen.
 
-    ``seed_assignment`` optionally replaces the last random initial
-    individual with a given partition (warm start between solver
-    iterations). ``on_generation`` is called as
+    ``on_generation`` is called as
     ``on_generation(gen, population, incumbent)`` after each generation; the
     incumbent's fitness is non-increasing across generations because the
     elite survives verbatim. ``deadline`` is a ``time.perf_counter()`` value
@@ -362,15 +343,12 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams,
 
     No generation starts either once the best fitness[0] equals the lower
     bound max(ceil(sum(w) / m), max(w)), checked in the same place: the
-    answer is then proven optimal. When the initial population (with the
-    warm start) already reaches it, ``on_generation`` is never called.
+    answer is then proven optimal. When the initial population already reaches
+    it, ``on_generation`` is never called.
     """
     params.validate()
     rng = random.Random(params.rng_seed)
     population = init_population(w, m, ubar, params, rng)
-    if seed_assignment is not None and params.pop_size > 2:
-        part = np.array(seed_assignment, dtype=np.int64)
-        population[-1] = mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar)
     best = min(population, key=lambda ind: ind.fitness)
     bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
     stall = 0

@@ -212,21 +212,6 @@ def repair_after_ban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> Match
     return st
 
 
-def _unban_repair(g: BipartiteGraph, st: MatchState, u: int, v: int) -> None:
-    w = int(g.weight[u, v])
-    st.eff[u, v] = w
-    if int(st.alpha[u]) + int(st.beta[v]) <= w:
-        return
-    st.alpha[u] = (st.eff[u] - st.beta).min()
-    vm = int(st.mate_u[u])
-    if int(st.alpha[u]) + int(st.beta[vm]) == int(st.eff[u, vm]):
-        return
-    st.mate_u[u] = FREE
-    st.mate_v[vm] = FREE
-    _augment(st, u)
-    st.total_weight = st.matched_weight()
-
-
 def repair_after_unban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> MatchState:
     """Re-optimize after edge (u, v) was restored in ``g``.
 
@@ -235,12 +220,7 @@ def repair_after_unban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> Mat
     the tightness of u's matched edge, and one phase rematches u. Restoring
     an edge cannot destroy feasibility, so this never raises.
     """
-    if g.banned[u, v] or not g.has_edge(u, v):
-        raise ValueError(f"repair_after_unban: edge ({u}, {v}) is not available")
-    _unban_repair(g, st, u, v)
-    if _checks_enabled():
-        check_invariants(g, st)
-    return st
+    return batch_resolve(g, st, {(u, v)})
 
 
 def batch_resolve(g: BipartiteGraph, st: MatchState,
@@ -254,8 +234,19 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
     edges = sorted(released)
     for (u, v) in edges:
         if g.banned[u, v] or not g.has_edge(u, v):
-            raise ValueError(f"batch_resolve: edge ({u}, {v}) is not available")
-        _unban_repair(g, st, u, v)
+            raise ValueError(f"edge ({u}, {v}) is not available")
+        w = int(g.weight[u, v])
+        st.eff[u, v] = w
+        if int(st.alpha[u]) + int(st.beta[v]) <= w:
+            continue
+        st.alpha[u] = (st.eff[u] - st.beta).min()
+        vm = int(st.mate_u[u])
+        if int(st.alpha[u]) + int(st.beta[vm]) == int(st.eff[u, vm]):
+            continue
+        st.mate_u[u] = FREE
+        st.mate_v[vm] = FREE
+        _augment(st, u)
+        st.total_weight = st.matched_weight()
     if edges and _checks_enabled():
         check_invariants(g, st)
     return st

@@ -157,18 +157,23 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
              step: Callable) -> RunResult:
     """The outer match-partition loop of ``solve`` and ``baseline_ls``.
 
-    ``step(it, bans)`` runs iteration ``it`` and returns its solution, the
-    seconds charged to matching and to partitioning, and a lower bound on
-    every solution's objective (``None``: no bound known); it may age and
-    add bans in ``bans``. The returned solution becomes the incumbent on
-    strict improvement. The loop runs at most ``max_iterations`` steps and
-    stops early, certified optimal, once the incumbent reaches the bound.
-    The graph's ban flags are restored on every exit, an exception included.
+    ``step(it, bans, deadline)`` runs iteration ``it`` and returns its
+    solution, the seconds charged to matching and to partitioning, and a
+    lower bound on every solution's objective (``None``: no bound known); it
+    may age and add bans in ``bans``. The returned solution becomes the
+    incumbent on strict improvement. The loop runs at most
+    ``max_iterations`` steps and stops early, certified optimal, once the
+    incumbent reaches the bound, or before any step after the first once
+    ``deadline`` (the ``time.perf_counter()`` value at which
+    ``time_limit_ms`` runs out; ``None``: no limit) has passed. The graph's
+    ban flags are restored on every exit, an exception included.
     """
     params.validate()
     if m * ubar < g.n1:
         raise InfeasibleInstance(f"m*ubar = {m * ubar} < n1 = {g.n1}")
     t_start = time.perf_counter()
+    deadline = (None if params.time_limit_ms is None
+                else t_start + params.time_limit_ms / 1000.0)
     trace: list[IterationRecord] = []
     bans = BanList()
     incumbent: Solution | None = None
@@ -177,10 +182,9 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
     saved_bans = g.banned.copy()
     try:
         for it in range(params.max_iterations):
-            elapsed_ms = (time.perf_counter() - t_start) * 1000.0
-            if params.time_limit_ms is not None and it > 0 and elapsed_ms >= params.time_limit_ms:
+            if it > 0 and deadline is not None and time.perf_counter() >= deadline:
                 break
-            current, match_s, part_s, lower_bound = step(it, bans)
+            current, match_s, part_s, lower_bound = step(it, bans, deadline)
             if incumbent is None or current.objective < incumbent.objective:
                 incumbent = current
             trace.append(IterationRecord(it, current.objective, incumbent.objective,
@@ -199,26 +203,22 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
 
 
 def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult:
-    """FIMP-HGA: ``run_loop`` with a step that evolves a partition of the
-    current matching (seeded with the previous one when at most 2 mates
-    changed), then calls ``modify_graph``, which repairs the matching. Only
-    iteration 0 solves it from scratch, and is charged for that. With a
-    ``time_limit_ms`` the HGA also stops starting generations once the limit
-    has passed, so iteration 0 ends soon after it.
+    """FIMP-HGA: ``run_loop`` with a step that evolves a fresh partition of
+    the current matching, then calls ``modify_graph``, which repairs the
+    matching; nothing but the matching state and the bans carries over to
+    the next iteration. Only iteration 0 solves the matching from scratch,
+    and is charged for that. The HGA also stops starting generations once
+    the step's ``deadline`` has passed, so iteration 0 ends soon after it.
 
     The lower bound is ceil(W*/m) with W* the weight of iteration 0's
     matching, so the run stops once the incumbent reaches it and may use
     fewer than ``max_iterations`` iterations."""
     rng = random.Random(params.rng_seed)
-    deadline = (None if params.time_limit_ms is None
-                else time.perf_counter() + params.time_limit_ms / 1000.0)
     st: MatchState | None = None
-    prev_mate: list[int] | None = None
-    prev_part: np.ndarray | None = None
     lower_bound: int | None = None
 
-    def step(it, bans):
-        nonlocal st, prev_mate, prev_part, lower_bound
+    def step(it, bans, deadline):
+        nonlocal st, lower_bound
         match_s = 0.0
         if st is None:
             t0 = time.perf_counter()
@@ -226,19 +226,14 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
             match_s = time.perf_counter() - t0
             lower_bound = -(-st.total_weight // m)
 
-        mate_now = st.mate_u.tolist()
-        warm = None
-        if prev_mate is not None and sum(a != b for a, b in zip(prev_mate, mate_now)) <= 2:
-            warm = prev_part
         w = g.weight[np.arange(g.n1), st.mate_u]
         hga_params = dataclasses.replace(params.hga, rng_seed=rng.getrandbits(63))
         t0 = time.perf_counter()
-        best = evolve(w, m, ubar, hga_params, seed_assignment=warm, deadline=deadline)
+        best = evolve(w, m, ubar, hga_params, deadline=deadline)
         hga_s = time.perf_counter() - t0
 
-        current = Solution(mate=mate_now, objective=best.fitness[0],
+        current = Solution(mate=st.mate_u.tolist(), objective=best.fitness[0],
                            partition=PartitionAssignment(m, ubar, best.part.tolist()))
-        prev_mate, prev_part = mate_now, best.part
         t0 = time.perf_counter()
         modify_graph(g, st, current, bans=bans, tenure=params.tenure)
         return current, match_s + (time.perf_counter() - t0), hga_s, lower_bound

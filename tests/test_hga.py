@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from pmmwm import hga
+from pmmwm.errors import CapacityInfeasible
 from pmmwm.graph import MAX_TOTAL_WEIGHT
 from pmmwm.hga import (
     HgaParams,
@@ -342,10 +344,26 @@ class TestInitPopulation:
         assert pop[0].fitness == lpt.fitness
         assert pop[1].fitness == kk.fitness
 
-    def test_equal_items_all_balanced(self):
+    def test_equal_items_all_balanced(self, monkeypatch):
+        # every partition has fitness (8, 8), and each random individual is
+        # built by exactly one greedy_in_order call
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = hga.greedy_in_order
+        monkeypatch.setattr(hga, "greedy_in_order", counted)
         items = items_of(*([2] * 8))
         pop = init_population(items, 2, 4, HgaParams(pop_size=6, rng_seed=1))
         assert all(ind.fitness == (8, 8) for ind in pop)
+        assert len(calls) == 6 - 2
+
+    @pytest.mark.parametrize("build", [init_population, evolve])
+    def test_over_capacity_raises(self, build):
+        with pytest.raises(CapacityInfeasible, match="cannot hold 5 items"):
+            build(items_of(5, 4, 3, 2, 1), 2, 2, HgaParams(pop_size=4))
 
     def test_deterministic(self):
         items = items_of(9, 4, 7, 1, 3, 8, 2)
@@ -442,13 +460,11 @@ class TestEvolve:
         assert a.part.tolist() == b.part.tolist()
         assert a.fitness == b.fitness
 
-    def test_warm_start_injection(self):
-        items = items_of(10, 9, 8, 1, 1, 1)
-        opt, pa = min_max_brute(items, 3, 2)
-        params = HgaParams(pop_size=4, max_generations=1, stall_limit=1,
-                           rng_seed=0)
-        best = evolve(items, 3, 2, params, seed_assignment=pa)
-        assert best.fitness[0] == opt
+    def test_hooks_are_keyword_only(self):
+        # a partition passed positionally must not bind to a hook
+        items = items_of(3, 2, 1)
+        with pytest.raises(TypeError):
+            evolve(items, 2, 2, HgaParams(), greedy_lpt(items, 2, 2))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
