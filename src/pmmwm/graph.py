@@ -15,8 +15,9 @@ graph-modification step.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -28,6 +29,17 @@ ABSENT = -1
 # reduced-cost arithmetic far below the matcher's 2**61 infinity sentinel.
 MAX_WEIGHT = 1 << 52
 MAX_TOTAL_WEIGHT = 1 << 55
+# Largest n1 * n2 an instance header may declare: a 16 GiB weight table.
+MAX_CELLS = 1 << 31
+
+# The instance grammar (see load_instance), in bytes for the bulk parse and
+# in text for the line-by-line diagnosis.
+_GRAMMAR_BYTES = b"0123456789. \t\v\f\r\n"
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_TOKEN = re.compile(r"[^ \t\v\f]+")
+_UINT = re.compile(r"[0-9]+")
+_WEIGHT = re.compile(r"([0-9]*)(?:\.([0-9]*))?")
 
 
 class BipartiteGraph:
@@ -245,86 +257,186 @@ def validate_solution(g: BipartiteGraph, sol: Solution) -> Optional[Violation]:
     return None
 
 
-def _parse_weight_token(token: str, lineno: int) -> tuple[int, int]:
-    """Parse a weight as (value scaled by 10**digits, digits)."""
-    text = token
-    if "." in text:
-        int_part, _, frac = text.partition(".")
-        frac = frac.rstrip("0")
-        if len(frac) > 6:
-            raise ParseError(f"line {lineno}: more than 6 fractional digits in {token!r}")
-        digits = len(frac)
+def _parse_weight_token(token: str) -> tuple[int, int]:
+    """Parse a weight as (value scaled by 10**digits, digits).
+
+    Raises ParseError without a line number; callers that know it add it.
+    """
+    negative = token.startswith("-")
+    match = _WEIGHT.fullmatch(token[1:] if negative else token)
+    if match is None or not (match[1] or match[2]):
+        raise ParseError(f"bad weight {token!r}")
+    if negative:
+        raise ParseError(f"negative weight {token!r}")
+    frac = (match[2] or "").rstrip("0")
+    if len(frac) > 6:
+        raise ParseError(f"more than 6 fractional digits in {token!r}")
+    return int(match[1] or "0") * 10 ** len(frac) + int(frac or "0"), len(frac)
+
+
+def _scale_weights(parsed: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Bring (value, digits) pairs to the file's largest digit count."""
+    digits = max((d for _, d in parsed), default=0)
+    return [value * 10 ** (digits - d) for value, d in parsed], 10 ** digits
+
+
+def _parse_bulk(data: bytes):
+    """(n1, n2, m, ubar, weight, weight_scale) of a well-formed file, else None.
+
+    Every check runs on whole-file arrays; a file failing any of them is left
+    to ``_diagnose``. ``np.fromstring`` saturates oversized integers instead
+    of failing, so each value is range-checked against the header.
+    """
+    if not data.isascii():
         try:
-            value = int(int_part or "0") * 10 ** digits + int(frac or "0")
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad weight {token!r}") from None
-    else:
-        digits = 0
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    body = _COMMENT.sub(b"", data) if b"#" in data else data
+    if not body or body.translate(None, _GRAMMAR_BYTES):
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    newline = raw == ord("\n")
+    newline |= raw == ord("\r")
+    line_heads = np.flatnonzero(newline[:-1]) + 1
+    del newline
+    # Tokens are runs of digits and dots; every other byte left is blank.
+    token = raw > ord(" ")
+    starts = np.empty(len(raw), dtype=bool)
+    starts[:1] = token[:1]
+    np.greater(token[1:], token[:-1], out=starts[1:])
+    del token
+    # Tokens per line, summed in uint8: a wider sum would first copy the whole
+    # mask at that width. A count that wraps past 255 only lowers the total,
+    # so the token-count check after np.fromstring rejects the file.
+    per_line = np.add.reduceat(starts.view(np.uint8), np.concatenate(([0], line_heads)),
+                               dtype=np.uint8)
+    del starts, line_heads
+    per_line = per_line[per_line > 0]
+    if len(per_line) == 0 or per_line[0] != 4 or (per_line[1:] != 3).any():
+        return None
+
+    weights = None
+    scale = 1
+    if b"." in body:
+        tokens = body.decode("ascii").split()
         try:
-            value = int(text)
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad weight {token!r}") from None
-    if value < 0 or text.startswith("-"):
-        raise ParseError(f"line {lineno}: negative weight {token!r}")
-    return value, digits
+            weights, scale = _scale_weights([_parse_weight_token(tok) for tok in tokens[6::3]])
+        except ParseError:
+            return None
+        if max(weights, default=0) > MAX_WEIGHT:
+            return None
+        tokens[6::3] = ["0"] * len(weights)
+        body = " ".join(tokens)
+    try:
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    del body, raw
+    if len(values) != int(per_line.sum(dtype=np.int64)):
+        return None
+    if weights is not None:
+        values[6::3] = weights
+
+    n1, n2, m, ubar = (int(x) for x in values[:4])
+    if n1 < 1 or n2 < n1 or m < 1 or ubar < 1 or n1 * n2 > MAX_CELLS:
+        return None
+    u, v, w = values[4:].reshape(-1, 3).T
+    if len(w) and (u.max() >= n1 or v.max() >= n2 or w.max() > MAX_WEIGHT):
+        return None
+    weight = np.full((n1, n2), ABSENT, dtype=np.int64)
+    weight.reshape(-1)[u * n2 + v] = w
+    if np.count_nonzero(weight != ABSENT) != len(w):
+        return None  # a duplicate edge overwrote another
+    return n1, n2, m, ubar, weight, scale
 
 
-def load_instance(path: str, check_feasible: bool = True) -> BipartiteGraph:
-    """Load an instance file and verify perfect-matching feasibility.
+def _diagnose(data: bytes, path: str) -> NoReturn:
+    """Raise the ParseError of the first fault in a file ``_parse_bulk`` rejected.
 
-    Format (text, UTF-8, '#' starts a comment line):
-        line 1: ``n1 n2 m ubar``
-        then one edge per line: ``u v w`` (0-based, w >= 0, decimals allowed).
-    Unlisted pairs are absent.
+    Walks the file line by line in the order the faults are reported:
+    encoding, header, each edge line, then scaled weights and duplicates in
+    file order.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8"))) + 1
+        raise ParseError(f"line {lineno}: not UTF-8 text") from None
 
     rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(raw_lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            rows.append((lineno, text.split()))
+    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+        toks = _TOKEN.findall(line.split("#", 1)[0])
+        if toks:
+            rows.append((lineno, toks))
 
     if not rows:
         raise ParseError(f"{path}: empty instance file")
     lineno, header = rows[0]
     if len(header) != 4:
         raise ParseError(f"line {lineno}: header must be 'n1 n2 m ubar'")
-    try:
-        n1, n2, m, ubar = (int(tok) for tok in header)
-    except ValueError:
-        raise ParseError(f"line {lineno}: header must be integers") from None
+    if not all(_UINT.fullmatch(tok) for tok in header):
+        raise ParseError(f"line {lineno}: header must be integers")
+    n1, n2, m, ubar = (int(tok) for tok in header)
     if n1 < 1 or n2 < n1:
         raise ParseError(f"line {lineno}: need 1 <= n1 <= n2")
     if m < 1 or ubar < 1:
         raise ParseError(f"line {lineno}: need m >= 1 and ubar >= 1")
+    if n1 * n2 > MAX_CELLS:
+        raise ParseError(f"line {lineno}: n1 * n2 = {n1 * n2} is more than {MAX_CELLS} cells")
 
-    edges: list[tuple[int, int, int, int]] = []
-    max_digits = 0
+    edges: list[tuple[int, int, int, str]] = []
+    parsed: list[tuple[int, int]] = []
     for lineno, toks in rows[1:]:
         if len(toks) != 3:
             raise ParseError(f"line {lineno}: edge line must be 'u v w'")
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad vertex index") from None
-        if not (0 <= u < n1 and 0 <= v < n2):
+        if not (_UINT.fullmatch(toks[0]) and _UINT.fullmatch(toks[1])):
+            raise ParseError(f"line {lineno}: bad vertex index")
+        u, v = int(toks[0]), int(toks[1])
+        if not (u < n1 and v < n2):
             raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range")
-        value, digits = _parse_weight_token(toks[2], lineno)
-        max_digits = max(max_digits, digits)
-        edges.append((u, v, value, digits))
+        try:
+            parsed.append(_parse_weight_token(toks[2]))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        edges.append((lineno, u, v, toks[2]))
 
-    scale = 10 ** max_digits
-    weight = np.full((n1, n2), ABSENT, dtype=np.int64)
-    for u, v, value, digits in edges:
-        if weight[u, v] != ABSENT:
+    seen: set[tuple[int, int]] = set()
+    for (lineno, u, v, tok), scaled in zip(edges, _scale_weights(parsed)[0]):
+        if scaled > MAX_WEIGHT:
+            raise ParseError(f"line {lineno}: weight {tok!r} is more than {MAX_WEIGHT} when scaled")
+        if (u, v) in seen:
             raise ParseError(f"{path}: duplicate edge ({u}, {v})")
-        weight[u, v] = value * 10 ** (max_digits - digits)
+        seen.add((u, v))
+    raise ParseError(f"{path}: rejected by the bulk parse, yet no line is at fault")
 
+
+def load_instance(path: str, check_feasible: bool = True) -> BipartiteGraph:
+    """Load an instance file and verify perfect-matching feasibility.
+
+    Format (UTF-8 text; '#' starts a comment that runs to the end of the line):
+        line 1: ``n1 n2 m ubar``
+        then one edge per line: ``u v w`` (0-based, w >= 0, decimals allowed).
+    Unlisted pairs are absent. Header values and indices are ASCII digits;
+    a weight is ASCII digits with an optional fraction of at most 6 digits
+    (trailing zeros do not count). Tokens are separated by ASCII blanks.
+
+    A well-formed file is parsed in bulk: the text is read once, converted by
+    one ``np.fromstring`` pass (decimal weights alone go token by token
+    through ``_parse_weight_token``), checked with whole-array operations and
+    scattered into the weight table. A file failing any bulk check goes to
+    ``_diagnose``, which walks it line by line and raises the ParseError of
+    its first fault, as ``line N: ...``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    parsed = _parse_bulk(data)
+    if parsed is None:
+        _diagnose(data, path)
+    n1, n2, m, ubar, weight, scale = parsed
     g = BipartiteGraph(n1, n2, m, ubar, weight, weight_scale=scale)
     if m * ubar < n1:
         raise InfeasibleInstance(f"{path}: m*ubar = {m * ubar} < n1 = {n1}")

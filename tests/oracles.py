@@ -5,12 +5,14 @@ as raw permutations and partitions as labeled assignments, so any agreement
 with the solver is meaningful.
 """
 
+import io
 import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from pmmwm.graph import BipartiteGraph
+from pmmwm.errors import InfeasibleInstance, ParseError
+from pmmwm.graph import ABSENT, MAX_CELLS, MAX_WEIGHT, BipartiteGraph
 
 # Small enough that a whole row of sentinels cannot overflow int64 when summed.
 _BIG = 1 << 56
@@ -338,3 +340,100 @@ def gpx_reference(a_part, b_part, w, m: int, ubar: int):
         sums[best] += int(w[u])
         sizes[best] += 1
     return child, tuple(sorted(_part_sums(child, w, m).tolist(), reverse=True))
+
+
+def _is_ascii_uint(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def _reference_weight(token: str, lineno: int) -> tuple[int, int]:
+    """A weight token as (value scaled by 10**digits, digits)."""
+    text = token[1:] if token.startswith("-") else token
+    int_part, _, frac = text.partition(".")
+    if not (int_part or frac) or not all(
+            part == "" or _is_ascii_uint(part) for part in (int_part, frac)):
+        raise ParseError(f"line {lineno}: bad weight {token!r}")
+    if token.startswith("-"):
+        raise ParseError(f"line {lineno}: negative weight {token!r}")
+    frac = frac.rstrip("0")
+    if len(frac) > 6:
+        raise ParseError(f"line {lineno}: more than 6 fractional digits in {token!r}")
+    return int(int_part or "0") * 10 ** len(frac) + int(frac or "0"), len(frac)
+
+
+def load_instance_reference(path: str, check_feasible: bool = True) -> BipartiteGraph:
+    """Line-by-line instance parser, the differential oracle of ``load_instance``.
+
+    Reads the file as text with universal newlines, splits each line on
+    ASCII blanks and checks every token with Python's own ``str`` methods and
+    ``int``. Faults are raised in file order: encoding, header, each edge
+    line, then scaled weights and duplicate edges.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        lineno = len(io.StringIO(before, newline=None).readlines()) or 1
+        if before.endswith(("\n", "\r")):
+            lineno += 1
+        raise ParseError(f"line {lineno}: not UTF-8 text") from None
+
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0]
+        for blank in "\t\v\f\n":
+            line = line.replace(blank, " ")
+        toks = [tok for tok in line.split(" ") if tok]
+        if toks:
+            rows.append((lineno, toks))
+
+    if not rows:
+        raise ParseError(f"{path}: empty instance file")
+    lineno, header = rows[0]
+    if len(header) != 4:
+        raise ParseError(f"line {lineno}: header must be 'n1 n2 m ubar'")
+    if not all(_is_ascii_uint(tok) for tok in header):
+        raise ParseError(f"line {lineno}: header must be integers")
+    n1, n2, m, ubar = (int(tok) for tok in header)
+    if n1 < 1 or n2 < n1:
+        raise ParseError(f"line {lineno}: need 1 <= n1 <= n2")
+    if m < 1 or ubar < 1:
+        raise ParseError(f"line {lineno}: need m >= 1 and ubar >= 1")
+    if n1 * n2 > MAX_CELLS:
+        raise ParseError(f"line {lineno}: n1 * n2 = {n1 * n2} is more than {MAX_CELLS} cells")
+
+    edges = []
+    max_digits = 0
+    for lineno, toks in rows[1:]:
+        if len(toks) != 3:
+            raise ParseError(f"line {lineno}: edge line must be 'u v w'")
+        if not (_is_ascii_uint(toks[0]) and _is_ascii_uint(toks[1])):
+            raise ParseError(f"line {lineno}: bad vertex index")
+        u, v = int(toks[0]), int(toks[1])
+        if not (u < n1 and v < n2):
+            raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range")
+        value, digits = _reference_weight(toks[2], lineno)
+        max_digits = max(max_digits, digits)
+        edges.append((lineno, u, v, toks[2], value, digits))
+
+    weight = np.full((n1, n2), ABSENT, dtype=np.int64)
+    for lineno, u, v, token, value, digits in edges:
+        scaled = value * 10 ** (max_digits - digits)
+        if scaled > MAX_WEIGHT:
+            raise ParseError(
+                f"line {lineno}: weight {token!r} is more than {MAX_WEIGHT} when scaled")
+        if weight[u, v] != ABSENT:
+            raise ParseError(f"{path}: duplicate edge ({u}, {v})")
+        weight[u, v] = scaled
+
+    g = BipartiteGraph(n1, n2, m, ubar, weight, weight_scale=10 ** max_digits)
+    if m * ubar < n1:
+        raise InfeasibleInstance(f"{path}: m*ubar = {m * ubar} < n1 = {n1}")
+    if check_feasible and not g.has_perfect_matching():
+        raise InfeasibleInstance(f"{path}: no perfect matching on U")
+    return g

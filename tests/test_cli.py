@@ -124,6 +124,17 @@ class TestErrorCodes:
         path.write_text("not a header\n")
         assert run_cli(["solve", str(path)]) == 3
 
+    @pytest.mark.parametrize("body, message", [
+        (b"1 1 1 1\n0 0 100000000000000000000\n", "line 2: weight '1000"),
+        (b"1 1 1 1\n0 0 1\xff\n", "line 2: not UTF-8 text"),
+    ], ids=["oversized-weight", "non-utf-8"])
+    def test_unreadable_token_exit_3(self, tmp_path, capsys, body, message):
+        path = tmp_path / "broken.txt"
+        path.write_bytes(body)
+        assert run_cli(["solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
     def test_infeasible_instance(self, tmp_path, capsys):
         path = tmp_path / "infeasible.txt"
         path.write_text("2 2 2 1\n0 0 1\n1 0 1\n")

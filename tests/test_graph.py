@@ -1,5 +1,8 @@
+import os
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pmmwm.errors import InfeasibleInstance, ParseError
@@ -21,6 +24,7 @@ from helpers import (
     example_relocated_solution,
     make_example_graph,
 )
+from oracles import load_instance_reference
 
 
 def write(tmp_path, text, name="inst.txt"):
@@ -81,6 +85,7 @@ class TestLoadInstance:
         "2 2 1 2\n0 5 1\n",                  # index out of range
         "2 2 1 2\n0 0 -3\n",                 # negative weight
         "2 2 1 2\n0 0 x\n",                  # junk weight
+        "1 1 1 1\n0 0 \u0663\n",             # non-ASCII digit, though int() reads 3
     ])
     def test_parse_errors(self, tmp_path, body):
         with pytest.raises(ParseError):
@@ -100,6 +105,170 @@ class TestLoadInstance:
         g2 = load_instance(out)
         assert g2.weight_scale == g.weight_scale
         assert (g2.weight == g.weight).all()
+
+    @pytest.mark.parametrize("body, message", [
+        (b"1 1 1 1\n0 0 100000000000000000000\n",
+         "line 2: weight '100000000000000000000' is more than 4503599627370496 when scaled"),
+        (b"2 2 1 2\n0 0 0.000001\n1 1 10000000000000\n",
+         "line 3: weight '10000000000000' is more than 4503599627370496 when scaled"),
+        (b"1 1 1 1\n100000000000000000000 0 1\n",
+         "line 2: edge (100000000000000000000, 0) out of range"),
+        (b"100000000000000000000 100000000000000000000 1 1\n0 0 1\n",
+         "line 1: n1 * n2 = 10000000000000000000000000000000000000000 is more than "
+         "2147483648 cells"),
+        (b"1 1 1 1\r\n0 0 \xff\n", "line 2: not UTF-8 text"),
+    ], ids=["weight", "scaled-decimal", "index", "header", "utf-8"])
+    def test_oversized_and_undecodable_tokens(self, tmp_path, body, message):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(body)
+        with pytest.raises(ParseError) as exc:
+            load_instance(str(path))
+        assert str(exc.value) == message
+
+    def test_line_of_259_tokens(self, tmp_path):
+        # 259 tokens wrap the bulk parse's uint8 per-line count round to 3.
+        path = write(tmp_path, "1 1 1 1\n" + " ".join(["0"] * 259) + "\n")
+        with pytest.raises(ParseError, match="^line 2: edge line must be 'u v w'$"):
+            load_instance(path)
+
+    def test_dense_load_peak_memory(self, tmp_path):
+        # A dense 300x300 file of 1.0 MB, as the shipped benchmark writes them.
+        # Parsed line by line it peaked at 54x the file size (54.5 MB); the
+        # bulk parse measures 4.7x.
+        rng = np.random.default_rng(0)
+        n = 300
+        u, v = np.divmod(np.arange(n * n), n)
+        lines = [f"{n} {n} 10 {n}"]
+        lines += [f"{a} {b} {w}" for a, b, w in zip(u.tolist(), v.tolist(),
+                                                     rng.integers(0, 1001, n * n).tolist())]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * os.path.getsize(path)
+
+
+def _outcome(loader, path):
+    try:
+        g = loader(path)
+    except (ParseError, InfeasibleInstance) as exc:
+        return type(exc).__name__, str(exc)
+    return (g.n1, g.n2, g.m, g.ubar, g.weight_scale, g.weight.dtype.str, g.weight.tolist())
+
+
+def _weight_token(rng):
+    whole = str(rng.choice([0, 1, 7, 42, 999, 10**6, 10**9]))
+    if rng.random() < 0.5:
+        return whole
+    frac = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 6)))
+    frac += "0" * rng.randint(0, 2)
+    return rng.choice([f"{whole}.{frac}", f".{frac or 5}", f"{whole}."])
+
+
+def _instance_lines(rng):
+    """(header, edge lines) of a random valid instance file."""
+    n1 = rng.randint(1, 5)
+    n2 = rng.randint(n1, 7)
+    m = rng.randint(1, 4)
+    ubar = rng.randint(-(-n1 // m), n1)
+    cells = [(u, v) for u in range(n1) for v in range(n2) if rng.random() < 0.7]
+    rng.shuffle(cells)
+    return [str(n1), str(n2), str(m), str(ubar)], [[str(u), str(v), _weight_token(rng)]
+                                                 for u, v in cells]
+
+
+def _render(rng, header, edges):
+    """Write the lines with random blanks, comments, blank lines and line ends."""
+    def blank():
+        return rng.choice([" ", "  ", "\t", " \t", "\v", "\f"])
+
+    end = rng.choice(["\n", "\r\n", "\r"])
+    out = []
+    for toks in [header] + edges:
+        while rng.random() < 0.15:
+            out.append(rng.choice(["", "   ", "# comment only", "\t# ü comment"]))
+        line = blank().join(toks)
+        if rng.random() < 0.2:
+            line = blank() + line + blank()
+        if rng.random() < 0.15:
+            line += rng.choice(["# trailing", " # 3 4 5"])
+        out.append(line)
+    return end.join(out) + (end if rng.random() < 0.8 else "")
+
+
+def _with_defect(rng, kind, header, edges):
+    """The lines with one defect of the given kind."""
+    if not edges:
+        edges = [["0", "0", "1"]]
+    edges = [list(toks) for toks in edges]
+    row = rng.randrange(len(edges))
+    if kind == "short-line":
+        edges[row].pop()
+    elif kind == "long-line":
+        edges[row].append("1")
+    elif kind == "junk-token":
+        edges[row][rng.randrange(3)] = rng.choice(["x", "1x", "+1", "1_0", "\u0663", "1e3"])
+    elif kind == "out-of-range":
+        edges[row][rng.randrange(2)] = rng.choice(["9", "100000000000000000000"])
+    elif kind == "negative-weight":
+        edges[row][2] = "-" + edges[row][2]
+    elif kind == "minus-zero-weight":
+        edges[row][2] = "-0"
+    elif kind == "seven-fraction-digits":
+        edges[row][2] = "0.1234567"
+    elif kind == "oversized-weight":
+        edges[row][2] = "100000000000000000000"
+    elif kind == "duplicate-edge":
+        edges.insert(rng.randint(row + 1, len(edges)), edges[row][:2] + ["3"])
+    elif kind == "bad-header":
+        header = rng.choice([header[:3], header + ["1"], ["x"] + header[1:],
+                             [header[0], "0"] + header[2:], header[:2] + ["0", header[3]]])
+    return header, edges
+
+
+DEFECTS = ["short-line", "long-line", "junk-token", "out-of-range", "negative-weight",
+           "minus-zero-weight", "seven-fraction-digits", "oversized-weight",
+           "duplicate-edge", "bad-header"]
+
+
+class TestLoaderMatchesReference:
+    """``load_instance`` against ``oracles.load_instance_reference``: the same
+    graph from every valid file, the same exception and message otherwise."""
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_valid_files(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = write(tmp_path, _render(rng, *_instance_lines(rng)))
+        got = _outcome(load_instance, path)
+        assert got == _outcome(load_instance_reference, path)
+        assert got[0] != "ParseError"
+
+    @pytest.mark.parametrize("kind", DEFECTS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_defect(self, tmp_path, kind, seed):
+        rng = random.Random(seed)
+        header, edges = _with_defect(rng, kind, *_instance_lines(rng))
+        path = write(tmp_path, _render(rng, header, edges))
+        got = _outcome(load_instance, path)
+        assert got == _outcome(load_instance_reference, path)
+        assert got[0] == "ParseError"
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_mutated_bytes(self, tmp_path, seed):
+        # One random byte edit of a valid file: both loaders accept it alike,
+        # or both reject it with the same message.
+        rng = random.Random(seed)
+        data = bytearray(_render(rng, *_instance_lines(rng)).encode())
+        at = rng.randrange(len(data) + 1)
+        edit = rng.choice([b"", b"0", b"9", b".", b"-", b"+", b" ", b"\t", b"\n", b"\r",
+                           b"#", b"x", b"\x00", b"\xff", b"\xc2\xa0", "\u0663".encode()])
+        data[at:at + rng.randint(0, 1)] = edit
+        path = tmp_path / "inst.txt"
+        path.write_bytes(bytes(data))
+        assert _outcome(load_instance, str(path)) == _outcome(load_instance_reference, str(path))
 
 
 class TestObjective:
