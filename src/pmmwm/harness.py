@@ -16,13 +16,14 @@ bound, so it runs its full iteration budget at every m.
 from __future__ import annotations
 
 import csv
+import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleInstance, TooLarge
+from .errors import InfeasibleInstance, ParseError, TooLarge
 from .graph import (
     BipartiteGraph,
     PartitionAssignment,
@@ -224,25 +225,60 @@ def write_reports(path: str, reports: list[RunReport]) -> None:
             writer.writerow([_format_cell(getattr(r, col)) for col in REPORT_COLUMNS])
 
 
-def read_reports(path: str) -> list[RunReport]:
-    def opt_float(text: str):
-        return float(text) if text else None
+def _opt_float(text: str) -> float | None:
+    return float(text) if text else None
 
+
+# How each report column's cell becomes a RunReport field.
+_REPORT_PARSERS = {
+    "instance": str, "algo": str, "seed": int, "objective": float,
+    "optimum": _opt_float, "gap": _opt_float, "iterations": int,
+    "wall_time_ms": float, "match_time_ms": float, "hga_time_ms": float,
+    "lower_bound": _opt_float, "certified_optimal": lambda text: text == "True",
+}
+# Files written before these columns existed read as having no bound.
+_OPTIONAL_REPORT_COLUMNS = ("lower_bound", "certified_optimal")
+
+
+def read_reports(path: str) -> list[RunReport]:
+    """Read a CSV written by ``write_reports``.
+
+    Raises ParseError naming the file, the line and the column of a missing
+    column, a cell that does not parse, or a byte that is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{path}: line {line}, column {col}: byte "
+                         f"{data[exc.start]:#04x} is not UTF-8") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     reports = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            reports.append(RunReport(
-                instance=row["instance"], algo=row["algo"],
-                seed=int(row["seed"]), objective=float(row["objective"]),
-                optimum=opt_float(row["optimum"]), gap=opt_float(row["gap"]),
-                iterations=int(row["iterations"]),
-                wall_time_ms=float(row["wall_time_ms"]),
-                match_time_ms=float(row["match_time_ms"]),
-                hga_time_ms=float(row["hga_time_ms"]),
-                # files written before these two columns read as no bound
-                lower_bound=opt_float(row.get("lower_bound")),
-                certified_optimal=row.get("certified_optimal") == "True",
-            ))
+    try:
+        header = reader.fieldnames or []
+        for col in REPORT_COLUMNS:
+            if col not in header and col not in _OPTIONAL_REPORT_COLUMNS:
+                raise ParseError(f"{path}: line {max(reader.line_num, 1)}: "
+                                 f"missing column {col!r}")
+        for row in reader:
+            fields = {}
+            for col in REPORT_COLUMNS:
+                cell = row.get(col)
+                if cell is None and col in _OPTIONAL_REPORT_COLUMNS:
+                    continue
+                where = f"{path}: line {reader.line_num}, column {col!r}"
+                if cell is None:
+                    raise ParseError(f"{where}: missing cell")
+                try:
+                    fields[col] = _REPORT_PARSERS[col](cell)
+                except ValueError as exc:
+                    raise ParseError(f"{where}: {exc}") from exc
+            reports.append(RunReport(**fields))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     return reports
 
 

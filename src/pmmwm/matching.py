@@ -21,18 +21,21 @@ Absent and banned edges participate as a saturating "infinite" weight; a
 phase whose cheapest reachable free vertex costs that much reports
 NoPerfectMatching without mutating the state.
 
-Each Dijkstra step of a phase settles one column in a few in-place vector
+Each Dijkstra step of a phase settles one column in four in-place vector
 operations over preallocated rows, with no boolean fancy indexing: an
 ``argmin`` over the working distances (settled columns hold ``_MASKED``, so
 no mask is built), one row add and one scalar add for the candidate
-distances through the settled column's mate, one ``np.less`` and two
-``np.copyto(..., where=)`` for the strict-``<`` relaxation. The candidate row
-includes a per-phase penalty row that is ``_MASKED`` on settled columns;
-since reduced costs are non-negative under dual feasibility, a settled
-column's candidate is never below ``_MASKED`` and the relaxation cannot touch
-it. Ties go to the lowest column index and the phase stops at the first free
-column settled. All of this stays within int64: see the bound at
-``_MASKED``.
+distances through the settled column's mate, and one ``np.minimum`` into the
+distances. The candidate row includes a per-phase penalty row that is
+``_MASKED`` on settled columns; since reduced costs are non-negative under
+dual feasibility, a settled column's candidate is never below ``_MASKED`` and
+the minimum leaves it at ``_MASKED``. Ties go to the lowest column index and
+the phase stops at the first free column settled. No predecessor array is
+kept: after the phase, the augmenting path is recovered from the settled
+columns by the tie rule that a strict-``<`` relaxation implies (the start
+row first, then the earliest-settled column; see ``_augment``), so matchings
+and potentials are those of the textbook step. All of this stays within
+int64: see the bound at ``_MASKED``.
 
 Set the environment variable ``PMMWM_CHECK_INVARIANTS=1`` to run a full
 dual-feasibility / complementary-slackness scan after every public operation
@@ -55,6 +58,9 @@ _INF_CUTOFF = 1 << 59  # any path cost this large must use a forbidden edge
 # columns closer than that are relaxed from), alpha >= 0 >= beta and |beta|
 # about n1 * max_w <= graph.MAX_TOTAL_WEIGHT = 2**55. INF + _MASKED +
 # _INF_CUTOFF is 2**63 - 2**59, so int64 holds it for any |beta| < 2**59.
+# A settled column's candidate is never below _MASKED either: it is _MASKED
+# plus a reduced cost (>= 0 under dual feasibility) plus dist >= 0, so the
+# np.minimum of a step leaves a settled column's distance at _MASKED.
 _MASKED = 1 << 62
 FREE = -1
 
@@ -102,23 +108,32 @@ def _augment(st: MatchState, start_u: int) -> None:
     settled ones; ``base`` is the penalty row folded with ``-beta``
     (``_MASKED - beta[j]`` once column j is settled), so a step through the
     settled column j matched to row r computes ``eff[r] + base + dist[j] -
-    alpha[r]`` into ``cand`` and copies it wherever it is strictly smaller.
-    The settled columns and their distances are kept in two lists for the
-    dual update applied at the end, the accumulated-delta form of the classic
-    per-iteration update, so dual feasibility and tightness of matched edges
-    are preserved. Raises NoPerfectMatching (state untouched) when no free
-    vertex is reachable over available edges.
+    alpha[r]`` into ``cand`` and takes the elementwise minimum into ``dist``.
+    The settled columns and their distances are kept in two lists, in settle
+    order, for the path recovery and the dual update.
+
+    No predecessor array is kept. A column's distance is the minimum of its
+    reduced cost from ``start_u`` and the candidates from the columns settled
+    before it, and a strict-``<`` relaxation would have kept the first of
+    these, in that order, that reaches the minimum. So, walking back from the
+    free column, the predecessor of the column j settled at position p is
+    ``start_u`` if ``eff[start_u, j] - alpha[start_u] - beta[j]`` equals its
+    distance, and otherwise the column at the least position q < p whose
+    candidate ``eff[r_q, j] - alpha[r_q] + dist_q - beta[j]`` does, r_q being
+    the row matched to that column.
+
+    The dual update applied at the end is the accumulated-delta form of the
+    classic per-iteration update, so dual feasibility and tightness of
+    matched edges are preserved. Raises NoPerfectMatching (state untouched)
+    when no free vertex is reachable over available edges.
     """
     st.phase_count += 1
     eff, alpha, beta = st.eff, st.alpha, st.beta
     mate_u, mate_v = st.mate_u, st.mate_v
-    n2 = st.n2
 
     dist = eff[start_u] - alpha[start_u] - beta  # _MASKED once settled
     base = -beta                                 # _MASKED - beta once settled
-    way = np.full(n2, -1, dtype=np.int64)
-    cand = np.empty(n2, dtype=np.int64)
-    upd = np.empty(n2, dtype=bool)
+    cand = np.empty(st.n2, dtype=np.int64)
     cols: list[int] = []
     col_dist: list[int] = []
 
@@ -137,31 +152,40 @@ def _augment(st: MatchState, start_u: int) -> None:
             break
         np.add(eff[r], base, out=cand)
         cand += dj - int(alpha[r])
-        np.less(cand, dist, out=upd)
-        np.copyto(dist, cand, where=upd)
-        np.copyto(way, j, where=upd)
+        np.minimum(dist, cand, out=dist)
+
+    # Path recovery, with the potentials still those the phase ran with.
+    # ``path`` runs from the free column back to the one next to start_u.
+    inner = np.array(cols[:-1], dtype=np.int64)
+    inner_dist = np.array(col_dist[:-1], dtype=np.int64)
+    rows = mate_v[inner]
+    offset = inner_dist - alpha[rows]  # candidate = eff[rows, j] + offset - beta[j]
+    start_alpha = int(alpha[start_u])
+    path = []
+    p = len(cols) - 1
+    while True:
+        j = cols[p]
+        path.append(j)
+        target = col_dist[p] + int(beta[j])
+        if int(eff[start_u, j]) - start_alpha == target:
+            break
+        p = int((eff[rows[:p], j] + offset[:p] == target).argmax())
 
     # Dual update: every settled column except the free endpoint, and the
     # rows matched to them, shift by the remaining distance to the path cost.
-    jfree = cols[-1]
     mu = col_dist[-1]
-    inner = np.array(cols[:-1], dtype=np.int64)
-    adj = mu - np.array(col_dist[:-1], dtype=np.int64)
-    alpha[mate_v[inner]] += adj
+    adj = mu - inner_dist
+    alpha[rows] += adj
     beta[inner] -= adj
     alpha[start_u] += mu
 
-    j = jfree
-    while True:
-        jprev = int(way[j])
-        if jprev == -1:
-            mate_v[j] = start_u
-            mate_u[start_u] = j
-            return
+    # Flip the path: each column takes the row of the column before it.
+    for j, jprev in zip(path, path[1:]):
         r = int(mate_v[jprev])
         mate_v[j] = r
         mate_u[r] = j
-        j = jprev
+    mate_v[path[-1]] = start_u
+    mate_u[start_u] = path[-1]
 
 
 def solve_full(g: BipartiteGraph) -> MatchState:

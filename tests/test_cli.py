@@ -8,7 +8,7 @@ import pytest
 
 from pmmwm.cli import _add_solver_flags, _params_from, main
 from pmmwm.graph import load_solution, save_instance
-from pmmwm.harness import read_reports
+from pmmwm.harness import REPORT_COLUMNS, read_reports
 from pmmwm.hga import HgaParams
 from pmmwm.orchestrator import FimpParams, RunResult, RunStats
 
@@ -267,6 +267,35 @@ class TestBenchAndCompare:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bench", "--out", "x.csv"])
         assert exc.value.code == 2
+
+
+class TestCompareMalformed:
+    """A report CSV that ``read_reports`` cannot parse makes ``compare``
+    exit 3 with an error naming the file, the line and the column."""
+
+    HEADER = ",".join(REPORT_COLUMNS).encode() + b"\n"
+    GOOD_ROW = b"a.txt,fimp-hga,1,10,,,3,1.0,0.5,0.5,,False\n"
+
+    def _compare(self, tmp_path, capsys, data: bytes) -> str:
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert run_cli(["compare", str(path), str(path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        return err
+
+    def test_missing_columns(self, tmp_path, capsys):
+        err = self._compare(tmp_path, capsys, b"instance,algo\na.txt,fimp-hga\n")
+        assert "line 1: missing column 'seed'" in err
+
+    def test_non_numeric_objective(self, tmp_path, capsys):
+        bad = self.GOOD_ROW.replace(b",10,", b",ten,")
+        err = self._compare(tmp_path, capsys, self.HEADER + self.GOOD_ROW + bad)
+        assert "line 3, column 'objective'" in err
+
+    def test_non_utf8_byte(self, tmp_path, capsys):
+        err = self._compare(tmp_path, capsys, self.HEADER + b"\xff" + self.GOOD_ROW)
+        assert "line 2, column 1" in err
 
 
 def test_console_entry_point(example_file):

@@ -13,6 +13,7 @@ from pmmwm.graph import (
     Solution,
     evaluate_objective,
     load_instance,
+    load_solution,
     partition_weights,
     save_instance,
     validate_solution,
@@ -386,3 +387,10 @@ class TestBanFlags:
 def test_weight_guard():
     with pytest.raises(ParseError):
         BipartiteGraph.from_edges(1, 1, 1, 1, [(0, 0, 1 << 60)])
+
+
+def test_load_solution_rejects_non_utf8(tmp_path):
+    path = tmp_path / "solution.json"
+    path.write_bytes(b"\xff")
+    with pytest.raises(ParseError, match="cannot read solution"):
+        load_solution(str(path))

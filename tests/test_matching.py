@@ -310,12 +310,16 @@ def _snapshot(st):
 
 
 def _tie_graph(rng: random.Random) -> BipartiteGraph:
-    """Small seeded graph: weights in 1..w_max with w_max mostly 1-3, absent
-    and pre-banned edges, n2 >= n1, and about one in four graphs with a Hall
-    violation (k + 1 rows whose edges all lie in k columns)."""
+    """Small seeded ``_seeded_graph``: n1 <= 8 and w_max mostly 1-3."""
     n1 = rng.randint(1, 8)
-    n2 = n1 + rng.choice([0, 0, 1, 3])
-    w_max = rng.choice([1, 2, 3, 3, 40])
+    return _seeded_graph(rng, n1, n1 + rng.choice([0, 0, 1, 3]),
+                         rng.choice([1, 2, 3, 3, 40]))
+
+
+def _seeded_graph(rng: random.Random, n1: int, n2: int, w_max: int) -> BipartiteGraph:
+    """Seeded n1 x n2 graph: weights in 1..w_max, absent and pre-banned edges,
+    and about one in four graphs with a Hall violation (k + 1 rows whose
+    edges all lie in k columns)."""
     density = rng.choice([1.0, 0.7, 0.4])
     planted = rng.sample(range(n2), n1)
     weight = {}
@@ -355,54 +359,93 @@ class TestAgainstReferencePhase:
         assert _snapshot(states[0]) == _snapshot(states[1])
         return outcomes[0]
 
+    @staticmethod
+    def _solve_both(g):
+        """``solve_full`` on the real and the reference side; both states,
+        or None when both sides found no perfect matching."""
+        states = []
+        for phase in (matching._augment, _reference_phase):
+            with mock.patch.object(matching, "_augment", phase):
+                try:
+                    states.append(solve_full(g))
+                except NoPerfectMatching:
+                    states.append(None)
+        if states[0] is None or states[1] is None:
+            assert states[0] is states[1] is None
+            return None
+        assert _snapshot(states[0]) == _snapshot(states[1])
+        return states
+
+    def _run(self, g, rng, seen):
+        """Solve ``g`` on both sides, then apply 25 random bans, unbans and
+        batch unbans, comparing the two states after each."""
+        states = self._solve_both(g)
+        if states is None:
+            seen["infeasible"] += 1
+            return
+        banned = [(int(u), int(v)) for u, v in zip(*g.banned.nonzero())]
+        for _ in range(25):
+            roll = rng.random()
+            if roll < 0.5 or not banned:
+                avail = list(zip(*g.available_mask().nonzero()))
+                matched = [(u, int(states[0].mate_u[u])) for u in range(g.n1)]
+                u, v = map(int, rng.choice(matched if rng.random() < 0.7 else avail))
+                before = _snapshot(states[0])
+                g.ban_edge(u, v)
+                if self._both(lambda st: repair_after_ban(g, st, u, v), states):
+                    g.unban_edge(u, v)
+                    # the vetoed phase changed nothing but the phase count
+                    assert _snapshot(states[0])[:-1] == before[:-1]
+                    seen["vetoed"] += 1
+                else:
+                    banned.append((u, v))
+                    seen["ban"] += 1
+            elif roll < 0.75:
+                u, v = banned.pop(rng.randrange(len(banned)))
+                g.unban_edge(u, v)
+                assert not self._both(lambda st: repair_after_unban(g, st, u, v), states)
+                seen["unban"] += 1
+            else:
+                rng.shuffle(banned)
+                cut = rng.randint(1, len(banned))
+                released, banned = set(banned[:cut]), banned[cut:]
+                for e in released:
+                    g.unban_edge(*e)
+                assert not self._both(lambda st: batch_resolve(g, st, released), states)
+                seen["batch"] += 1
+
     def test_operations_match_reference(self):
         rng = random.Random(505)
         seen = {"infeasible": 0, "vetoed": 0, "ban": 0, "unban": 0, "batch": 0}
         for _ in range(160):
-            g = _tie_graph(rng)
-            states = []
-            for phase in (matching._augment, _reference_phase):
-                with mock.patch.object(matching, "_augment", phase):
-                    try:
-                        states.append(solve_full(g))
-                    except NoPerfectMatching:
-                        states.append(None)
-            if states[0] is None or states[1] is None:
-                assert states[0] is states[1] is None
-                seen["infeasible"] += 1
-                continue
-            assert _snapshot(states[0]) == _snapshot(states[1])
-            banned = [(int(u), int(v)) for u, v in zip(*g.banned.nonzero())]
-            for _ in range(25):
-                roll = rng.random()
-                if roll < 0.5 or not banned:
-                    avail = list(zip(*g.available_mask().nonzero()))
-                    matched = [(u, int(states[0].mate_u[u])) for u in range(g.n1)]
-                    u, v = map(int, rng.choice(matched if rng.random() < 0.7 else avail))
-                    before = _snapshot(states[0])
-                    g.ban_edge(u, v)
-                    if self._both(lambda st: repair_after_ban(g, st, u, v), states):
-                        g.unban_edge(u, v)
-                        # the vetoed phase changed nothing but the phase count
-                        assert _snapshot(states[0])[:-1] == before[:-1]
-                        seen["vetoed"] += 1
-                    else:
-                        banned.append((u, v))
-                        seen["ban"] += 1
-                elif roll < 0.75:
-                    u, v = banned.pop(rng.randrange(len(banned)))
-                    g.unban_edge(u, v)
-                    assert not self._both(lambda st: repair_after_unban(g, st, u, v), states)
-                    seen["unban"] += 1
-                else:
-                    rng.shuffle(banned)
-                    cut = rng.randint(1, len(banned))
-                    released, banned = set(banned[:cut]), banned[cut:]
-                    for e in released:
-                        g.unban_edge(*e)
-                    assert not self._both(lambda st: batch_resolve(g, st, released), states)
-                    seen["batch"] += 1
+            self._run(_tie_graph(rng), rng, seen)
         assert min(seen.values()) >= 20, seen
+
+    def test_long_paths_match_reference(self):
+        # Larger graphs with weights 1-3: augmenting paths run through many
+        # settled columns with many equal distances, which exercises the
+        # predecessor rule of the path recovery.
+        rng = random.Random(606)
+        seen = {"infeasible": 0, "vetoed": 0, "ban": 0, "unban": 0, "batch": 0}
+        for _ in range(12):
+            n1 = rng.randint(20, 60)
+            g = _seeded_graph(rng, n1, n1 + rng.choice([0, 3]), rng.randint(1, 3))
+            self._run(g, rng, seen)
+        assert min(seen["ban"], seen["unban"], seen["batch"]) >= 40, seen
+
+    def test_start_row_wins_tie_with_settled_column(self):
+        # Phase 1 settles column 0 (row 0's mate) at distance 0; the candidate
+        # through it for column 1 is 1, equal to row 1's own reduced cost 1,
+        # so column 1 is reached from row 1 directly and row 0 keeps column 0.
+        st, _ = self._solve_both(complete([[1, 2], [1, 2]]))
+        assert st.mate_u.tolist() == [0, 1]
+
+    def test_earlier_settled_column_wins_tie(self):
+        # Phase 2 settles column 0 and then column 1, both at distance 0, and
+        # each gives column 2 the candidate 1 (row 2's own cost is 4): the
+        # path runs through column 0, so row 0 moves and row 1 stays.
+        st, _ = self._solve_both(complete([[1, 5, 2], [5, 1, 2], [1, 1, 5]]))
+        assert st.mate_u.tolist() == [2, 1, 0]
 
 
 def _heavy_graph(rng: random.Random, n1: int, n2: int) -> BipartiteGraph:
