@@ -11,18 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import io
 import json
 import os
 import sys
 import time
 
-from .errors import InvalidSolution, PmmwmError
+from .errors import InvalidSolution, ParseError, PmmwmError
 from .graph import load_instance, save_solution, solution_to_dict, validate_solution
 from .harness import (
     bench,
     compare_reports,
     exact_oracle,
     read_reports,
+    read_utf8,
     run_algorithm,
     write_compare,
     write_reports,
@@ -136,9 +138,20 @@ def _instances_from_args(args) -> list[tuple[str, str]]:
             paths = sorted(glob.glob(os.path.join(args.dir, "*.txt")))
             return [(p, os.path.basename(p)) for p in paths]
     base = os.path.dirname(manifest)
-    with open(manifest, newline="", encoding="utf-8") as fh:
-        return [(os.path.join(base, row["file"]), row["file"])
-                for row in csv.DictReader(fh)]
+    reader = csv.DictReader(io.StringIO(read_utf8(manifest), newline=""))
+    instances = []
+    try:
+        if "file" not in (reader.fieldnames or []):
+            raise ParseError(f"{manifest}: line {max(reader.line_num, 1)}: "
+                             "missing column 'file'")
+        for row in reader:
+            if not row["file"]:
+                raise ParseError(f"{manifest}: line {reader.line_num}, "
+                                 "column 'file': missing cell")
+            instances.append((os.path.join(base, row["file"]), row["file"]))
+    except csv.Error as exc:
+        raise ParseError(f"{manifest}: line {reader.line_num}: {exc}") from exc
+    return instances
 
 
 def _cmd_bench(args) -> int:

@@ -240,22 +240,27 @@ _REPORT_PARSERS = {
 _OPTIONAL_REPORT_COLUMNS = ("lower_bound", "certified_optimal")
 
 
+def read_utf8(path: str) -> str:
+    """The text of ``path``. Raises ParseError naming the file, the line and
+    the column of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{path}: line {line}, column {col}: byte "
+                         f"{data[exc.start]:#04x} is not UTF-8") from exc
+
+
 def read_reports(path: str) -> list[RunReport]:
     """Read a CSV written by ``write_reports``.
 
     Raises ParseError naming the file, the line and the column of a missing
     column, a cell that does not parse, or a byte that is not UTF-8.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        col = exc.start - data.rfind(b"\n", 0, exc.start)
-        raise ParseError(f"{path}: line {line}, column {col}: byte "
-                         f"{data[exc.start]:#04x} is not UTF-8") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
     reports = []
     try:
         header = reader.fieldnames or []

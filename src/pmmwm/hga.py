@@ -12,7 +12,7 @@ consistent with the problem's objective.
 
 Population flow per generation: the best ``elite_count`` individuals survive
 verbatim; the rest are produced by binary-tournament selection, greedy
-partition crossover, mutation and multilevel local search. Everything is
+partition crossover, mutation and two-level local search. Everything is
 driven by one seeded ``random.Random``, so identical inputs give bit-identical
 results.
 
@@ -86,9 +86,11 @@ def fitness_of(part, w: np.ndarray, m: int) -> tuple[int, ...]:
 # of the comparison), so a move improves iff (hi, lo) < (s_h, s_k) with
 # hi >= lo the new pair. The pair keeps its total, so hi == s_h forces
 # lo == s_k, and the test is hi < s_h: 0 < d < s_h - s_k. ``_improves``
-# applies it to a whole array of moves at once for all three levels. Each
-# level evaluates its move set with array operations and picks the same move
-# as a scan in the order its docstring gives.
+# applies it to a whole array of moves at once for both levels. Each level
+# evaluates its move set with array operations and picks the same move as a
+# scan in the order its docstring gives. The paper's third level, trading
+# two items of h for one, is left out: it has no legal move at full capacity
+# (n == m * ubar) and changed no objective in any measured run.
 
 def _improves(s_h, delta: np.ndarray, s_k: np.ndarray) -> np.ndarray:
     """Mask of the moves that shift ``delta`` from h (sum s_h, the maximum)
@@ -148,52 +150,20 @@ def _l2_swap(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
     return True
 
 
-def _l3_two_for_one(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
-    """First-improvement exchange of two items x1 < x2 of h for one item y
-    of a partition with room.
-
-    Scan order: x1 ascending, then x2 ascending, then y ascending; the loop
-    runs over x1 and each step tests all (x2, y) at once.
-    """
-    ys = np.flatnonzero((part != h) & (sizes[part] < ubar))
-    if h_items.size < 2 or ys.size == 0:
-        return False
-    s_h = sums[h]
-    w_y = w[ys][None, :]
-    s_k = sums[part[ys]][None, :]
-    for i in range(h_items.size - 1):
-        pair = w[h_items[i]] + w[h_items[i + 1:]]
-        improving = _improves(s_h, pair[:, None] - w_y, s_k)
-        if improving.any():
-            j, yi = divmod(int(np.argmax(improving)), ys.size)
-            x1, x2, y = int(h_items[i]), int(h_items[i + 1 + j]), int(ys[yi])
-            k = int(part[y])
-            part[x1] = k
-            part[x2] = k
-            part[y] = h
-            moved = w[x1] + w[x2] - w[y]
-            sums[h] -= moved
-            sums[k] += moved
-            sizes[h] -= 1
-            sizes[k] += 1
-            return True
-    return False
-
-
-_LEVEL_FUNCS = {1: _l1_relocate, 2: _l2_swap, 3: _l3_two_for_one}
+_LEVEL_FUNCS = {1: _l1_relocate, 2: _l2_swap}
 
 
 def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
-                levels: tuple[int, ...] = (1, 2, 3)) -> Individual:
+                levels: tuple[int, ...] = (1, 2)) -> Individual:
     """Multilevel descent on the heaviest partition (ties: lowest index).
 
     Level 1 relocates one item (best improvement), level 2 swaps one item
-    with another partition's (first improvement), level 3 trades two items
-    for one (first improvement). A move counts as improving iff it
-    lexicographically lowers the fitness vector; after every improvement the
-    descent restarts at level 1 and it stops when the deepest level finds
-    nothing. The result is a fixed point: applying mls_improve again returns
-    an equal individual. When no move applies, ``ind`` itself is returned.
+    with another partition's (first improvement). A move counts as improving
+    iff it lexicographically lowers the fitness vector; after every
+    improvement the descent restarts at level 1 and it stops when the deepest
+    level finds nothing. The result is a fixed point: applying mls_improve
+    again returns an equal individual. When no move applies, ``ind`` itself
+    is returned.
 
     ``levels`` restricts the neighborhoods (the comparison baseline uses
     ``(1,)`` for a relocation-only descent).

@@ -54,6 +54,8 @@ class FimpParams:
             raise ValueError("max_iterations must be >= 1")
         if self.tenure < 1:
             raise ValueError("tenure must be >= 1")
+        if self.time_limit_ms is not None and self.time_limit_ms < 0:
+            raise ValueError("time_limit_ms must be >= 0")
         self.hga.validate()
 
 

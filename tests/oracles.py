@@ -154,8 +154,8 @@ def permutation_first_oracle(g: BipartiteGraph, m: int, ubar: int):
 
 
 def improving_neighbor_exists(part_of, weights, m: int, ubar: int) -> bool:
-    """True if any single relocation, swap, or 2-for-1 exchange from the
-    heaviest partition lexicographically lowers the sorted weight vector."""
+    """True if any single relocation or swap from the heaviest partition
+    lexicographically lowers the sorted weight vector."""
     n = len(part_of)
     w = [int(x) for x in weights]
     sums = [0] * m
@@ -192,18 +192,10 @@ def improving_neighbor_exists(part_of, weights, m: int, ubar: int) -> bool:
                 f = fitness_after([(u, part_of[y]), (y, h)])
                 if f is not None and f < base:
                     return True
-    for i, u1 in enumerate(h_items):
-        for u2 in h_items[i + 1:]:
-            for y in range(n):
-                if part_of[y] != h:
-                    k = part_of[y]
-                    f = fitness_after([(u1, k), (u2, k), (y, h)])
-                    if f is not None and f < base:
-                        return True
     return False
 
 
-def mls_reference(part_of, weights, m: int, ubar: int, levels=(1, 2, 3)):
+def mls_reference(part_of, weights, m: int, ubar: int, levels=(1, 2)):
     """Multilevel local search by its rules alone; returns (part, fitness).
 
     Every candidate move is judged by rebuilding and sorting the whole
@@ -215,8 +207,6 @@ def mls_reference(part_of, weights, m: int, ubar: int, levels=(1, 2, 3)):
          (item, k) order.
       2: swap one item x of h with one item y outside h; the first
          improving (x, y) in ascending order wins.
-      3: move two items x1 < x2 of h to the partition k of an item y outside
-         h (k with room) and y to h; the first improving (x1, x2, y) wins.
     """
     part = list(part_of)
     w = [int(x) for x in weights]
@@ -271,20 +261,7 @@ def mls_reference(part_of, weights, m: int, ubar: int, levels=(1, 2, 3)):
                     return True
         return False
 
-    def two_for_one(h, h_items, current):
-        for i, x1 in enumerate(h_items):
-            for x2 in h_items[i + 1:]:
-                for y in range(n):
-                    k = part[y]
-                    if k == h or sizes[k] >= ubar:
-                        continue
-                    moves = [(x1, k), (x2, k), (y, h)]
-                    if fitness(moved_sums(moves)) < current:
-                        apply(moves)
-                        return True
-        return False
-
-    rules = {1: relocate, 2: swap, 3: two_for_one}
+    rules = {1: relocate, 2: swap}
     if n and m > 1:
         while True:
             h = sums.index(max(sums))

@@ -135,6 +135,19 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("body, message", [
+        (b"id,path\na,a.txt\n", "line 1: missing column 'file'"),
+        (b"id,file\na\n", "line 2, column 'file': missing cell"),
+        (b"id,file\na,a\xff.txt\n", "line 2, column 4: byte 0xff is not UTF-8"),
+    ], ids=["no-file-column", "short-row", "non-utf-8"])
+    def test_malformed_manifest_exit_3(self, tmp_path, capsys, body, message):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(body)
+        assert run_cli(["bench", "--manifest", str(manifest),
+                        "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}: {message}\n"
+
     def test_infeasible_instance(self, tmp_path, capsys):
         path = tmp_path / "infeasible.txt"
         path.write_text("2 2 2 1\n0 0 1\n1 0 1\n")
@@ -150,7 +163,8 @@ class TestErrorCodes:
         ("--tenure", "0", "tenure must be >= 1"),
         ("--pop-size", "1", "pop_size must be >= 2"),
         ("--max-iterations", "0", "max_iterations must be >= 1"),
-    ], ids=["tenure", "pop-size", "max-iterations"])
+        ("--time-limit-ms", "-5", "time_limit_ms must be >= 0"),
+    ], ids=["tenure", "pop-size", "max-iterations", "time-limit"])
     def test_invalid_solver_value_exit_2(self, example_file, tmp_path, capsys,
                                          command, flag, value, message):
         args = ([command, example_file] if command == "solve" else

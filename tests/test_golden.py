@@ -33,7 +33,7 @@ def _params(seed: int, **kw) -> FimpParams:
 SOLVE_CASES = [
     (InstanceSpec(30, 30, 3, 12, 0.6, "INDEPENDENT", 1000, 11), dict(max_iterations=4),
      887,
-     "74eabbf998ee7e6f303c09df8ff98375b34cd5c630324dfe6dd2d0b33256ffe2"),
+     "2683385cc79465becfbc3e4ee38fc4d6569a6f6b4dfd014b12b93266cec9acd7"),
     (InstanceSpec(30, 36, 5, 7, 0.4, "CONSISTENT", 500, 12), dict(max_iterations=4),
      617,
      "27c14416c32e8d02812b056f395ef39bdf2995865ce6b0dc3d14bc13d6c38266"),
@@ -68,7 +68,7 @@ EVOLVE_CASES = [
      "b7411659bc38f4df70386bff25dad93bcf7cd6acf489f2ae51a658d39311a092"),
     # the benchmark's shapes: groups (n1=200, m=10) and tight (2 items per part)
     (42, 200, 1000, 10, 24, 9566,
-     "9e39c7dbf0c281e92900cce906c8afa7f6f4d03dc6f1a985eab9408dfca966a7"),
+     "5a38a1c0ae6d3b1c36df2e668e0517f4b752c2f849c7d9e23bcc1e96ee45d837"),
     (43, 48, 1000, 24, 2, 1092,
      "3c883c37d2853a2a6bdb8d2c1106f4df9666d7d014dc8d14f457c1e7ddcae13f"),
 ]

@@ -137,6 +137,14 @@ class TestSolve:
         assert result.stats.iterations < 10_000
         assert result.solution is not None
 
+    @both_solvers
+    def test_zero_time_limit_runs_iteration_zero_only(self, run):
+        rng = random.Random(31)
+        g = random_dense_graph(10, 10, 3, 4, rng, density=1.0)
+        assert run(g.copy(), 3, 4, small_params(seed=2, iterations=5)).stats.iterations > 1
+        result = run(g, 3, 4, small_params(seed=2, iterations=5, time_limit_ms=0))
+        assert result.stats.iterations == 1
+
     def test_time_limit_interrupts_the_hga(self, monkeypatch):
         # Unlimited, this one evolve call runs 150 generations of about
         # 90 ms each at n1=200, m=100, ubar=2 (pop 20): some 13 s against a
