@@ -17,6 +17,7 @@ import pytest
 
 from pmmwm import FimpParams, HgaParams, InstanceSpec, baseline_ls, generate, solve
 from pmmwm.hga import Individual, evolve
+from pmmwm.numpart import kk_multiway
 
 
 def _digest(*lists) -> str:
@@ -129,3 +130,29 @@ def test_veto_trace_golden(run, digest):
     trace = run(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).stats.trace
     assert _digest([r.objective for r in trace], [r.incumbent for r in trace],
                    [r.bans_active for r in trace]) == digest
+
+
+# Multi-way Karmarkar-Karp seeds the HGA's population; this pins its exact
+# output over 300 seeded vectors: n in 0..60, m in 1..12, ubar from the
+# tightest feasible value up to two above it, and weights that tie often
+# (1..3), spread (1..1000), sit near 2**52, or are light with a heavy one in
+# three, which leaves many partitions overfull for the capacity repair.
+KK_DIGEST = "db6573933fb8b7d7dd74b41f322c8cff050ee9429125ed822fab4647124223cc"
+KK_WEIGHTS = [
+    lambda rng: rng.randint(1, 3),
+    lambda rng: rng.randint(1, 1000),
+    lambda rng: rng.randint(2**52 - 1000, 2**52),
+    lambda rng: rng.randint(1, 10**6) if rng.random() < 1 / 3 else rng.randint(1, 10),
+]
+
+
+def test_kk_multiway_golden():
+    rng = random.Random(1982)
+    parts = []
+    for i in range(300):
+        n, m = rng.randint(0, 60), rng.randint(1, 12)
+        ubar = max(1, -(-n // m)) + rng.randint(0, 2)
+        weight = KK_WEIGHTS[i % len(KK_WEIGHTS)]
+        w = np.array([weight(rng) for _ in range(n)], dtype=np.int64)
+        parts.append(kk_multiway(w, m, ubar))
+    assert _digest(*parts) == KK_DIGEST
