@@ -34,13 +34,7 @@ from .graph import (
 from .harness import RunReport, baseline_ls, bench, compare_reports, exact_oracle
 from .hga import HgaParams, Individual, evolve, gpx_crossover, mls_improve, mutate
 from .instgen import InstanceSpec, generate, generate_benchmark
-from .matching import (
-    MatchState,
-    batch_resolve,
-    repair_after_ban,
-    repair_after_unban,
-    solve_full,
-)
+from .matching import MatchState, batch_resolve, repair_after_ban, solve_full
 from .numpart import greedy_lpt, kk_multiway, min_max_brute
 from .orchestrator import BanList, FimpParams, RunResult, modify_graph, solve
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import glob
 import io
 import json
@@ -95,24 +96,12 @@ def _cmd_solve(args) -> int:
                                    wall_time_ms=wall_ms)
         save_solution(args.json, payload)
     if args.stats:
-        stats = result.stats
-        payload = {
-            "seed": stats.seed,
-            "iterations": stats.iterations,
-            "wall_time_ms": stats.wall_time_ms,
-            "match_time_ms": stats.match_time_ms,
-            "hga_time_ms": stats.hga_time_ms,
-            "lower_bound": (None if stats.lower_bound is None
-                            else g.display_value(stats.lower_bound)),
-            "certified_optimal": stats.certified_optimal,
-            "trace": [
-                {"iteration": t.iteration, "objective": g.display_value(t.objective),
-                 "incumbent": g.display_value(t.incumbent),
-                 "bans_active": t.bans_active, "match_ms": t.match_ms,
-                 "hga_ms": t.hga_ms}
-                for t in stats.trace
-            ],
-        }
+        payload = dataclasses.asdict(result.stats)
+        if payload["lower_bound"] is not None:
+            payload["lower_bound"] = g.display_value(payload["lower_bound"])
+        for record in payload["trace"]:
+            record["objective"] = g.display_value(record["objective"])
+            record["incumbent"] = g.display_value(record["incumbent"])
         with open(args.stats, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

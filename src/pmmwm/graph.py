@@ -411,7 +411,7 @@ def _diagnose(data: bytes, path: str) -> NoReturn:
     raise ParseError(f"{path}: rejected by the bulk parse, yet no line is at fault")
 
 
-def load_instance(path: str, check_feasible: bool = True) -> BipartiteGraph:
+def load_instance(path: str) -> BipartiteGraph:
     """Load an instance file and verify perfect-matching feasibility.
 
     Format (UTF-8 text; '#' starts a comment that runs to the end of the line):
@@ -440,7 +440,7 @@ def load_instance(path: str, check_feasible: bool = True) -> BipartiteGraph:
     g = BipartiteGraph(n1, n2, m, ubar, weight, weight_scale=scale)
     if m * ubar < n1:
         raise InfeasibleInstance(f"{path}: m*ubar = {m * ubar} < n1 = {n1}")
-    if check_feasible and not g.has_perfect_matching():
+    if not g.has_perfect_matching():
         raise InfeasibleInstance(f"{path}: no perfect matching on U")
     return g
 

@@ -19,7 +19,7 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,10 +36,6 @@ from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
 from .orchestrator import FimpParams, RunResult, ban_first, run_loop, solve
 
 ORACLE_MAX_N1 = 8
-
-REPORT_COLUMNS = ["instance", "algo", "seed", "objective", "optimum", "gap",
-                  "iterations", "wall_time_ms", "match_time_ms", "hga_time_ms",
-                  "lower_bound", "certified_optimal"]
 
 
 def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
@@ -146,6 +142,9 @@ class RunReport:
     hga_time_ms: float
     lower_bound: float | None = None  # RunStats.lower_bound in file units
     certified_optimal: bool = False
+
+
+REPORT_COLUMNS = [f.name for f in fields(RunReport)]
 
 
 def run_algorithm(g: BipartiteGraph, algo: str, params: FimpParams) -> RunResult:

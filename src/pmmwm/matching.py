@@ -14,7 +14,6 @@ one vertex whose matched edge was disturbed.
 Costs per call on an n1 x n2 table:
     solve_full          n1 phases, O(n1^2 * n2)
     repair_after_ban    at most 1 phase, O(n1 * n2)
-    repair_after_unban  at most 1 phase, O(n1 * n2)
     batch_resolve       at most 1 phase per released edge
 
 Absent and banned edges participate as a saturating "infinite" weight; a
@@ -236,24 +235,17 @@ def repair_after_ban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> Match
     return st
 
 
-def repair_after_unban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> MatchState:
-    """Re-optimize after edge (u, v) was restored in ``g``.
-
-    If the restored edge already satisfies dual feasibility the state is
-    unchanged. Otherwise alpha[u] drops to u's minimum slack, which breaks
-    the tightness of u's matched edge, and one phase rematches u. Restoring
-    an edge cannot destroy feasibility, so this never raises.
-    """
-    return batch_resolve(g, st, {(u, v)})
-
-
 def batch_resolve(g: BipartiteGraph, st: MatchState,
                   released: set[tuple[int, int]]) -> MatchState:
     """Re-optimize after a set of edges was unbanned in ``g``.
 
     Sequential incremental repairs in sorted edge order, at most one phase
     per edge (the eff table lags the graph until each edge's turn, which is
-    sound: the state stays optimal for the partially-restored graph).
+    sound: the state stays optimal for the partially-restored graph). A
+    restored edge that satisfies dual feasibility leaves the state unchanged;
+    otherwise alpha[u] drops to u's minimum slack and one phase rematches u.
+    Restoring edges cannot destroy feasibility, so this never raises
+    NoPerfectMatching.
     """
     edges = sorted(released)
     for (u, v) in edges:
@@ -264,9 +256,9 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
         if int(st.alpha[u]) + int(st.beta[v]) <= w:
             continue
         st.alpha[u] = (st.eff[u] - st.beta).min()
+        # The new alpha[u] is at most w - beta[v], below the old one that
+        # made u's matched edge tight, so that edge is slack: u always rematches.
         vm = int(st.mate_u[u])
-        if int(st.alpha[u]) + int(st.beta[vm]) == int(st.eff[u, vm]):
-            continue
         st.mate_u[u] = FREE
         st.mate_v[vm] = FREE
         _augment(st, u)

@@ -65,29 +65,6 @@ def greedy_lpt(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
     return part
 
 
-class _KKTuple:
-    """A partial m-way split: m disjoint U-index lists with sums kept sorted
-    descending; spread = sums[0] - sums[m-1]."""
-
-    __slots__ = ("subsets", "sums")
-
-    def __init__(self, subsets: list[list[int]], sums: list[int]):
-        order = sorted(range(len(sums)), key=lambda i: -sums[i])
-        self.subsets = [subsets[i] for i in order]
-        self.sums = [sums[i] for i in order]
-
-    @property
-    def spread(self) -> int:
-        return self.sums[0] - self.sums[-1]
-
-
-def _merge(a: _KKTuple, b: _KKTuple, m: int) -> _KKTuple:
-    # largest-with-smallest pairing: a.sums[i] joins b.sums[m-1-i]
-    subsets = [a.subsets[i] + b.subsets[m - 1 - i] for i in range(m)]
-    sums = [a.sums[i] + b.sums[m - 1 - i] for i in range(m)]
-    return _KKTuple(subsets, sums)
-
-
 def kk_multiway(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
     """Multi-way Karmarkar-Karp differencing with a capacity-repair pass.
 
@@ -104,43 +81,37 @@ def kk_multiway(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
         return part
     ws = w.tolist()
 
-    def by_weight(u: int) -> tuple[int, int]:
-        return ws[u], u
+    # A partial split is (-spread, age, sums, subsets) with sums sorted
+    # descending (a lone nonnegative weight already is); (-spread, age) is
+    # unique, so the lists are never compared. Built in key order, the list
+    # is already a heap. (For m = 1 a lone item's key is not its spread 0,
+    # but every merge order gives the same all-zero part.)
+    heap = [(-ws[u], age, [ws[u]] + [0] * (m - 1), [[u]] + [[] for _ in range(m - 1)])
+            for age, u in enumerate(sorted(range(n), key=lambda u: (-ws[u], u)))]
+    for age in range(n, 2 * n - 1):
+        _, _, sa, ta = heapq.heappop(heap)
+        _, _, sb, tb = heapq.heappop(heap)
+        # sa[i] joins sb[m-1-i]
+        sums = [x + y for x, y in zip(sa, reversed(sb))]
+        subsets = [x + y for x, y in zip(ta, reversed(tb))]
+        order = sorted(range(m), key=sums.__getitem__, reverse=True)  # stable
+        sums = [sums[i] for i in order]
+        heapq.heappush(heap, (sums[-1] - sums[0], age, sums, [subsets[i] for i in order]))
 
-    heap: list[tuple[int, int, _KKTuple]] = []
-    seq = 0
-    for u in sorted(range(n), key=lambda u: (-ws[u], u)):
-        subsets: list[list[int]] = [[] for _ in range(m)]
-        sums = [0] * m
-        subsets[0] = [u]
-        sums[0] = ws[u]
-        heapq.heappush(heap, (-ws[u], seq, _KKTuple(subsets, sums)))
-        seq += 1
-    while len(heap) > 1:
-        _, _, a = heapq.heappop(heap)
-        _, _, b = heapq.heappop(heap)
-        merged = _merge(a, b, m)
-        heapq.heappush(heap, (-merged.spread, seq, merged))
-        seq += 1
-    final = heap[0][2]
-
-    sums = list(final.sums)
-    subsets = [sorted(sub, key=by_weight) for sub in final.subsets]
+    _, _, sums, subsets = heap[0]
     sizes = [len(sub) for sub in subsets]
-    while True:
-        over = next((k for k in range(m) if sizes[k] > ubar), None)
-        if over is None:
-            break
-        target = _lightest_open(sums, sizes, ubar)  # never over: sizes[over] > ubar
-        moved = subsets[over].pop(0)  # smallest item of the overfull partition
-        subsets[target].append(moved)
-        subsets[target].sort(key=by_weight)
-        sums[over] -= ws[moved]
-        sums[target] += ws[moved]
-        sizes[over] -= 1
-        sizes[target] += 1
-    for k in range(m):
-        part[subsets[k]] = k
+    # Drain overfull partitions in index order; a partition with room never
+    # fills past ubar, so none becomes overfull on the way.
+    for k, sub in enumerate(subsets):
+        part[sub] = k
+        if len(sub) > ubar:
+            for u in sorted(sub, key=lambda u: (ws[u], u))[:len(sub) - ubar]:
+                target = _lightest_open(sums, sizes, ubar)
+                part[u] = target
+                sums[k] -= ws[u]
+                sums[target] += ws[u]
+                sizes[k] -= 1
+                sizes[target] += 1
     return part
 
 

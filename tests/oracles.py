@@ -338,7 +338,7 @@ def _reference_weight(token: str, lineno: int) -> tuple[int, int]:
     return int(int_part or "0") * 10 ** len(frac) + int(frac or "0"), len(frac)
 
 
-def load_instance_reference(path: str, check_feasible: bool = True) -> BipartiteGraph:
+def load_instance_reference(path: str) -> BipartiteGraph:
     """Line-by-line instance parser, the differential oracle of ``load_instance``.
 
     Reads the file as text with universal newlines, splits each line on
@@ -411,6 +411,6 @@ def load_instance_reference(path: str, check_feasible: bool = True) -> Bipartite
     g = BipartiteGraph(n1, n2, m, ubar, weight, weight_scale=10 ** max_digits)
     if m * ubar < n1:
         raise InfeasibleInstance(f"{path}: m*ubar = {m * ubar} < n1 = {n1}")
-    if check_feasible and not g.has_perfect_matching():
+    if not g.has_perfect_matching():
         raise InfeasibleInstance(f"{path}: no perfect matching on U")
     return g

@@ -20,7 +20,7 @@ from pmmwm.graph import Solution, load_solution, save_instance, validate_solutio
 from pmmwm.harness import baseline_ls, exact_oracle
 from pmmwm.hga import HgaParams, Individual, evolve, fitness_of, mls_improve
 from pmmwm.instgen import InstanceSpec, generate
-from pmmwm.matching import check_invariants, repair_after_ban, repair_after_unban, solve_full
+from pmmwm.matching import batch_resolve, check_invariants, repair_after_ban, solve_full
 from pmmwm.numpart import bounded_min_max, greedy_lpt, kk_multiway
 from pmmwm.orchestrator import FimpParams, solve
 
@@ -72,7 +72,7 @@ def test_criterion_2_incremental_repair_equivalence():
             if banned and rng.random() < 0.4:
                 u, v = banned.pop(rng.randrange(len(banned)))
                 g.unban_edge(u, v)
-                st = repair_after_unban(g, st, u, v)
+                st = batch_resolve(g, st, {(u, v)})
             else:
                 avail = [(u, v) for u in range(8) for v in range(8)
                          if g.is_available(u, v)]
@@ -126,7 +126,7 @@ def test_criterion_3_repair_speedup_trend():
             st = repair_after_ban(g, st, u, v)
             repair_times.append(time.perf_counter() - t0)
             g.unban_edge(u, v)
-            st = repair_after_unban(g, st, u, v)
+            st = batch_resolve(g, st, {(u, v)})
         ratios[n] = statistics.median(repair_times) / statistics.median(solve_times)
     elapsed = time.perf_counter() - t_start
     ok = (ratios[800] < ratios[400] < ratios[200]

@@ -65,7 +65,8 @@ class TestSolveCommand:
         path = str(tmp_path / "stats.json")
         run_cli(["solve", example_file, "--seed", "3", "--max-iterations", "6",
                  "--pop-size", "6", "--stats", path])
-        stats = json.load(open(path))
+        with open(path) as fh:
+            stats = json.load(fh)
         # the optimum 4 equals ceil(W*/m), so the run ends certified
         assert stats["iterations"] == len(stats["trace"])
         assert stats["certified_optimal"] is True
@@ -77,10 +78,37 @@ class TestSolveCommand:
         path = str(tmp_path / "stats.json")
         run_cli(["solve", example_file, "--algo", "baseline", "--seed", "3",
                  "--max-iterations", "6", "--stats", path])
-        stats = json.load(open(path))
+        with open(path) as fh:
+            stats = json.load(fh)
         assert stats["iterations"] == len(stats["trace"]) == 6
         assert stats["lower_bound"] is None
         assert stats["certified_optimal"] is False
+
+    def test_stats_file_in_file_units(self, tmp_path, capsys):
+        # decimal weights are held scaled by 100; the diagonal is the only
+        # cheap matching (8.25), so the bound is ceil(825 / 2) / 100 = 4.13
+        # and the best split is {1.5, 2.75} | {2.25, 1.75}, 4.25
+        inst = tmp_path / "decimal.txt"
+        diagonal = [1.5, 2.25, 1.75, 2.75]
+        inst.write_text("4 4 2 2\n" + "".join(
+            f"{u} {v} {diagonal[u] if u == v else 9}\n"
+            for u in range(4) for v in range(4)))
+        path = str(tmp_path / "stats.json")
+        assert run_cli(["solve", str(inst), "--seed", "1", "--max-iterations", "3",
+                        "--pop-size", "6", "--stats", path]) == 0
+        assert capsys.readouterr().out == "objective 4.25\n"
+        with open(path) as fh:
+            stats = json.load(fh)
+        assert set(stats) == {"seed", "iterations", "wall_time_ms", "match_time_ms",
+                              "hga_time_ms", "lower_bound", "certified_optimal",
+                              "trace"}
+        for record in stats["trace"]:
+            assert set(record) == {"iteration", "objective", "incumbent",
+                                   "bans_active", "match_ms", "hga_ms"}
+        assert stats["lower_bound"] == 4.13
+        assert stats["certified_optimal"] is False
+        assert stats["trace"][0]["objective"] == 4.25
+        assert [t["incumbent"] for t in stats["trace"]] == [4.25] * 3
 
     def test_baseline_algo(self, example_file, capsys):
         assert run_cli(["solve", example_file, "--algo", "baseline",
@@ -249,7 +277,8 @@ class TestBenchAndCompare:
         bench_dir = tmp_path / "group"
         generate_benchmark("independent-sparse", str(bench_dir))
         manifest = bench_dir / "manifest.csv"
-        rows = list(_csv.DictReader(open(manifest)))
+        with open(manifest, newline="") as fh:
+            rows = list(_csv.DictReader(fh))
         small = [r for r in rows if r["n1"] == "50"][:2]
         trimmed = tmp_path / "trimmed.csv"
         with open(trimmed, "w", newline="") as fh:

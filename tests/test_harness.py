@@ -145,7 +145,8 @@ class TestBenchReports:
         assert all(r.lower_bound is None and not r.certified_optimal for r in base)
         out = str(tmp_path / "reports.csv")
         write_reports(out, fimp + base)
-        assert open(out).readline().strip().endswith(",lower_bound,certified_optimal")
+        with open(out) as fh:
+            assert fh.readline().strip().endswith(",lower_bound,certified_optimal")
         loaded = read_reports(out)
         assert [(r.lower_bound, r.certified_optimal) for r in loaded] == \
             [(r.lower_bound, r.certified_optimal) for r in fimp + base]
@@ -184,8 +185,9 @@ class TestBenchReports:
                    for row in rows)
         out = str(tmp_path / "cmp.csv")
         write_compare(out, rows)
-        assert open(out).readline().strip() == \
-            "instance,objective_a,objective_b,result,wall_time_ms_a,wall_time_ms_b,time_ratio"
+        with open(out) as fh:
+            assert fh.readline().strip() == \
+                "instance,objective_a,objective_b,result,wall_time_ms_a,wall_time_ms_b,time_ratio"
 
     def test_compare_detects_wins(self):
         a = [RunReport("i1", "x", 0, 3.0, None, None, 1, 10.0, 1.0, 1.0)]

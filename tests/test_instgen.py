@@ -41,7 +41,8 @@ class TestGenerate:
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         write_instance(spec, p1)
         write_instance(spec, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_different_seeds_differ(self):
         a = generate(spec_of(seed=1))

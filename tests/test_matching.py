@@ -11,7 +11,6 @@ from pmmwm.matching import (
     batch_resolve,
     check_invariants,
     repair_after_ban,
-    repair_after_unban,
     solve_full,
 )
 
@@ -186,7 +185,7 @@ class TestRepairAfterUnban:
         st = repair_after_ban(g, st, 0, 1)
         alpha_before = st.alpha.copy()
         g.unban_edge(0, 1)
-        st = repair_after_unban(g, st, 0, 1)
+        st = batch_resolve(g, st, {(0, 1)})
         assert st.total_weight == 2
         assert (st.alpha == alpha_before).all()
         check_invariants(g, st)
@@ -198,7 +197,7 @@ class TestRepairAfterUnban:
         st = repair_after_ban(g, st, 0, 0)
         assert st.total_weight == 4
         g.unban_edge(0, 0)
-        st = repair_after_unban(g, st, 0, 0)
+        st = batch_resolve(g, st, {(0, 0)})
         assert st.total_weight == 2
         check_invariants(g, st)
 
@@ -214,7 +213,7 @@ class TestRepairAfterUnban:
                 g.ban_edge(u, v)
                 st = repair_after_ban(g, st, u, v)
                 g.unban_edge(u, v)
-                st = repair_after_unban(g, st, u, v)
+                st = batch_resolve(g, st, {(u, v)})
                 check_invariants(g, st)
                 assert st.total_weight == original
 
@@ -230,7 +229,7 @@ class TestMixedSequences:
                 if banned and rng.random() < 0.4:
                     u, v = banned.pop(rng.randrange(len(banned)))
                     g.unban_edge(u, v)
-                    st = repair_after_unban(g, st, u, v)
+                    st = batch_resolve(g, st, {(u, v)})
                 else:
                     avail = [(u, v) for u in range(8) for v in range(8)
                              if g.is_available(u, v)]
@@ -403,7 +402,7 @@ class TestAgainstReferencePhase:
             elif roll < 0.75:
                 u, v = banned.pop(rng.randrange(len(banned)))
                 g.unban_edge(u, v)
-                assert not self._both(lambda st: repair_after_unban(g, st, u, v), states)
+                assert not self._both(lambda st: batch_resolve(g, st, {(u, v)}), states)
                 seen["unban"] += 1
             else:
                 rng.shuffle(banned)
@@ -480,7 +479,7 @@ def _ban_unban_walk(g, st, rng, steps, pick_u):
         if banned and rng.random() < 0.3:
             u, v = banned.pop(rng.randrange(len(banned)))
             g.unban_edge(u, v)
-            st = repair_after_unban(g, st, u, v)
+            st = batch_resolve(g, st, {(u, v)})
         else:
             u = pick_u()
             v = int(st.mate_u[u])
