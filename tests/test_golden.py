@@ -72,6 +72,11 @@ EVOLVE_CASES = [
      "5a38a1c0ae6d3b1c36df2e668e0517f4b752c2f849c7d9e23bcc1e96ee45d837"),
     (43, 48, 1000, 24, 2, 1092,
      "3c883c37d2853a2a6bdb8d2c1106f4df9666d7d014dc8d14f457c1e7ddcae13f"),
+    # ubar = 3 with spare room (48 items, 60 slots): 135 crossovers, 23 of
+    # them on a parent pair already crossed in the same run, and 31 moving
+    # mutations
+    (45, 48, 1000, 20, 3, 1037,
+     "4db3d5a63084fee026b2c923eebfde66e3c67359e8c8b5753ca5a24acfe38d54"),
 ]
 
 
@@ -105,7 +110,7 @@ def _evolve(weights, m, ubar, params):
 
 
 @pytest.mark.parametrize("seed, n, w_max, m, ubar, objective, digest", EVOLVE_CASES,
-                         ids=["wide", "narrow", "groups", "tight"])
+                         ids=["wide", "narrow", "groups", "tight", "repeats"])
 def test_evolve_golden(seed, n, w_max, m, ubar, objective, digest):
     rng = random.Random(seed)
     weights = [rng.randint(1, w_max) for _ in range(n)]
