@@ -42,17 +42,18 @@ from .orchestrator import FimpParams
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    fimp = FimpParams()
     parser.add_argument("--algo", choices=["fimp-hga", "baseline"],
                         default="fimp-hga")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--time-limit-ms", type=int, default=None)
-    parser.add_argument("--max-iterations", type=int, default=500)
-    parser.add_argument("--tenure", type=int, default=20)
-    parser.add_argument("--pop-size", type=int, default=20)
-    parser.add_argument("--elite-count", type=int, default=1)
-    parser.add_argument("--mutation-rate", type=float, default=0.2)
-    parser.add_argument("--max-generations", type=int, default=200)
-    parser.add_argument("--stall-limit", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=fimp.rng_seed)
+    parser.add_argument("--time-limit-ms", type=int, default=fimp.time_limit_ms)
+    parser.add_argument("--max-iterations", type=int, default=fimp.max_iterations)
+    parser.add_argument("--tenure", type=int, default=fimp.tenure)
+    parser.add_argument("--pop-size", type=int, default=fimp.hga.pop_size)
+    parser.add_argument("--elite-count", type=int, default=fimp.hga.elite_count)
+    parser.add_argument("--mutation-rate", type=float, default=fimp.hga.mutation_rate)
+    parser.add_argument("--max-generations", type=int, default=fimp.hga.max_generations)
+    parser.add_argument("--stall-limit", type=int, default=fimp.hga.stall_limit)
 
 
 def _params_from(args: argparse.Namespace) -> FimpParams:

@@ -16,6 +16,16 @@ partition crossover, mutation and two-level local search. Everything is
 driven by one seeded ``random.Random``, so identical inputs give bit-identical
 results.
 
+Once the population converges, the generations breed the same children again.
+``evolve`` therefore gives ``gpx_crossover`` and ``mls_improve`` one memo each
+for the length of the call: the crossover is keyed by its two parents' parts,
+the local search by its input part, with None recorded for "no move". Within
+one call ``w``, m and ubar are fixed and both operators are pure functions of
+the keyed parts, so every child is bit-identical to an un-memoized run. The
+stored individuals' arrays are read-only, and both memos are freed when
+``evolve`` returns. The memo lives inside the operators, so each child still
+costs one call of each, and a tracer counting calls sees the same counts.
+
 No partition of ``w`` into m parts has an objective below
 max(ceil(sum(w) / m), max(w)): the heaviest part holds at least the average
 and at least the heaviest item (the classic multi-way number-partitioning
@@ -153,8 +163,18 @@ def _l2_swap(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
 _LEVEL_FUNCS = {1: _l1_relocate, 2: _l2_swap}
 
 
+def _remember(memo: dict, key, ind: Individual | None) -> None:
+    """Store ``ind`` under ``key``. Every later hit shares its ``part``, so
+    the array is made read-only: an in-place write raises instead of
+    corrupting the memo."""
+    if ind is not None:
+        ind.part.flags.writeable = False
+    memo[key] = ind
+
+
 def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
-                levels: tuple[int, ...] = (1, 2)) -> Individual:
+                levels: tuple[int, ...] = (1, 2), *,
+                memo: dict | None = None) -> Individual:
     """Multilevel descent on the heaviest partition (ties: lowest index).
 
     Level 1 relocates one item (best improvement), level 2 swaps one item
@@ -167,10 +187,19 @@ def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
 
     ``levels`` restricts the neighborhoods (the comparison baseline uses
     ``(1,)`` for a relocation-only descent).
+
+    ``memo`` maps ``part.tobytes()`` to the result, or to None for "no
+    move", which returns ``ind`` itself on a hit as well. Its entries are
+    valid only for one ``w``, ``ubar``, ``levels`` and m.
     """
     m = len(ind.fitness)
     if len(ind.part) == 0 or m == 1:
         return ind
+    if memo is not None:
+        key = ind.part.tobytes()
+        if key in memo:
+            hit = memo[key]
+            return ind if hit is None else hit
     part = ind.part.copy()
     sums = _part_sums(part, w, m)
     sizes = np.bincount(part, minlength=m)
@@ -185,16 +214,17 @@ def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
                 break
         else:
             break
-    if not moved_any:
-        return ind
-    return Individual(part, fitness_of(part, w, m))
+    result = Individual(part, fitness_of(part, w, m)) if moved_any else None
+    if memo is not None:
+        _remember(memo, key, result)
+    return ind if result is None else result
 
 
 # ---------------------------------------------------------------------------
 # Genetic operators
 
 def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
-                  m: int, ubar: int) -> Individual:
+                  m: int, ubar: int, *, memo: dict | None = None) -> Individual:
     """Greedy partition crossover.
 
     The child is built in m rounds with alternating donors (``a`` first).
@@ -216,7 +246,14 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
     that took either of its donor partitions. The table only changes how
     the restricted sums are found; the selection rule is the one above,
     evaluated on Python ints, so ``x * (m - r)`` cannot overflow.
+
+    ``memo`` maps ``(a.part.tobytes(), b.part.tobytes())`` to the child;
+    its entries are valid only for one ``w``, m and ``ubar``.
     """
+    if memo is not None:
+        key = (a.part.tobytes(), b.part.tobytes())
+        if key in memo:
+            return memo[key]
     cross = np.zeros((m, m), dtype=np.int64)
     np.add.at(cross, (a.part, b.part), w)
     tables = (cross, cross.T)  # rows are a's partitions, then b's
@@ -245,7 +282,10 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
         child[u] = best
         sums[best] += int(w[u])
         sizes[best] += 1
-    return Individual(child, tuple(sorted(sums, reverse=True)))
+    result = Individual(child, tuple(sorted(sums, reverse=True)))
+    if memo is not None:
+        _remember(memo, key, result)
+    return result
 
 
 def mutate(ind: Individual, w: np.ndarray, ubar: int,
@@ -322,6 +362,8 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     best = min(population, key=lambda ind: ind.fitness)
     bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
     stall = 0
+    crossed: dict = {}
+    improved: dict = {}
     for gen in range(params.max_generations):
         if stall >= params.stall_limit or best.fitness[0] == bound:
             break
@@ -332,9 +374,9 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
         while len(next_pop) < params.pop_size:
             p1 = _tournament(population, rng)
             p2 = _tournament(population, rng)
-            child = gpx_crossover(p1, p2, w, m, ubar)
+            child = gpx_crossover(p1, p2, w, m, ubar, memo=crossed)
             child = mutate(child, w, ubar, params.mutation_rate, rng)
-            child = mls_improve(child, w, ubar)
+            child = mls_improve(child, w, ubar, memo=improved)
             next_pop.append(child)
         population = next_pop
         gen_best = min(population, key=lambda ind: ind.fitness)

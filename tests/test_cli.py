@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pmmwm.cli import _add_solver_flags, _params_from, main
+from pmmwm.cli import _add_solver_flags, _params_from, build_parser, main
 from pmmwm.graph import load_solution, save_instance
 from pmmwm.harness import REPORT_COLUMNS, read_reports
 from pmmwm.hga import HgaParams
@@ -249,6 +249,10 @@ class TestSolverFlags:
             assert params == expected, name
         assert _params_from(parser.parse_args(["--seed", "7"])) == \
             dataclasses.replace(defaults, rng_seed=7)
+
+    @pytest.mark.parametrize("argv", [["solve", "inst.txt"], ["bench", "--out", "runs.csv"]])
+    def test_command_line_without_solver_flags_gives_params_defaults(self, argv):
+        assert _params_from(build_parser().parse_args(argv)) == FimpParams()
 
 
 class TestBenchAndCompare:

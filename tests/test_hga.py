@@ -471,3 +471,82 @@ class TestEvolve:
             evolve(items_of(1, 2), 2, 1, HgaParams(pop_size=1))
         with pytest.raises(ValueError):
             evolve(items_of(1, 2), 2, 1, HgaParams(elite_count=0))
+
+
+class TestMemo:
+    # (n, m, ubar): the perfbench tight shape, ubar = 3 with room, groups
+    SHAPES = ((48, 24, 2), (48, 20, 3), (200, 10, 24))
+
+    @staticmethod
+    def _same(x, y):
+        return x.part.tolist() == y.part.tolist() and x.fitness == y.fitness
+
+    def test_memoized_operators_match_plain_calls(self):
+        rng = random.Random(15)
+        for n, m, ubar in self.SHAPES:
+            w = items_of(*[rng.randint(1, 1000) for _ in range(n)])
+            pop = init_population(w, m, ubar, HgaParams(pop_size=6, rng_seed=n + m))
+            pop += [individual(_random_feasible(rng, n, m, ubar), w, m, ubar)
+                    for _ in range(4)]
+            crossed, improved = {}, {}
+            for _ in range(20):
+                a, b = pop[rng.randrange(len(pop))], pop[rng.randrange(len(pop))]
+                plain = gpx_crossover(a, b, w, m, ubar)
+                first = gpx_crossover(a, b, w, m, ubar, memo=crossed)
+                hit = gpx_crossover(a, b, w, m, ubar, memo=crossed)
+                assert self._same(first, plain) and hit is first
+                for ind in (plain, mutate(plain, w, ubar, 1.0, rng)):
+                    plain_mls = mls_improve(ind, w, ubar)
+                    for _ in range(2):  # the first call, then a hit
+                        assert self._same(mls_improve(ind, w, ubar, memo=improved),
+                                          plain_mls)
+            assert improved
+
+    def test_no_move_hit_returns_ind_itself(self):
+        items = items_of(3, 3, 3)
+        memo = {}
+        ind = individual([0, 1, 2], items, 3, 1)
+        assert mls_improve(ind, items, 1, memo=memo) is ind
+        assert memo == {ind.part.tobytes(): None}
+        again = individual([0, 1, 2], items, 3, 1)
+        assert mls_improve(again, items, 1, memo=memo) is again
+
+    def test_stored_parts_are_read_only(self):
+        items = items_of(2, 2, 1, 1, 4, 1)
+        a = individual([0, 0, 1, 1, 2, 2], items, 3, 3)
+        b = individual([2, 1, 0, 0, 1, 2], items, 3, 3)
+        moved = mls_improve(a, items, 3, memo={})
+        child = gpx_crossover(a, b, items, 3, 3, memo={})
+        for ind in (moved, child):
+            with pytest.raises(ValueError, match="read-only"):
+                ind.part[0] = 1
+        assert a.part.flags.writeable  # an input is never frozen
+        assert gpx_crossover(a, b, items, 3, 3).part.flags.writeable
+
+    def test_evolve_calls_each_operator_once_per_child(self, monkeypatch):
+        # the golden "repeats" case: crossover pairs recur, so the memo hits;
+        # every child still costs one call of each operator
+        rng = random.Random(45)
+        w = items_of(*[rng.randint(1, 1000) for _ in range(48)])
+        params = HgaParams(pop_size=10, max_generations=30, stall_limit=8, rng_seed=45)
+        calls = {"gpx": 0, "mls": 0, "hits": 0}
+
+        def counted(name, real, key):
+            def wrapper(*args, memo=None, **kwargs):
+                calls[name] += 1
+                calls["hits"] += memo is not None and key(*args) in memo
+                return real(*args, memo=memo, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(hga, "gpx_crossover", counted(
+            "gpx", hga.gpx_crossover, lambda a, b, *_: (a.part.tobytes(), b.part.tobytes())))
+        monkeypatch.setattr(hga, "mls_improve", counted(
+            "mls", hga.mls_improve, lambda ind, *_: ind.part.tobytes()))
+        seen = []
+        evolve(w, 20, 3, params,
+               on_generation=lambda gen, pop, inc: seen.append((calls["gpx"], calls["mls"])))
+        children = params.pop_size - params.elite_count
+        assert len(seen) == 15
+        assert seen == [((g + 1) * children, params.pop_size + (g + 1) * children)
+                        for g in range(len(seen))]
+        assert calls["hits"] > 0
