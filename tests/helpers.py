@@ -58,3 +58,25 @@ def random_dense_graph(n1: int, n2: int, m: int, ubar: int, rng: random.Random,
             if v == planted[u] or rng.random() < density:
                 edges.append((u, v, rng.randint(1, w_max)))
     return BipartiteGraph.from_edges(n1, n2, m, ubar, edges)
+
+
+def seeded_graph(rng: random.Random, n1: int, n2: int, w_max: int) -> BipartiteGraph:
+    """Seeded n1 x n2 graph: weights in 1..w_max, absent and pre-banned edges,
+    and about one in four graphs with a Hall violation (k + 1 rows whose
+    edges all lie in k columns)."""
+    density = rng.choice([1.0, 0.7, 0.4])
+    planted = rng.sample(range(n2), n1)
+    weight = {}
+    for u in range(n1):
+        for v in range(n2):
+            if v == planted[u] or rng.random() < density:
+                weight[u, v] = rng.randint(1, w_max)
+    if n1 > 1 and rng.random() < 0.25:
+        k = rng.randint(1, n1 - 1)
+        cols = set(rng.sample(range(n2), k))
+        weight = {(u, v): w for (u, v), w in weight.items() if u > k or v in cols}
+    g = BipartiteGraph.from_edges(n1, n2, 1, n1, [(u, v, w) for (u, v), w in weight.items()])
+    for (u, v) in weight:
+        if rng.random() < 0.1:
+            g.ban_edge(u, v)
+    return g

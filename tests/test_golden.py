@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 
 from pmmwm import FimpParams, HgaParams, InstanceSpec, baseline_ls, generate, solve
+from pmmwm.errors import NoPerfectMatching
 from pmmwm.hga import Individual, evolve
+from pmmwm.instgen import benchmark_specs
+from pmmwm.matching import batch_resolve, repair_after_ban, solve_full
 from pmmwm.numpart import kk_multiway
 
 
@@ -161,3 +164,50 @@ def test_kk_multiway_golden():
         w = np.array([weight(rng) for _ in range(n)], dtype=np.int64)
         parts.append(kk_multiway(w, m, ubar))
     assert _digest(*parts) == KK_DIGEST
+
+
+# The matcher's exact state on the shipped n1 = 200, m = 10, seed-0 cells:
+# ``solve_full``'s mates, potentials and phase count, then the same after a
+# seeded walk of 20 steps that ban a matched edge (unbanned again when no
+# perfect matching is left) or restore one banned edge; on each cell that is
+# 17 bans and 3 restores, each of which runs one phase. Ties in the Dijkstra
+# steps and in the path recovery decide the potentials, so any change to the
+# phase's arithmetic or tie rules moves these digests.
+MATCHER_CASES = [
+    ("consistent-dense",
+     "5ad08a143294ccd112ca2cd9d9423cd65bbc082ca858c0272d0c4d0ef0e60b8d"),
+    ("consistent-sparse",
+     "f1347fbb0e6421d2358ddd8a31e9791f9a7406b5644bb83bdf164f9365365d17"),
+    ("independent-sparse",
+     "1a344e7b1f78805f64855b9c5ebb5986aced00bc120c7ce5b66b4ed938df03a7"),
+]
+
+
+def _matcher_state(st) -> list[list[int]]:
+    return [st.mate_u.tolist(), st.mate_v.tolist(), st.alpha.tolist(), st.beta.tolist(),
+            [st.phase_count]]
+
+
+@pytest.mark.parametrize("group, digest", MATCHER_CASES, ids=[c[0] for c in MATCHER_CASES])
+def test_matcher_state_golden(group, digest):
+    spec, = [s for s in benchmark_specs(group) if (s.n1, s.m, s.seed) == (200, 10, 0)]
+    g = generate(spec)
+    st = solve_full(g)
+    states = _matcher_state(st)
+    rng = random.Random(200)
+    banned = []
+    for _ in range(20):
+        if banned and rng.random() < 0.3:
+            u, v = banned.pop(rng.randrange(len(banned)))
+            g.unban_edge(u, v)
+            st = batch_resolve(g, st, {(u, v)})
+            continue
+        u = rng.randrange(g.n1)
+        v = int(st.mate_u[u])
+        g.ban_edge(u, v)
+        try:
+            st = repair_after_ban(g, st, u, v)
+            banned.append((u, v))
+        except NoPerfectMatching:
+            g.unban_edge(u, v)
+    assert _digest(*states, *_matcher_state(st)) == digest

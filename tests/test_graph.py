@@ -24,6 +24,7 @@ from helpers import (
     example_rematched_solution,
     example_relocated_solution,
     make_example_graph,
+    seeded_graph,
 )
 from oracles import load_instance_reference
 
@@ -382,6 +383,50 @@ class TestBanFlags:
         g2 = example_graph.copy()
         g2.ban_edge(0, 0)
         assert not example_graph.banned[0, 0]
+
+
+class TestHasPerfectMatching:
+    """``has_perfect_matching`` against scipy's maximum bipartite matching on
+    seeded graphs with absent and banned edges, n2 >= n1 and Hall
+    violations."""
+
+    @staticmethod
+    def _greedy_covers_u(avail) -> bool:
+        """Whether matching each row to its first free available column, in
+        row order, already covers U (then no augmenting path is searched)."""
+        free = [True] * avail.shape[1]
+        for row in avail.tolist():
+            v = next((v for v, ok in enumerate(row) if ok and free[v]), None)
+            if v is None:
+                return False
+            free[v] = False
+        return True
+
+    def test_matches_scipy(self):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        csr_matrix = pytest.importorskip("scipy.sparse").csr_matrix
+        rng = random.Random(77)
+        seen = {"greedy": 0, "augmented": 0, "infeasible": 0}
+        for _ in range(300):
+            n1 = rng.randint(1, 40)
+            g = seeded_graph(rng, n1, n1 + rng.choice([0, 0, 1, 3, 12]), 9)
+            avail = g.available_mask()
+            mate = csgraph.maximum_bipartite_matching(csr_matrix(avail), perm_type="column")
+            expected = bool((mate >= 0).all())
+            assert g.has_perfect_matching() == expected
+            if not expected:
+                seen["infeasible"] += 1
+            elif self._greedy_covers_u(avail):
+                seen["greedy"] += 1
+            else:
+                seen["augmented"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_row_without_available_edge(self):
+        g = BipartiteGraph.from_edges(2, 3, 1, 2, [(0, 0, 1), (1, 1, 1)])
+        assert g.has_perfect_matching()
+        g.ban_edge(1, 1)
+        assert not g.has_perfect_matching()
 
 
 def test_weight_guard():

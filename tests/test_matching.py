@@ -14,7 +14,7 @@ from pmmwm.matching import (
     solve_full,
 )
 
-from helpers import random_complete_graph, random_dense_graph
+from helpers import random_complete_graph, random_dense_graph, seeded_graph
 from oracles import augment_reference, brute_force_min_matching
 
 
@@ -309,32 +309,10 @@ def _snapshot(st):
 
 
 def _tie_graph(rng: random.Random) -> BipartiteGraph:
-    """Small seeded ``_seeded_graph``: n1 <= 8 and w_max mostly 1-3."""
+    """Small seeded ``seeded_graph``: n1 <= 8 and w_max mostly 1-3."""
     n1 = rng.randint(1, 8)
-    return _seeded_graph(rng, n1, n1 + rng.choice([0, 0, 1, 3]),
+    return seeded_graph(rng, n1, n1 + rng.choice([0, 0, 1, 3]),
                          rng.choice([1, 2, 3, 3, 40]))
-
-
-def _seeded_graph(rng: random.Random, n1: int, n2: int, w_max: int) -> BipartiteGraph:
-    """Seeded n1 x n2 graph: weights in 1..w_max, absent and pre-banned edges,
-    and about one in four graphs with a Hall violation (k + 1 rows whose
-    edges all lie in k columns)."""
-    density = rng.choice([1.0, 0.7, 0.4])
-    planted = rng.sample(range(n2), n1)
-    weight = {}
-    for u in range(n1):
-        for v in range(n2):
-            if v == planted[u] or rng.random() < density:
-                weight[u, v] = rng.randint(1, w_max)
-    if n1 > 1 and rng.random() < 0.25:
-        k = rng.randint(1, n1 - 1)
-        cols = set(rng.sample(range(n2), k))
-        weight = {(u, v): w for (u, v), w in weight.items() if u > k or v in cols}
-    g = BipartiteGraph.from_edges(n1, n2, 1, n1, [(u, v, w) for (u, v), w in weight.items()])
-    for (u, v) in weight:
-        if rng.random() < 0.1:
-            g.ban_edge(u, v)
-    return g
 
 
 class TestAgainstReferencePhase:
@@ -428,7 +406,7 @@ class TestAgainstReferencePhase:
         seen = {"infeasible": 0, "vetoed": 0, "ban": 0, "unban": 0, "batch": 0}
         for _ in range(12):
             n1 = rng.randint(20, 60)
-            g = _seeded_graph(rng, n1, n1 + rng.choice([0, 3]), rng.randint(1, 3))
+            g = seeded_graph(rng, n1, n1 + rng.choice([0, 3]), rng.randint(1, 3))
             self._run(g, rng, seen)
         assert min(seen["ban"], seen["unban"], seen["batch"]) >= 40, seen
 
