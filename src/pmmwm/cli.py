@@ -228,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench" and not (args.dir or args.manifest):
         parser.error("bench requires --dir or --manifest")
+    if args.command == "bench" and args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if args.command in ("solve", "bench"):
         try:
             _params_from(args).validate()

@@ -130,18 +130,26 @@ class BipartiteGraph:
 
         Kuhn's augmenting-path algorithm (iterative, with a greedy warm
         start); exact and fast enough for load-time validation of
-        benchmark-sized instances.
+        benchmark-sized instances. The warm start gives each row, in order,
+        its first free available column, one vector operation per row; the
+        adjacency lists the augmenting-path search walks are built only
+        when it leaves a row unmatched.
         """
         avail = self.available_mask()
-        adj = [np.flatnonzero(avail[u]).tolist() for u in range(self.n1)]
+        free = np.ones(self.n2, dtype=bool)
+        row = np.empty(self.n2, dtype=bool)
         mate_v = [-1] * self.n2
         mate_u = [-1] * self.n1
         for u in range(self.n1):
-            for v in adj[u]:
-                if mate_v[v] == -1:
-                    mate_v[v] = u
-                    mate_u[u] = v
-                    break
+            np.logical_and(avail[u], free, out=row)
+            v = int(row.argmax())
+            if row[v]:
+                free[v] = False
+                mate_v[v] = u
+                mate_u[u] = v
+        if -1 not in mate_u:
+            return True
+        adj = [np.flatnonzero(avail[u]).tolist() for u in range(self.n1)]
 
         def try_augment(u0: int) -> bool:
             seen = bytearray(self.n2)

@@ -196,13 +196,18 @@ def _bench_worker(job) -> RunReport:
 
 def bench(jobs_spec: list[tuple[str, str]], algo: str, params: FimpParams,
           jobs: int = 1, with_oracle: bool = True) -> list[RunReport]:
-    """Run ``algo`` on (path, instance_id) pairs; reports sorted by id."""
+    """Run ``algo`` on (path, instance_id) pairs; reports sorted by id.
+
+    With ``jobs`` > 1 the runs go to a process pool of at most one worker
+    per run: the pool may start all its workers at once.
+    """
     work = [(path, instance_id, algo, params, with_oracle)
             for path, instance_id in jobs_spec]
-    if jobs <= 1:
+    workers = min(jobs, len(work))
+    if workers <= 1:
         reports = [_bench_worker(job) for job in work]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_bench_worker, work))
     reports.sort(key=lambda r: (r.instance, r.algo, r.seed))
     return reports

@@ -118,6 +118,8 @@ def _l1_relocate(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
     per improving move).
     """
     ks = np.flatnonzero((sizes < ubar) & (np.arange(m) != h))
+    if ks.size == 0:  # every other partition is full, as at n = m * ubar
+        return False
     improving = _improves(sums[h], w[h_items][:, None], sums[ks][None, :])
     xi, ki = np.nonzero(improving)
     if xi.size == 0:

@@ -36,6 +36,16 @@ row first, then the earliest-settled column; see ``_augment``), so matchings
 and potentials are those of the textbook step. All of this stays within
 int64: see the bound at ``_MASKED``.
 
+A step's array work runs in numpy, but its scalars stay out of numpy
+scalar objects: at n2 = 500, boxing them (``int(dist[j])``,
+``int(mate_v[j])``, adding a Python int to an array) would cost about half
+as much again as the four array operations. So the settled column's
+distance is read with ``dist.item(j)``; its row and that row's ``alpha``
+come from Python-list copies of ``mate_v`` and ``alpha`` made once per phase
+(neither changes before the dual update); and the step's offset
+``dist[j] - alpha[r]`` is added through a 0-d int64 buffer made once per
+phase.
+
 Set the environment variable ``PMMWM_CHECK_INVARIANTS=1`` to run a full
 dual-feasibility / complementary-slackness scan after every public operation
 (used by the test suite; far too slow for production runs).
@@ -133,12 +143,16 @@ def _augment(st: MatchState, start_u: int) -> None:
     dist = eff[start_u] - alpha[start_u] - beta  # _MASKED once settled
     base = -beta                                 # _MASKED - beta once settled
     cand = np.empty(st.n2, dtype=np.int64)
+    shift = np.empty((), dtype=np.int64)  # the step's dist[j] - alpha[r]
+    # mate_v and alpha do not change until the dual update after the loop.
+    row_of, alpha_of = mate_v.tolist(), alpha.tolist()
+    argmin, add, minimum = dist.argmin, np.add, np.minimum
     cols: list[int] = []
     col_dist: list[int] = []
 
     while True:
-        j = int(dist.argmin())
-        dj = int(dist[j])
+        j = int(argmin())
+        dj = dist.item(j)
         if dj >= _INF_CUTOFF:
             raise NoPerfectMatching(
                 f"no augmenting path from U-vertex {start_u}")
@@ -146,12 +160,13 @@ def _augment(st: MatchState, start_u: int) -> None:
         col_dist.append(dj)
         dist[j] = _MASKED
         base[j] += _MASKED
-        r = int(mate_v[j])
+        r = row_of[j]
         if r == FREE:
             break
-        np.add(eff[r], base, out=cand)
-        cand += dj - int(alpha[r])
-        np.minimum(dist, cand, out=dist)
+        add(eff[r], base, out=cand)
+        shift[()] = dj - alpha_of[r]
+        cand += shift
+        minimum(dist, cand, out=dist)
 
     # Path recovery, with the potentials still those the phase ran with.
     # ``path`` runs from the free column back to the one next to start_u.

@@ -315,6 +315,14 @@ class TestBenchAndCompare:
             run_cli(["bench", "--out", "x.csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--dir", str(tmp_path), "--out", str(tmp_path / "x.csv"),
+                     "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
 
 class TestCompareMalformed:
     """A report CSV that ``read_reports`` cannot parse makes ``compare``

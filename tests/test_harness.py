@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pmmwm import harness
 from pmmwm.errors import InfeasibleInstance, TooLarge
 from pmmwm.graph import BipartiteGraph, validate_solution
 from pmmwm.harness import (
@@ -174,6 +175,37 @@ class TestBenchReports:
         parallel = bench(instances, "baseline", tiny_params(seed=2), jobs=2)
         assert [(r.instance, r.objective) for r in serial] == \
             [(r.instance, r.objective) for r in parallel]
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2)])
+    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch,
+                                                 jobs, workers):
+        # A stand-in executor that runs the jobs in this process and records
+        # the pool size it was asked for; no worker process is started.
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        instances = self.make_instances(tmp_path)
+        reports = bench(instances, "baseline", tiny_params(seed=2), jobs=jobs)
+        assert asked == [workers]
+        assert len(reports) == 3
+
+    def test_one_run_needs_no_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+        instances = self.make_instances(tmp_path, count=1)
+        assert len(bench(instances, "baseline", tiny_params(seed=2), jobs=4)) == 1
 
     def test_compare_self_is_all_ties(self, tmp_path):
         instances = self.make_instances(tmp_path)
