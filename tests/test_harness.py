@@ -176,9 +176,9 @@ class TestBenchReports:
         assert [(r.instance, r.objective) for r in serial] == \
             [(r.instance, r.objective) for r in parallel]
 
-    @pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2)])
+    @pytest.mark.parametrize("jobs, count, pools", [(64, 3, [3]), (2, 3, [2]), (4, 1, [])])
     def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch,
-                                                 jobs, workers):
+                                                 jobs, count, pools):
         # A stand-in executor that runs the jobs in this process and records
         # the pool size it was asked for; no worker process is started.
         asked = []
@@ -197,15 +197,10 @@ class TestBenchReports:
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        instances = self.make_instances(tmp_path)
+        instances = self.make_instances(tmp_path, count=count)
         reports = bench(instances, "baseline", tiny_params(seed=2), jobs=jobs)
-        assert asked == [workers]
-        assert len(reports) == 3
-
-    def test_one_run_needs_no_pool(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
-        instances = self.make_instances(tmp_path, count=1)
-        assert len(bench(instances, "baseline", tiny_params(seed=2), jobs=4)) == 1
+        assert asked == pools
+        assert len(reports) == count
 
     def test_compare_self_is_all_ties(self, tmp_path):
         instances = self.make_instances(tmp_path)
