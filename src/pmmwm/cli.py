@@ -66,7 +66,7 @@ def _params_from(args: argparse.Namespace) -> FimpParams:
 
 
 def _cmd_generate(args) -> int:
-    spec = InstanceSpec(n1=args.n1, n2=args.n2 if args.n2 else args.n1,
+    spec = InstanceSpec(n1=args.n1, n2=args.n1 if args.n2 is None else args.n2,
                         m=args.m, ubar=args.ubar, density=args.density,
                         weight_model=args.model, w_max=args.w_max,
                         seed=args.seed)
@@ -158,8 +158,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows, summary = compare_reports(read_reports(args.csv_a),
-                                    read_reports(args.csv_b))
+    a, b = read_reports(args.csv_a), read_reports(args.csv_b)
+    try:
+        rows, summary = compare_reports(a, b)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         write_compare(args.out, rows)
     print(f"wins {summary['wins']} ties {summary['ties']} "

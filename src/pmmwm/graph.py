@@ -128,58 +128,48 @@ class BipartiteGraph:
     def has_perfect_matching(self) -> bool:
         """True iff the available subgraph admits a matching covering U.
 
-        Kuhn's augmenting-path algorithm (iterative, with a greedy warm
-        start); exact and fast enough for load-time validation of
-        benchmark-sized instances. The warm start gives each row, in order,
-        its first free available column, one vector operation per row; the
-        adjacency lists the augmenting-path search walks are built only
-        when it leaves a row unmatched.
+        Rows are matched one at a time, in order. A row first takes its
+        first free available column, one vector operation per row; this
+        greedy level matches almost every row of a benchmark instance.
+        A row it leaves unmatched starts a breadth-first search over
+        alternating paths (Kuhn's augmenting paths, searched in layers as in
+        Hopcroft and Karp), one vector step per layer: the rows matched to
+        the layer's columns reach the next layer's unseen columns, and each
+        new column records the first column of the layer whose row reached
+        it. The first layer holding a free column ends an augmenting path,
+        which is flipped back to the row. A layer with no new columns proves
+        infeasibility: every seen column is matched to a reached row other
+        than the start, and no reached row has an available column outside
+        them, so the reached rows have fewer available columns than rows
+        (Hall's condition fails).
         """
         avail = self.available_mask()
         free = np.ones(self.n2, dtype=bool)
         row = np.empty(self.n2, dtype=bool)
-        mate_v = [-1] * self.n2
-        mate_u = [-1] * self.n1
+        mate_v = np.full(self.n2, -1, dtype=np.intp)
+        pred = np.empty(self.n2, dtype=np.intp)
         for u in range(self.n1):
             np.logical_and(avail[u], free, out=row)
             v = int(row.argmax())
-            if row[v]:
+            if not row[v]:
+                seen = avail[u].copy()
+                cols = np.flatnonzero(seen)
+                pred[cols] = -1
+                while not (hit := free[cols]).any():
+                    if not cols.size:
+                        return False
+                    reach = avail[mate_v[cols]] & ~seen
+                    new = np.flatnonzero(reach.any(axis=0))
+                    pred[new] = cols[reach[:, new].argmax(axis=0)]
+                    seen[new] = True
+                    cols = new
+                v = int(cols[hit.argmax()])
                 free[v] = False
-                mate_v[v] = u
-                mate_u[u] = v
-        if -1 not in mate_u:
-            return True
-        adj = [np.flatnonzero(avail[u]).tolist() for u in range(self.n1)]
-
-        def try_augment(u0: int) -> bool:
-            seen = bytearray(self.n2)
-            from_v = [-1] * self.n2
-            stack = [(u0, 0)]
-            while stack:
-                u, i = stack[-1]
-                if i >= len(adj[u]):
-                    stack.pop()
-                    continue
-                stack[-1] = (u, i + 1)
-                v = adj[u][i]
-                if seen[v]:
-                    continue
-                seen[v] = 1
-                from_v[v] = u
-                if mate_v[v] == -1:
-                    while v != -1:
-                        w = from_v[v]
-                        old = mate_u[w]
-                        mate_u[w] = v
-                        mate_v[v] = w
-                        v = old
-                    return True
-                stack.append((mate_v[v], 0))
-            return False
-
-        for u in range(self.n1):
-            if mate_u[u] == -1 and not try_augment(u):
-                return False
+                while pred[v] >= 0:
+                    mate_v[v] = mate_v[pred[v]]
+                    v = int(pred[v])
+            free[v] = False
+            mate_v[v] = u
         return True
 
 

@@ -295,16 +295,28 @@ COMPARE_COLUMNS = ["instance", "objective_a", "objective_b", "result",
                    "wall_time_ms_a", "wall_time_ms_b", "time_ratio"]
 
 
+def _by_instance(reports: list[RunReport], side: str) -> dict[str, RunReport]:
+    by_instance = {}
+    for r in reports:
+        if r.instance in by_instance:
+            raise ValueError(f"compare: instance {r.instance!r} appears more than once in {side}")
+        by_instance[r.instance] = r
+    return by_instance
+
+
 def compare_reports(a: list[RunReport], b: list[RunReport]):
     """Per-instance win/tie/loss of A versus B plus time ratios.
 
-    Returns (rows, summary); instances must coincide. A "win" means A's
-    objective is strictly lower.
+    Returns (rows, summary). A "win" means A's objective is strictly lower.
+    Raises ValueError naming an offending instance when an instance repeats
+    within one side or appears on one side only.
     """
-    by_a = {r.instance: r for r in a}
-    by_b = {r.instance: r for r in b}
-    if set(by_a) != set(by_b):
-        raise ValueError("compare: instance sets differ")
+    by_a = _by_instance(a, "A")
+    by_b = _by_instance(b, "B")
+    unpaired = sorted(by_a.keys() ^ by_b.keys())
+    if unpaired:
+        side, other = ("A", "B") if unpaired[0] in by_a else ("B", "A")
+        raise ValueError(f"compare: instance {unpaired[0]!r} is in {side} but not in {other}")
     rows = []
     wins = ties = losses = 0
     ratios = []

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from pmmwm.cli import _add_solver_flags, _params_from, build_parser, main
-from pmmwm.graph import load_solution, save_instance
-from pmmwm.harness import REPORT_COLUMNS, read_reports
+from pmmwm.graph import load_instance, load_solution, save_instance
+from pmmwm.harness import REPORT_COLUMNS, RunReport, read_reports, write_reports
 from pmmwm.hga import HgaParams
 from pmmwm.orchestrator import FimpParams, RunResult, RunStats
 
@@ -144,6 +144,21 @@ class TestGenerateCommands:
         code = run_cli(["generate", "--n1", "6", "--m", "1", "--ubar", "2",
                         "--out", path])
         assert code == 2
+
+    @pytest.mark.parametrize("n2", ["0", "3"])
+    def test_generate_rejects_n2_below_n1(self, tmp_path, capsys, n2):
+        path = tmp_path / "bad.txt"
+        assert run_cli(["generate", "--n1", "5", "--n2", n2, "--m", "2",
+                        "--ubar", "3", "--out", str(path)]) == 2
+        assert f"n2={n2}" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_generate_n2_defaults_to_n1(self, tmp_path, capsys):
+        path = str(tmp_path / "square.txt")
+        assert run_cli(["generate", "--n1", "5", "--m", "2", "--ubar", "3",
+                        "--out", path]) == 0
+        g = load_instance(path)
+        assert (g.n1, g.n2) == (5, 5)
 
 
 class TestErrorCodes:
@@ -309,6 +324,35 @@ class TestBenchAndCompare:
         assert run_cli(["bench", "--dir", str(inst_dir), "--out", out_csv,
                         "--max-iterations", "3", "--pop-size", "4"]) == 0
         assert [r.instance for r in read_reports(out_csv)] == ["i1.txt"]
+
+    def _one_row_csv(self, path, instance):
+        write_reports(str(path), [RunReport(instance, "baseline", 0, 3.0, None, None,
+                                            1, 1.0, 1.0, 1.0)])
+        return str(path)
+
+    def test_compare_different_instances_exits_2(self, tmp_path, capsys):
+        a = self._one_row_csv(tmp_path / "a.csv", "x")
+        b = self._one_row_csv(tmp_path / "b.csv", "y")
+        assert run_cli(["compare", a, b]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: compare: instance 'x' is in A but not in B\n"
+
+    def test_compare_repeated_instance_exits_2(self, tmp_path, capsys):
+        # bench --manifest listing one file twice writes two rows for it
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        run_cli(["generate", "--n1", "5", "--m", "2", "--ubar", "3",
+                 "--out", str(inst_dir / "i0.txt")])
+        (inst_dir / "twice.csv").write_text("file\ni0.txt\ni0.txt\n")
+        twice = str(tmp_path / "twice.csv")
+        assert run_cli(["bench", "--manifest", str(inst_dir / "twice.csv"),
+                        "--out", twice, "--algo", "baseline",
+                        "--max-iterations", "2"]) == 0
+        once = self._one_row_csv(tmp_path / "once.csv", "i0.txt")
+        capsys.readouterr()
+        assert run_cli(["compare", twice, once]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: compare: instance 'i0.txt' appears more than once in A\n"
 
     def test_bench_requires_input(self, capsys):
         with pytest.raises(SystemExit) as exc:

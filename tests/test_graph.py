@@ -388,7 +388,7 @@ class TestBanFlags:
 class TestHasPerfectMatching:
     """``has_perfect_matching`` against scipy's maximum bipartite matching on
     seeded graphs with absent and banned edges, n2 >= n1 and Hall
-    violations."""
+    violations, and on graphs whose augmenting paths are long."""
 
     @staticmethod
     def _greedy_covers_u(avail) -> bool:
@@ -402,14 +402,14 @@ class TestHasPerfectMatching:
             free[v] = False
         return True
 
-    def test_matches_scipy(self):
+    def _cross_check(self, graphs) -> dict[str, int]:
+        """Assert agreement with scipy on every graph; count the graphs the
+        greedy pass covers, those that need augmenting paths and the
+        infeasible ones."""
         csgraph = pytest.importorskip("scipy.sparse.csgraph")
         csr_matrix = pytest.importorskip("scipy.sparse").csr_matrix
-        rng = random.Random(77)
         seen = {"greedy": 0, "augmented": 0, "infeasible": 0}
-        for _ in range(300):
-            n1 = rng.randint(1, 40)
-            g = seeded_graph(rng, n1, n1 + rng.choice([0, 0, 1, 3, 12]), 9)
+        for g in graphs:
             avail = g.available_mask()
             mate = csgraph.maximum_bipartite_matching(csr_matrix(avail), perm_type="column")
             expected = bool((mate >= 0).all())
@@ -420,7 +420,51 @@ class TestHasPerfectMatching:
                 seen["greedy"] += 1
             else:
                 seen["augmented"] += 1
+        return seen
+
+    def test_matches_scipy(self):
+        rng = random.Random(77)
+
+        def graphs():
+            for _ in range(300):
+                n1 = rng.randint(1, 40)
+                yield seeded_graph(rng, n1, n1 + rng.choice([0, 0, 1, 3, 12]), 9)
+
+        seen = self._cross_check(graphs())
         assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("n2", [300, 305])
+    @pytest.mark.parametrize("hall_violation", [False, True])
+    def test_staircase_long_paths(self, n2, hall_violation):
+        """Row u may use only columns 0..n-1-u. The greedy pass stalls at row
+        n/2 and the augmenting paths that finish the matching run up to n
+        columns. The Hall violation removes edge (n-2, 1), so rows n-2 and
+        n-1 share only column 0."""
+        n = 300
+        weight = np.full((n, n2), ABSENT, dtype=np.int64)
+        for u in range(n):
+            weight[u, :n - u] = 1
+        if hall_violation:
+            weight[n - 2, 1] = ABSENT
+        seen = self._cross_check([BipartiteGraph(n, n2, 1, n, weight)])
+        assert seen["infeasible" if hall_violation else "augmented"] == 1
+
+    def test_sparse_matches_scipy(self):
+        rng = np.random.default_rng(2024)
+
+        def graphs():
+            for i in range(50):
+                n1 = int(rng.integers(50, 301))
+                n2 = n1 + int(rng.choice([0, 0, 1, 5, 20]))
+                avail = rng.random((n1, n2)) < rng.uniform(0.005, 0.05)
+                if i % 4:
+                    avail[np.arange(n1), rng.permutation(n2)[:n1]] = True
+                g = BipartiteGraph(n1, n2, 1, n1, np.where(avail, 1, ABSENT))
+                g.banned = avail & (rng.random((n1, n2)) < 0.02)
+                yield g
+
+        seen = self._cross_check(graphs())
+        assert seen["augmented"] >= 10 and seen["infeasible"] >= 10, seen
 
     def test_row_without_available_edge(self):
         g = BipartiteGraph.from_edges(2, 3, 1, 2, [(0, 0, 1), (1, 1, 1)])
