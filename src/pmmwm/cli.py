@@ -9,23 +9,19 @@ CSVs). README.md's "Exit codes" table lists the exit codes.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import glob
-import io
-import json
 import os
 import sys
-import time
 
-from .errors import InvalidSolution, ParseError, PmmwmError
-from .graph import load_instance, save_solution, solution_to_dict, validate_solution
+from .errors import InvalidSolution, PmmwmError
+from .graph import load_instance, save_json, solution_to_dict, validate_solution
 from .harness import (
     bench,
     compare_reports,
     exact_oracle,
+    read_csv,
     read_reports,
-    read_utf8,
     run_algorithm,
     write_compare,
     write_reports,
@@ -84,18 +80,15 @@ def _cmd_benchmark_gen(args) -> int:
 def _cmd_solve(args) -> int:
     g = load_instance(args.instance)
     params = _params_from(args)
-    t0 = time.monotonic()
     result = run_algorithm(g, args.algo, params)
-    wall_ms = int((time.monotonic() - t0) * 1000)
     sol = result.solution
     violation = validate_solution(g, sol)
     if violation is not None:
         raise InvalidSolution(f"solver produced invalid solution: {violation.message}")
     if args.json:
-        payload = solution_to_dict(g, sol, seed=params.rng_seed,
-                                   iterations=result.stats.iterations,
-                                   wall_time_ms=wall_ms)
-        save_solution(args.json, payload)
+        save_json(args.json, solution_to_dict(g, sol, seed=params.rng_seed,
+                                              iterations=result.stats.iterations,
+                                              wall_time_ms=int(result.stats.wall_time_ms)))
     if args.stats:
         payload = dataclasses.asdict(result.stats)
         if payload["lower_bound"] is not None:
@@ -103,9 +96,7 @@ def _cmd_solve(args) -> int:
         for record in payload["trace"]:
             record["objective"] = g.display_value(record["objective"])
             record["incumbent"] = g.display_value(record["incumbent"])
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(args.stats, payload)
     print(f"objective {g.display_value(sol.objective)}")
     return 0
 
@@ -115,6 +106,12 @@ def _cmd_oracle(args) -> int:
     opt, _ = exact_oracle(g, g.m, g.ubar)
     print(g.display_value(opt))
     return 0
+
+
+def _nonempty(cell: str) -> str:
+    if not cell:
+        raise ValueError("missing cell")
+    return cell
 
 
 def _instances_from_args(args) -> list[tuple[str, str]]:
@@ -128,20 +125,8 @@ def _instances_from_args(args) -> list[tuple[str, str]]:
             paths = sorted(glob.glob(os.path.join(args.dir, "*.txt")))
             return [(p, os.path.basename(p)) for p in paths]
     base = os.path.dirname(manifest)
-    reader = csv.DictReader(io.StringIO(read_utf8(manifest), newline=""))
-    instances = []
-    try:
-        if "file" not in (reader.fieldnames or []):
-            raise ParseError(f"{manifest}: line {max(reader.line_num, 1)}: "
-                             "missing column 'file'")
-        for row in reader:
-            if not row["file"]:
-                raise ParseError(f"{manifest}: line {reader.line_num}, "
-                                 "column 'file': missing cell")
-            instances.append((os.path.join(base, row["file"]), row["file"]))
-    except csv.Error as exc:
-        raise ParseError(f"{manifest}: line {reader.line_num}: {exc}") from exc
-    return instances
+    return [(os.path.join(base, row["file"]), row["file"])
+            for row in read_csv(manifest, {"file": _nonempty})]
 
 
 def _cmd_bench(args) -> int:

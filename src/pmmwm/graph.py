@@ -480,7 +480,8 @@ def solution_to_dict(g: BipartiteGraph, sol: Solution, seed: int,
     }
 
 
-def save_solution(path: str, payload: dict) -> None:
+def save_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

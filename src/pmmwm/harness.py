@@ -10,7 +10,11 @@ ban's feasibility with a plain perfect-matching test, and partitions by
 greedy construction and relocation-only local search. It reports no lower
 bound, so it runs its full iteration budget at every m.
 ``bench`` runs a directory of instances and emits one CSV row per run;
-``compare`` joins two such CSVs into a win/tie/loss table.
+``compare`` joins two such CSVs into a win/tie/loss table. Every CSV the
+package reads goes through one reader, ``read_csv`` (the bench reports and
+the ``bench --manifest`` list), and every CSV it writes through one writer,
+``write_csv`` (the bench reports, the compare table and the benchmark
+manifest).
 """
 
 from __future__ import annotations
@@ -221,12 +225,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_reports(path: str, reports: list[RunReport]) -> None:
+def write_csv(path: str, columns: list[str], rows) -> None:
+    """Write a header of ``columns``, then each mapping in ``rows`` as one
+    line of ``_format_cell`` cells in that column order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow([_format_cell(getattr(r, col)) for col in REPORT_COLUMNS])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_cell(row[col]) for col in columns])
+
+
+def write_reports(path: str, reports: list[RunReport]) -> None:
+    write_csv(path, REPORT_COLUMNS, [vars(r) for r in reports])
 
 
 def _opt_float(text: str) -> float | None:
@@ -258,37 +268,46 @@ def read_utf8(path: str) -> str:
                          f"{data[exc.start]:#04x} is not UTF-8") from exc
 
 
-def read_reports(path: str) -> list[RunReport]:
-    """Read a CSV written by ``write_reports``.
+def read_csv(path: str, parsers: dict, optional: tuple[str, ...] = ()) -> list[dict]:
+    """Read a CSV with a header line into one dict per row, holding
+    ``parsers[col](cell)`` for each column of ``parsers``. A column named in
+    ``optional`` may be missing from the file; its key is then left out.
 
     Raises ParseError naming the file, the line and the column of a missing
     column, a cell that does not parse, or a byte that is not UTF-8.
     """
     reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
-    reports = []
+    rows = []
     try:
         header = reader.fieldnames or []
-        for col in REPORT_COLUMNS:
-            if col not in header and col not in _OPTIONAL_REPORT_COLUMNS:
+        for col in parsers:
+            if col not in header and col not in optional:
                 raise ParseError(f"{path}: line {max(reader.line_num, 1)}: "
                                  f"missing column {col!r}")
         for row in reader:
             fields = {}
-            for col in REPORT_COLUMNS:
+            for col, parse in parsers.items():
                 cell = row.get(col)
-                if cell is None and col in _OPTIONAL_REPORT_COLUMNS:
+                if cell is None and col in optional:
                     continue
                 where = f"{path}: line {reader.line_num}, column {col!r}"
                 if cell is None:
                     raise ParseError(f"{where}: missing cell")
                 try:
-                    fields[col] = _REPORT_PARSERS[col](cell)
+                    fields[col] = parse(cell)
                 except ValueError as exc:
                     raise ParseError(f"{where}: {exc}") from exc
-            reports.append(RunReport(**fields))
+            rows.append(fields)
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return reports
+    return rows
+
+
+def read_reports(path: str) -> list[RunReport]:
+    """Read a CSV written by ``write_reports``; ``read_csv`` raises on a
+    malformed file."""
+    return [RunReport(**fields) for fields in
+            read_csv(path, _REPORT_PARSERS, _OPTIONAL_REPORT_COLUMNS)]
 
 
 COMPARE_COLUMNS = ["instance", "objective_a", "objective_b", "result",
@@ -352,8 +371,4 @@ def compare_reports(a: list[RunReport], b: list[RunReport]):
 
 
 def write_compare(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_cell(v) for k, v in row.items()})
+    write_csv(path, COMPARE_COLUMNS, rows)

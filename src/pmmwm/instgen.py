@@ -19,16 +19,16 @@ matching, presence coins (row-major over non-planted pairs), then weights
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import SpecInvalid
-from .graph import ABSENT, BipartiteGraph, save_instance
+from .graph import ABSENT, MAX_CELLS, MAX_TOTAL_WEIGHT, MAX_WEIGHT, BipartiteGraph, save_instance
+from .harness import write_csv
 
 WEIGHT_MODELS = ("CONSISTENT", "INDEPENDENT")
 
@@ -71,6 +71,11 @@ class InstanceSpec:
             raise SpecInvalid(f"unknown weight model {self.weight_model!r}")
         if self.w_max < 1:
             raise SpecInvalid(f"w_max must be >= 1, got {self.w_max}")
+        if self.w_max > MAX_WEIGHT or self.n1 * self.w_max > MAX_TOTAL_WEIGHT:
+            raise SpecInvalid(f"need w_max <= {MAX_WEIGHT} and n1*w_max <= {MAX_TOTAL_WEIGHT}, "
+                              f"got w_max={self.w_max} n1={self.n1}")
+        if self.n1 * self.n2 > MAX_CELLS:
+            raise SpecInvalid(f"need n1*n2 <= {MAX_CELLS}, got n1={self.n1} n2={self.n2}")
 
 
 def generate(spec: InstanceSpec) -> BipartiteGraph:
@@ -82,30 +87,26 @@ def generate(spec: InstanceSpec) -> BipartiteGraph:
     planted = rng.sample(range(n2), n1)
     present = np.zeros((n1, n2), dtype=bool)
     for u in range(n1):
-        present[u, planted[u]] = True
-    for u in range(n1):
-        row = present[u]
         pu = planted[u]
-        for v in range(n2):
-            if v != pu and rng.random() < spec.density:
-                row[v] = True
+        present[u] = [v == pu or rng.random() < spec.density for v in range(n2)]
 
-    weight = np.full((n1, n2), ABSENT, dtype=np.int64)
     if spec.weight_model == "INDEPENDENT":
-        for u in range(n1):
-            for v in range(n2):
-                if present[u, v]:
-                    weight[u, v] = rng.randint(1, spec.w_max)
+        def draw(u: int, v: int) -> int:
+            return rng.randint(1, spec.w_max)
     else:
         root = math.sqrt(spec.w_max)
         a = [rng.uniform(1.0, root) for _ in range(n1)]
         b = [rng.uniform(1.0, root) for _ in range(n2)]
-        for u in range(n1):
-            for v in range(n2):
-                if present[u, v]:
-                    eps = rng.uniform(-0.1, 0.1)
-                    w = round(a[u] * b[v] * (1.0 + eps))
-                    weight[u, v] = min(max(w, 1), spec.w_max)
+
+        def draw(u: int, v: int) -> int:
+            w = round(a[u] * b[v] * (1.0 + rng.uniform(-0.1, 0.1)))
+            return min(max(w, 1), spec.w_max)
+
+    weight = np.full((n1, n2), ABSENT, dtype=np.int64)
+    for u in range(n1):
+        row = weight[u]
+        for v in np.flatnonzero(present[u]).tolist():
+            row[v] = draw(u, v)
 
     return BipartiteGraph(n1, n2, spec.m, spec.ubar, weight)
 
@@ -149,22 +150,11 @@ def generate_benchmark(group: str, out_dir: str) -> list[str]:
     """
     specs = benchmark_specs(group)
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    manifest_rows = []
+    paths, rows = [], []
     for spec in specs:
         name = instance_filename(spec)
-        path = os.path.join(out_dir, name)
-        write_instance(spec, path)
-        paths.append(path)
-        manifest_rows.append({
-            "file": name, "n1": spec.n1, "n2": spec.n2, "m": spec.m,
-            "ubar": spec.ubar, "density": spec.density,
-            "model": spec.weight_model, "w_max": spec.w_max,
-            "seed": spec.seed,
-        })
-    manifest = os.path.join(out_dir, "manifest.csv")
-    with open(manifest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS)
-        writer.writeheader()
-        writer.writerows(manifest_rows)
+        paths.append(os.path.join(out_dir, name))
+        write_instance(spec, paths[-1])
+        rows.append(dict(asdict(spec), file=name, model=spec.weight_model))
+    write_csv(os.path.join(out_dir, "manifest.csv"), MANIFEST_COLUMNS, rows)
     return paths

@@ -61,6 +61,13 @@ class TestSolveCommand:
         assert max(payload["partition_weights"]) == payload["objective"]
         assert payload["seed"] == 3
 
+    def test_solution_time_is_the_stats_time(self, example_file, tmp_path):
+        sol, stats = str(tmp_path / "sol.json"), str(tmp_path / "stats.json")
+        assert run_cli(["solve", example_file, "--seed", "3", "--max-iterations", "8",
+                        "--pop-size", "6", "--json", sol, "--stats", stats]) == 0
+        with open(stats) as fh:
+            assert load_solution(sol)["wall_time_ms"] == int(json.load(fh)["wall_time_ms"])
+
     def test_stats_file(self, example_file, tmp_path):
         path = str(tmp_path / "stats.json")
         run_cli(["solve", example_file, "--seed", "3", "--max-iterations", "6",
@@ -145,6 +152,13 @@ class TestGenerateCommands:
                         "--out", path])
         assert code == 2
 
+    def test_generate_rejects_w_max_past_loader_limit(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        assert run_cli(["generate", "--n1", "4", "--m", "2", "--ubar", "2",
+                        "--w-max", "10000000000000000", "--out", str(path)]) == 2
+        assert "w_max=10000000000000000" in capsys.readouterr().err
+        assert not path.exists()
+
     @pytest.mark.parametrize("n2", ["0", "3"])
     def test_generate_rejects_n2_below_n1(self, tmp_path, capsys, n2):
         path = tmp_path / "bad.txt"
@@ -181,8 +195,9 @@ class TestErrorCodes:
     @pytest.mark.parametrize("body, message", [
         (b"id,path\na,a.txt\n", "line 1: missing column 'file'"),
         (b"id,file\na\n", "line 2, column 'file': missing cell"),
+        (b"id,file\na,\n", "line 2, column 'file': missing cell"),
         (b"id,file\na,a\xff.txt\n", "line 2, column 4: byte 0xff is not UTF-8"),
-    ], ids=["no-file-column", "short-row", "non-utf-8"])
+    ], ids=["no-file-column", "short-row", "empty-cell", "non-utf-8"])
     def test_malformed_manifest_exit_3(self, tmp_path, capsys, body, message):
         manifest = tmp_path / "manifest.csv"
         manifest.write_bytes(body)

@@ -1,6 +1,7 @@
 """Golden runs: the exact results of fixed seeded runs.
 
-Each case pins the objective and a sha256 of ``mate`` and ``part_of``. A
+Each solver case pins the objective and a sha256 of ``mate`` and
+``part_of``; each generator case pins a sha256 of the weight table. A
 change that claims to leave behaviour alone must keep every case
 bit-identical; re-record a value only for a change meant to alter results,
 and say which and why in CHANGES.md.
@@ -81,6 +82,33 @@ EVOLVE_CASES = [
     (45, 48, 1000, 20, 3, 1037,
      "4db3d5a63084fee026b2c923eebfde66e3c67359e8c8b5753ca5a24acfe38d54"),
 ]
+
+
+# The instance generator's exact weight tables: both weight models, densities
+# 0.05, 0.3 and 1.0, n2 > n1, w_max 1 and 1000, and one shipped cell.
+GENERATOR_CASES = [
+    (InstanceSpec(40, 40, 8, 5, 0.05, "INDEPENDENT", 1000, 1),
+     "c2a8d133132564d1fd1098631caa83dcf2374d36fb13cd8588fc3fad90c84309"),
+    (InstanceSpec(40, 40, 8, 5, 0.05, "CONSISTENT", 1000, 2),
+     "3e68cbac371959abc622f7ae1a1879cf4746a3f1cc1104f2a2140103672af66a"),
+    (InstanceSpec(30, 45, 6, 5, 0.3, "CONSISTENT", 1000, 3),
+     "d357a95b4876e584e9edf14649649070bec7fb9cdd33b984aeab441a6f80ab7b"),
+    (InstanceSpec(30, 30, 5, 6, 0.3, "INDEPENDENT", 1, 4),
+     "ed07dc3944d333bcd9adea87fca87adeaa38084dfcb1da781654de9a86e8f954"),
+    (InstanceSpec(25, 25, 5, 5, 1.0, "CONSISTENT", 1, 5),
+     "d997814203ea9bd75f2b2c3428e672609be64259f02475f116f493de6556ef05"),
+    (InstanceSpec(25, 30, 5, 5, 1.0, "INDEPENDENT", 1000, 6),
+     "badb8ae8cc86110bd7209b9d3ab2db0365ad06782c0fd1aca38612be1c76d8db"),
+    ([s for s in benchmark_specs("consistent-sparse") if (s.n1, s.m, s.seed) == (50, 10, 3)][0],
+     "7d82bb4b0e14e198b16bde6f65294d850d741279613c9650cc181301f82e4430"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GENERATOR_CASES,
+                         ids=["ind-d005", "cons-d005", "cons-wide", "ind-wmax1",
+                              "cons-wmax1", "ind-dense-wide", "shipped"])
+def test_generator_golden(spec, digest):
+    assert hashlib.sha256(generate(spec).weight.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec, overrides, objective, digest", SOLVE_CASES,

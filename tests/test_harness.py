@@ -127,14 +127,19 @@ class TestBenchReports:
     def test_reports_round_trip_and_rerun(self, tmp_path):
         instances = self.make_instances(tmp_path)
         reports = bench(instances, "fimp-hga", tiny_params(seed=4))
+        # None cells, both bools, a float whose repr needs 17 digits, and an
+        # instance name that needs quoting
+        reports += [
+            RunReport('odd, "name"\nx', "baseline", 9, 0.1 + 0.2, None, None, 2,
+                      1.5, 0.25, 0.75, None, False),
+            RunReport("exact", "fimp-hga", 0, 4.0, 4.0, 0.0, 1, 2.0, 1.0, 1.0, 4.0, True),
+        ]
         out = str(tmp_path / "reports.csv")
         write_reports(out, reports)
-        loaded = read_reports(out)
-        assert [r.instance for r in loaded] == [r.instance for r in reports]
-        assert [r.objective for r in loaded] == [r.objective for r in reports]
+        assert read_reports(out) == reports
         # objectives are reproducible from the recorded seed
         again = bench(instances, "fimp-hga", tiny_params(seed=4))
-        assert [r.objective for r in again] == [r.objective for r in reports]
+        assert [r.objective for r in again] == [r.objective for r in reports[:len(again)]]
 
     def test_certificate_columns_round_trip(self, tmp_path):
         instances = self.make_instances(tmp_path)

@@ -1,12 +1,13 @@
 import csv
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pmmwm.errors import SpecInvalid
-from pmmwm.graph import ABSENT, load_instance
+from pmmwm.graph import ABSENT, MAX_CELLS, MAX_TOTAL_WEIGHT, MAX_WEIGHT, load_instance
 from pmmwm.instgen import (
     BENCHMARK_GROUPS,
     InstanceSpec,
@@ -94,6 +95,28 @@ class TestGenerate:
             generate(spec_of(weight_model="OTHER"))
         with pytest.raises(SpecInvalid):
             generate(spec_of(w_max=0))
+        # past the loader's limits, failing before any table is allocated;
+        # m * ubar >= n1 in each, so the limit is the only fault
+        with pytest.raises(SpecInvalid):
+            generate(spec_of(w_max=MAX_WEIGHT + 1))
+        with pytest.raises(SpecInvalid):
+            generate(spec_of(w_max=MAX_TOTAL_WEIGHT // 10 + 1))  # n1 = 10
+        side = math.isqrt(MAX_CELLS) + 1
+        with pytest.raises(SpecInvalid):
+            generate(spec_of(n1=side, n2=side, m=1, ubar=side))
+
+    @pytest.mark.parametrize("model", ["CONSISTENT", "INDEPENDENT"])
+    def test_memory_stays_near_the_weight_table(self, model):
+        # The weight walk fills the table in place: no per-cell Python lists.
+        spec = spec_of(n1=300, n2=300, m=10, ubar=30, density=1.0, weight_model=model)
+        generate(spec)
+        tracemalloc.start()
+        try:
+            g = generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * g.weight.nbytes
 
 
 class TestBenchmark:
