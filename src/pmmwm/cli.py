@@ -46,16 +46,13 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iterations", type=int, default=fimp.max_iterations)
     parser.add_argument("--tenure", type=int, default=fimp.tenure)
     parser.add_argument("--pop-size", type=int, default=fimp.hga.pop_size)
-    parser.add_argument("--elite-count", type=int, default=fimp.hga.elite_count)
-    parser.add_argument("--mutation-rate", type=float, default=fimp.hga.mutation_rate)
     parser.add_argument("--max-generations", type=int, default=fimp.hga.max_generations)
     parser.add_argument("--stall-limit", type=int, default=fimp.hga.stall_limit)
 
 
 def _params_from(args: argparse.Namespace) -> FimpParams:
     hga = HgaParams(pop_size=args.pop_size, max_generations=args.max_generations,
-                    stall_limit=args.stall_limit, mutation_rate=args.mutation_rate,
-                    elite_count=args.elite_count)
+                    stall_limit=args.stall_limit)
     return FimpParams(max_iterations=args.max_iterations,
                       time_limit_ms=args.time_limit_ms, tenure=args.tenure,
                       hga=hga, rng_seed=args.seed)

@@ -65,17 +65,15 @@ class BipartiteGraph:
         self.n2 = n2
         self.m = m
         self.ubar = ubar
-        self.weight = weight.astype(np.int64)
+        self.weight = np.asarray(weight, dtype=np.int64)  # no copy of an int64 table
         self.banned = np.zeros((n1, n2), dtype=bool)
         self.weight_scale = weight_scale
-        present = self.weight != ABSENT
-        if (self.weight[present] < 0).any():
+        # ABSENT (-1) is below every present weight: no gather of present cells.
+        if int(self.weight.min()) < ABSENT:
             raise ParseError("negative edge weight")
-        if present.any():
-            max_w = int(self.weight[present].max())
-            if max_w > MAX_WEIGHT or n1 * max_w > MAX_TOTAL_WEIGHT:
-                raise ParseError(
-                    f"scaled weights too large: max {max_w} with n1={n1}")
+        max_w = int(self.weight.max())
+        if max_w > MAX_WEIGHT or n1 * max_w > MAX_TOTAL_WEIGHT:
+            raise ParseError(f"scaled weights too large: max {max_w} with n1={n1}")
 
     @classmethod
     def from_edges(cls, n1: int, n2: int, m: int, ubar: int,

@@ -40,6 +40,7 @@ from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
 from .orchestrator import FimpParams, RunResult, ban_first, run_loop, solve
 
 ORACLE_MAX_N1 = 8
+ORACLE_MAX_NODES = 200_000
 
 
 def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
@@ -49,7 +50,8 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
     columns ascending); each complete matching's weight vector goes through
     the exact bounded partition search. Admissible pruning only: a partial
     matching is cut when its heaviest edge or ceil(total/m) already reaches
-    the incumbent. Guarded to n1 <= 8 and m**n1 <= 10**7.
+    the incumbent. Guarded to n1 <= 8, m**n1 <= 10**7 and ``ORACLE_MAX_NODES``
+    search nodes, which pruning does not bound (complete 8 x 24: 1.6 million).
     """
     if g.n1 > ORACLE_MAX_N1 or m ** g.n1 > BRUTE_FORCE_GUARD:
         raise TooLarge(f"oracle guard: n1={g.n1}, m={m}")
@@ -65,12 +67,15 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
     mate = [-1] * n1
     used = [False] * g.n2
     ws = [0] * n1
+    nodes = 0
 
     def dfs(u: int, total: int, heaviest: int) -> None:
-        nonlocal best_obj, best_mate, best_labels
-        if best_obj is not None:
-            if heaviest >= best_obj or -(-total // m) >= best_obj:
-                return
+        nonlocal best_obj, best_mate, best_labels, nodes
+        nodes += 1
+        if nodes > ORACLE_MAX_NODES:
+            raise TooLarge(f"oracle guard: more than {ORACLE_MAX_NODES} search nodes")
+        if best_obj is not None and (heaviest >= best_obj or -(-total // m) >= best_obj):
+            return
         if u == n1:
             found = bounded_min_max(ws, m, ubar, upper_bound=best_obj)
             if found is not None:
@@ -86,7 +91,6 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
             ws[u] = w
             dfs(u + 1, total + w, max(heaviest, w))
             used[v] = False
-        mate[u] = -1
 
     dfs(0, 0, 0)
     if best_obj is None:
@@ -109,7 +113,7 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     step re-solves the matching instead of repairing it. It reports no
     lower bound, so it always runs the full ``max_iterations``.
     """
-    def step(it, bans, deadline):
+    def step(bans, deadline):
         t0 = time.perf_counter()
         st = solve_full(g)
         match_s = time.perf_counter() - t0

@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,17 +51,14 @@ class HgaParams:
     pop_size: int = 20
     max_generations: int = 200
     stall_limit: int = 20
-    mutation_rate: float = 0.2
-    elite_count: int = 1
     rng_seed: int = 0
+    # Constants: no caller set other values; rate 0 was neutral in every measured run.
+    elite_count: ClassVar[int] = 1
+    mutation_rate: ClassVar[float] = 0.2
 
     def validate(self) -> None:
-        if self.pop_size < 2:
+        if self.pop_size < 2:  # also keeps elite_count < pop_size
             raise ValueError("pop_size must be >= 2")
-        if not (1 <= self.elite_count < self.pop_size):
-            raise ValueError("need 1 <= elite_count < pop_size")
-        if not (0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("mutation_rate must be in [0, 1]")
         if self.max_generations < 0 or self.stall_limit < 1:
             raise ValueError("need max_generations >= 0 and stall_limit >= 1")
 

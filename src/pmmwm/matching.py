@@ -58,7 +58,7 @@ import os
 import numpy as np
 
 from .errors import NoPerfectMatching
-from .graph import ABSENT, BipartiteGraph
+from .graph import BipartiteGraph
 
 INF = 1 << 61          # effective weight of absent/banned edges
 _INF_CUTOFF = 1 << 59  # any path cost this large must use a forbidden edge
@@ -88,8 +88,7 @@ class MatchState:
     """
 
     def __init__(self, graph: BipartiteGraph):
-        self.eff = np.where(graph.banned | (graph.weight == ABSENT),
-                            INF, graph.weight).astype(np.int64)
+        self.eff = np.where(graph.available_mask(), graph.weight, INF)
         self.mate_u = np.full(graph.n1, FREE, dtype=np.int64)
         self.mate_v = np.full(graph.n2, FREE, dtype=np.int64)
         self.alpha = np.zeros(graph.n1, dtype=np.int64)

@@ -43,6 +43,9 @@ from .matching import MatchState, batch_resolve, repair_after_ban, solve_full
 
 @dataclass
 class FimpParams:
+    """``solve`` replaces ``hga.rng_seed`` every iteration with a draw from
+    ``rng_seed``, so setting ``hga.rng_seed`` here has no effect."""
+
     max_iterations: int = 500
     time_limit_ms: int | None = None
     tenure: int = 20
@@ -159,9 +162,9 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
              step: Callable) -> RunResult:
     """The outer match-partition loop of ``solve`` and ``baseline_ls``.
 
-    ``step(it, bans, deadline)`` runs iteration ``it`` and returns its
-    solution, the seconds charged to matching and to partitioning, and a
-    lower bound on every solution's objective (``None``: no bound known); it
+    ``step(bans, deadline)`` runs one iteration and returns its solution,
+    the seconds charged to matching and to partitioning, and a lower bound
+    on every solution's objective (``None``: no bound known); it
     may age and add bans in ``bans``. The returned solution becomes the
     incumbent on strict improvement. The loop runs at most
     ``max_iterations`` steps and stops early, certified optimal, once the
@@ -186,7 +189,7 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
         for it in range(params.max_iterations):
             if it > 0 and deadline is not None and time.perf_counter() >= deadline:
                 break
-            current, match_s, part_s, lower_bound = step(it, bans, deadline)
+            current, match_s, part_s, lower_bound = step(bans, deadline)
             if incumbent is None or current.objective < incumbent.objective:
                 incumbent = current
             trace.append(IterationRecord(it, current.objective, incumbent.objective,
@@ -219,7 +222,7 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     st: MatchState | None = None
     lower_bound: int | None = None
 
-    def step(it, bans, deadline):
+    def step(bans, deadline):
         nonlocal st, lower_bound
         match_s = 0.0
         if st is None:

@@ -211,9 +211,14 @@ class TestErrorCodes:
         path.write_text("2 2 2 1\n0 0 1\n1 0 1\n")
         assert run_cli(["solve", str(path)]) == 4
 
-    def test_usage_error_exit_2(self, example_file):
+    @pytest.mark.parametrize("extra", [
+        ["--algo", "nope"],
+        ["--mutation-rate", "0.1"],  # the HGA's mutation rate and elite count are constants
+        ["--elite-count", "2"],
+    ], ids=["algo", "mutation-rate", "elite-count"])
+    def test_usage_error_exit_2(self, example_file, extra):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["solve", example_file, "--algo", "nope"])
+            run_cli(["solve", example_file] + extra)
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["solve", "bench"])

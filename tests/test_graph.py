@@ -8,6 +8,7 @@ import pytest
 from pmmwm.errors import InfeasibleInstance, ParseError
 from pmmwm.graph import (
     ABSENT,
+    MAX_WEIGHT,
     BipartiteGraph,
     PartitionAssignment,
     Solution,
@@ -125,6 +126,22 @@ class TestLoadInstance:
         path.write_bytes(body)
         with pytest.raises(ParseError) as exc:
             load_instance(str(path))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n1, cell, message", [
+        (2, -2, "negative edge weight"),
+        (2, MAX_WEIGHT + 1, f"scaled weights too large: max {MAX_WEIGHT + 1} with n1=2"),
+        (9, MAX_WEIGHT, f"scaled weights too large: max {MAX_WEIGHT} with n1=9"),  # > 2**55
+        (2, ABSENT, None),  # no edge at all: nothing to reject
+    ], ids=["negative", "max-weight", "total-weight", "all-absent"])
+    def test_constructor_weight_checks(self, n1, cell, message):
+        weight = np.full((n1, n1), ABSENT, dtype=np.int64)
+        weight[0, 1] = cell
+        if message is None:
+            assert BipartiteGraph(n1, n1, 1, n1, weight).edge_count() == 0
+            return
+        with pytest.raises(ParseError) as exc:
+            BipartiteGraph(n1, n1, 1, n1, weight)
         assert str(exc.value) == message
 
     def test_line_of_259_tokens(self, tmp_path):
@@ -383,6 +400,7 @@ class TestBanFlags:
         g2 = example_graph.copy()
         g2.ban_edge(0, 0)
         assert not example_graph.banned[0, 0]
+        assert not np.shares_memory(g2.weight, example_graph.weight)
 
 
 class TestHasPerfectMatching:

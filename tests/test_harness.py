@@ -1,10 +1,12 @@
+import csv
 import random
+import time
 
 import pytest
 
 from pmmwm import harness
 from pmmwm.errors import InfeasibleInstance, TooLarge
-from pmmwm.graph import BipartiteGraph, validate_solution
+from pmmwm.graph import BipartiteGraph, save_instance, validate_solution
 from pmmwm.harness import (
     RunReport,
     baseline_ls,
@@ -73,6 +75,30 @@ class TestExactOracle:
         g = make_example_graph()
         with pytest.raises(InfeasibleInstance):
             exact_oracle(g, 2, 2)
+
+    @staticmethod
+    def wide_graph():
+        # n1 = 8 passes the size guards; complete 8 x 24 takes 1.6 million
+        # search nodes and 8 x 40 did not finish in 50 s without the budget.
+        rng = random.Random(1)
+        edges = [(u, v, rng.randint(1, 1000)) for u in range(8) for v in range(40)]
+        return BipartiteGraph.from_edges(8, 40, 3, 3, edges)
+
+    def test_search_budget(self):
+        g = self.wide_graph()
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            exact_oracle(g, 3, 3)
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_bench_leaves_optimum_blank_past_the_budget(self, tmp_path):
+        path = str(tmp_path / "wide.txt")
+        save_instance(self.wide_graph(), path)
+        out = str(tmp_path / "runs.csv")
+        write_reports(out, bench([(path, "wide")], "fimp-hga", tiny_params()))
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["optimum"] == "" and row["gap"] == ""
 
 
 class TestBaseline:

@@ -383,8 +383,7 @@ class TestEvolve:
         # with at most 2 items per partition the best is (6, 6, 3, 3), above
         # the bound max(ceil(18 / 4), 3) = 5, so only the stall limit stops it
         items = items_of(*([3] * 6))
-        params = HgaParams(pop_size=4, max_generations=100, stall_limit=5,
-                           mutation_rate=0.0, rng_seed=2)
+        params = HgaParams(pop_size=4, max_generations=100, stall_limit=5, rng_seed=2)
         generations = []
         best = evolve(items, 4, 2, params,
                       on_generation=lambda g, pop, inc: generations.append(g))
@@ -469,8 +468,11 @@ class TestEvolve:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             evolve(items_of(1, 2), 2, 1, HgaParams(pop_size=1))
-        with pytest.raises(ValueError):
-            evolve(items_of(1, 2), 2, 1, HgaParams(elite_count=0))
+
+    @pytest.mark.parametrize("constant", ["elite_count", "mutation_rate"])
+    def test_constants_are_not_settable(self, constant):
+        with pytest.raises(TypeError):
+            HgaParams(**{constant: 1})
 
 
 class TestMemo:

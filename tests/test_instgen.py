@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from pmmwm.errors import SpecInvalid
-from pmmwm.graph import ABSENT, MAX_CELLS, MAX_TOTAL_WEIGHT, MAX_WEIGHT, load_instance
+from pmmwm.graph import (
+    ABSENT,
+    MAX_CELLS,
+    MAX_TOTAL_WEIGHT,
+    MAX_WEIGHT,
+    BipartiteGraph,
+    load_instance,
+)
 from pmmwm.instgen import (
     BENCHMARK_GROUPS,
     InstanceSpec,
@@ -17,6 +24,7 @@ from pmmwm.instgen import (
     instance_filename,
     write_instance,
 )
+from pmmwm.matching import MatchState
 
 
 def spec_of(**kw):
@@ -117,6 +125,23 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * g.weight.nbytes
+
+    def test_graph_and_match_state_copy_the_table_at_most_once(self):
+        # The graph adds only its bool ban table (0.13x the weight table), the
+        # matcher state its eff table plus masks (1.13x); one more copy or a
+        # gather of the present cells breaks its cap.
+        g = generate(spec_of(n1=300, n2=300, m=10, ubar=30, density=0.3))
+        peaks = []
+        for build in (lambda: BipartiteGraph(g.n1, g.n2, g.m, g.ubar, g.weight),
+                      lambda: MatchState(g)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= g.weight.nbytes // 4
+        assert peaks[1] <= 1.5 * g.weight.nbytes
 
 
 class TestBenchmark:

@@ -18,6 +18,13 @@ from pmmwm.orchestrator import BanList, FimpParams, modify_graph, solve
 from helpers import make_example_graph, random_dense_graph
 
 
+@pytest.fixture(autouse=True)
+def _certify(monkeypatch):
+    """Every matcher call in this module, ``modify_graph``'s repairs within
+    full solves included, ends with a check_invariants scan."""
+    monkeypatch.setenv("PMMWM_CHECK_INVARIANTS", "1")
+
+
 def small_params(seed=0, iterations=25, **kw):
     hga = HgaParams(pop_size=8, max_generations=30, stall_limit=8)
     defaults = dict(max_iterations=iterations, tenure=5, hga=hga, rng_seed=seed)
