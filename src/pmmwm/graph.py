@@ -36,6 +36,7 @@ MAX_CELLS = 1 << 31
 # in text for the line-by-line diagnosis.
 _GRAMMAR_BYTES = b"0123456789. \t\v\f\r\n"
 _COMMENT = re.compile(rb"#[^\r\n]*")
+_HEADER = re.compile(rb"\s*([0-9]+)\s+([0-9]+)\s+([0-9]+)\s+([0-9]+)(?:\s|$)")
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _TOKEN = re.compile(r"[^ \t\v\f]+")
 _UINT = re.compile(r"[0-9]+")
@@ -281,7 +282,8 @@ def _parse_bulk(data: bytes):
 
     Every check runs on whole-file arrays; a file failing any of them is left
     to ``_diagnose``. ``np.fromstring`` saturates oversized integers instead
-    of failing, so each value is range-checked against the header.
+    of failing, so the header is read as exact ints and each edge value is
+    range-checked against it.
     """
     if not data.isascii():
         try:
@@ -311,6 +313,13 @@ def _parse_bulk(data: bytes):
     per_line = per_line[per_line > 0]
     if len(per_line) == 0 or per_line[0] != 4 or (per_line[1:] != 3).any():
         return None
+    header = _HEADER.match(body)
+    if header is None:
+        return None
+    n1, n2, m, ubar = (int(x) for x in header.groups())
+    del header  # a match holds on to ``body``, which is freed below
+    if n1 < 1 or n2 < n1 or m < 1 or ubar < 1 or n1 * n2 > MAX_CELLS:
+        return None
 
     weights = None
     scale = 1
@@ -334,9 +343,6 @@ def _parse_bulk(data: bytes):
     if weights is not None:
         values[6::3] = weights
 
-    n1, n2, m, ubar = (int(x) for x in values[:4])
-    if n1 < 1 or n2 < n1 or m < 1 or ubar < 1 or n1 * n2 > MAX_CELLS:
-        return None
     u, v, w = values[4:].reshape(-1, 3).T
     if len(w) and (u.max() >= n1 or v.max() >= n2 or w.max() > MAX_WEIGHT):
         return None

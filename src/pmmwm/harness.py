@@ -275,7 +275,8 @@ def read_utf8(path: str) -> str:
 def read_csv(path: str, parsers: dict, optional: tuple[str, ...] = ()) -> list[dict]:
     """Read a CSV with a header line into one dict per row, holding
     ``parsers[col](cell)`` for each column of ``parsers``. A column named in
-    ``optional`` may be missing from the file; its key is then left out.
+    ``optional`` may be missing from the header; its key is then left out.
+    A row without a cell for a column of its header is an error.
 
     Raises ParseError naming the file, the line and the column of a missing
     column, a cell that does not parse, or a byte that is not UTF-8.
@@ -288,12 +289,11 @@ def read_csv(path: str, parsers: dict, optional: tuple[str, ...] = ()) -> list[d
             if col not in header and col not in optional:
                 raise ParseError(f"{path}: line {max(reader.line_num, 1)}: "
                                  f"missing column {col!r}")
+        columns = [(col, parse) for col, parse in parsers.items() if col in header]
         for row in reader:
             fields = {}
-            for col, parse in parsers.items():
+            for col, parse in columns:
                 cell = row.get(col)
-                if cell is None and col in optional:
-                    continue
                 where = f"{path}: line {reader.line_num}, column {col!r}"
                 if cell is None:
                     raise ParseError(f"{where}: missing cell")

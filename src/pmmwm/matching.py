@@ -8,8 +8,10 @@ single free U-vertex by running a potential-adjusted Dijkstra over the dense
 weight table and then shifting potentials so every matched edge is tight
 again. A perfect matching of tight edges under feasible potentials is a
 certificate of optimality, which is what makes incremental repair after an
-edge ban or restore sound: repair only needs to re-run a single phase for the
-one vertex whose matched edge was disturbed.
+edge ban or restore sound: ``_rematch``, the only code that frees a matched
+row, frees the one row whose matched edge was disturbed and runs one phase.
+A phase reads only its start row's ``alpha``, and another start value shifts
+all of its distances alike, so ``solve_full`` starts every row at 0.
 
 Costs per call on an n1 x n2 table:
     solve_full          n1 phases, O(n1^2 * n2)
@@ -83,6 +85,7 @@ class MatchState:
 
     ``eff`` mirrors the graph's weights with INF in place of absent or
     banned edges; the repair operations keep it in sync one edge at a time.
+    ``total_weight`` is read from ``eff`` and ``mate_u`` on each access.
     ``phase_count`` counts augmentation phases ever run on this state (tests
     use it to assert that repairs run at most one phase).
     """
@@ -93,7 +96,6 @@ class MatchState:
         self.mate_v = np.full(graph.n2, FREE, dtype=np.int64)
         self.alpha = np.zeros(graph.n1, dtype=np.int64)
         self.beta = np.zeros(graph.n2, dtype=np.int64)
-        self.total_weight = 0
         self.phase_count = 0
 
     @property
@@ -104,7 +106,8 @@ class MatchState:
     def n2(self) -> int:
         return self.eff.shape[1]
 
-    def matched_weight(self) -> int:
+    @property
+    def total_weight(self) -> int:
         return int(self.eff[np.arange(self.n1), self.mate_u].sum())
 
 
@@ -201,16 +204,27 @@ def _augment(st: MatchState, start_u: int) -> None:
     mate_u[start_u] = path[-1]
 
 
+def _rematch(st: MatchState, u: int, alpha_u: int) -> None:
+    """Free row ``u`` and its column and rematch u in one phase from ``alpha_u``,
+    at most u's least reduced cost; on NoPerfectMatching put all three back."""
+    v, old_alpha = int(st.mate_u[u]), int(st.alpha[u])
+    st.mate_u[u] = FREE
+    st.mate_v[v] = FREE
+    st.alpha[u] = alpha_u
+    try:
+        _augment(st, u)
+    except NoPerfectMatching:
+        st.mate_u[u] = v
+        st.mate_v[v] = u
+        st.alpha[u] = old_alpha
+        raise
+
+
 def solve_full(g: BipartiteGraph) -> MatchState:
     """Min-weight perfect matching on U from scratch (n1 phases)."""
     st = MatchState(g)
-    st.alpha = st.eff.min(axis=1)
-    if (st.alpha >= _INF_CUTOFF).any():
-        u = int(np.argmax(st.alpha >= _INF_CUTOFF))
-        raise NoPerfectMatching(f"U-vertex {u} has no available edges")
     for u in range(g.n1):
         _augment(st, u)
-    st.total_weight = st.matched_weight()
     if _checks_enabled():
         check_invariants(g, st)
     return st
@@ -220,8 +234,8 @@ def repair_after_ban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> Match
     """Re-optimize after edge (u, v) was banned in ``g``.
 
     If the edge was unmatched, potentials and matching are untouched and the
-    state is already optimal. If it was matched, u is freed and one phase
-    rematches it.
+    state is already optimal. If it was matched, one phase rematches u from
+    its current ``alpha``, which stays feasible once the edge costs INF.
 
     On NoPerfectMatching the ban destroyed feasibility: the state is rolled
     back to the pre-ban optimum and the caller MUST unban (u, v) in the graph
@@ -230,20 +244,12 @@ def repair_after_ban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> Match
     if not g.banned[u, v]:
         raise ValueError(f"repair_after_ban: edge ({u}, {v}) is not banned")
     st.eff[u, v] = INF
-    if st.mate_u[u] != v:
-        if _checks_enabled():
-            check_invariants(g, st)
-        return st
-    st.mate_u[u] = FREE
-    st.mate_v[v] = FREE
-    try:
-        _augment(st, u)
-    except NoPerfectMatching:
-        st.mate_u[u] = v
-        st.mate_v[v] = u
-        st.eff[u, v] = int(g.weight[u, v])
-        raise
-    st.total_weight = st.matched_weight()
+    if st.mate_u[u] == v:
+        try:
+            _rematch(st, u, int(st.alpha[u]))
+        except NoPerfectMatching:
+            st.eff[u, v] = int(g.weight[u, v])
+            raise
     if _checks_enabled():
         check_invariants(g, st)
     return st
@@ -257,7 +263,7 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
     per edge (the eff table lags the graph until each edge's turn, which is
     sound: the state stays optimal for the partially-restored graph). A
     restored edge that satisfies dual feasibility leaves the state unchanged;
-    otherwise alpha[u] drops to u's minimum slack and one phase rematches u.
+    otherwise one phase rematches u from its least reduced cost.
     Restoring edges cannot destroy feasibility, so this never raises
     NoPerfectMatching.
     """
@@ -269,14 +275,9 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
         st.eff[u, v] = w
         if int(st.alpha[u]) + int(st.beta[v]) <= w:
             continue
-        st.alpha[u] = (st.eff[u] - st.beta).min()
-        # The new alpha[u] is at most w - beta[v], below the old one that
+        # u's least reduced cost is at most w - beta[v], below the alpha[u] that
         # made u's matched edge tight, so that edge is slack: u always rematches.
-        vm = int(st.mate_u[u])
-        st.mate_u[u] = FREE
-        st.mate_v[vm] = FREE
-        _augment(st, u)
-        st.total_weight = st.matched_weight()
+        _rematch(st, u, int((st.eff[u] - st.beta).min()))
     if edges and _checks_enabled():
         check_invariants(g, st)
     return st
@@ -298,7 +299,5 @@ def check_invariants(g: BipartiteGraph, st: MatchState) -> None:
     assert ((st.mate_v >= 0) == matched_cols).all(), "mate_v marks wrong columns"
     assert avail[us, st.mate_u].all(), "matched edge not available"
     assert (slack[us, st.mate_u] == 0).all(), "matched edge not tight"
-    total = int(st.eff[us, st.mate_u].sum())
-    assert total == st.total_weight, "total_weight stale"
     dual_value = int(st.alpha.sum()) + int(st.beta[matched_cols].sum())
-    assert total == dual_value, "primal != dual objective"
+    assert st.total_weight == dual_value, "primal != dual objective"

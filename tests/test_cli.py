@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pmmwm
 from pmmwm.cli import _add_solver_flags, _params_from, build_parser, main
 from pmmwm.graph import load_instance, load_solution, save_instance
 from pmmwm.harness import REPORT_COLUMNS, RunReport, read_reports, write_reports
@@ -418,7 +420,10 @@ class TestCompareMalformed:
 
 
 def test_console_entry_point(example_file):
-    proc = subprocess.run([sys.executable, "-m", "pmmwm.cli", "oracle",
-                           example_file], capture_output=True, text=True)
+    # The child imports pmmwm from where this process did, installed or not.
+    src = os.path.dirname(os.path.dirname(pmmwm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pmmwm.cli", "oracle", example_file],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4"

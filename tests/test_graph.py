@@ -275,6 +275,15 @@ class TestLoaderMatchesReference:
         assert got == _outcome(load_instance_reference, path)
         assert got[0] == "ParseError"
 
+    @pytest.mark.parametrize("header", ["2 2 99999999999999999999 1",
+                                        "2 2 1 99999999999999999999"])
+    def test_oversized_header_values(self, tmp_path, header):
+        # Past int64, m and ubar load exactly, as the reference reads them.
+        path = write(tmp_path, header + "\n0 0 1\n1 1 2\n")
+        got = _outcome(load_instance, path)
+        assert got == _outcome(load_instance_reference, path)
+        assert 10**20 - 1 in got[2:4]
+
     @pytest.mark.parametrize("seed", range(300))
     def test_mutated_bytes(self, tmp_path, seed):
         # One random byte edit of a valid file: both loaders accept it alike,

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
-from pmmwm import harness
-from pmmwm.errors import InfeasibleInstance, TooLarge
+from pmmwm import cli, harness
+from pmmwm.errors import InfeasibleInstance, ParseError, TooLarge
 from pmmwm.graph import BipartiteGraph, save_instance, validate_solution
 from pmmwm.harness import (
+    REPORT_COLUMNS,
     RunReport,
     baseline_ls,
     bench,
@@ -191,6 +192,17 @@ class TestBenchReports:
         (r,) = read_reports(str(out))
         assert (r.instance, r.objective, r.iterations) == ("i1", 7.0, 3)
         assert r.lower_bound is None and r.certified_optimal is False
+
+    def test_truncated_row_with_certificate_columns(self, tmp_path, capsys):
+        # The header names both certificate columns, so a row that stops after
+        # hga_time_ms is truncated, not an old-format row without a bound.
+        out = tmp_path / "cut.csv"
+        out.write_text(",".join(REPORT_COLUMNS) + "\n"
+                       "i1,fimp-hga,0,7,,,3,1.5,0.5,1.0\n")
+        with pytest.raises(ParseError, match="line 2, column 'lower_bound': missing cell"):
+            read_reports(str(out))
+        assert cli.main(["compare", str(out), str(out)]) == 3
+        assert "line 2, column 'lower_bound'" in capsys.readouterr().err
 
     def test_oracle_column_present_for_tiny(self, tmp_path):
         instances = self.make_instances(tmp_path, count=2)
