@@ -6,6 +6,8 @@ capacity ``ubar``. Weights are stored in a dense n1 x n2 integer table; absent
 edges are marked with the ``ABSENT`` sentinel. Weights given as decimals in
 instance files (at most 6 fractional digits) are scaled to integers at load so
 that all downstream arithmetic is exact; ``weight_scale`` records the factor.
+Integer-weight ASCII files load through a bulk fast path, every other file
+through the line-by-line parser, which also names a bad file's first fault.
 
 An edge is *available* iff it is present and not banned. Ban flags are the
 only mutable part of a graph after load; they are driven by the solver's
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,9 +34,9 @@ MAX_TOTAL_WEIGHT = 1 << 55
 # Largest n1 * n2 an instance header may declare: a 16 GiB weight table.
 MAX_CELLS = 1 << 31
 
-# The instance grammar (see load_instance), in bytes for the bulk parse and
-# in text for the line-by-line diagnosis.
-_GRAMMAR_BYTES = b"0123456789. \t\v\f\r\n"
+# The instance grammar (see load_instance): in bytes for the bulk parse, which
+# takes integer weights only (no "."), and in text for the line-by-line parse.
+_GRAMMAR_BYTES = b"0123456789 \t\v\f\r\n"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _HEADER = re.compile(rb"\s*([0-9]+)\s+([0-9]+)\s+([0-9]+)\s+([0-9]+)(?:\s|$)")
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
@@ -254,42 +256,18 @@ def validate_solution(g: BipartiteGraph, sol: Solution) -> Optional[Violation]:
     return None
 
 
-def _parse_weight_token(token: str) -> tuple[int, int]:
-    """Parse a weight as (value scaled by 10**digits, digits).
-
-    Raises ParseError without a line number; callers that know it add it.
-    """
-    negative = token.startswith("-")
-    match = _WEIGHT.fullmatch(token[1:] if negative else token)
-    if match is None or not (match[1] or match[2]):
-        raise ParseError(f"bad weight {token!r}")
-    if negative:
-        raise ParseError(f"negative weight {token!r}")
-    frac = (match[2] or "").rstrip("0")
-    if len(frac) > 6:
-        raise ParseError(f"more than 6 fractional digits in {token!r}")
-    return int(match[1] or "0") * 10 ** len(frac) + int(frac or "0"), len(frac)
-
-
-def _scale_weights(parsed: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """Bring (value, digits) pairs to the file's largest digit count."""
-    digits = max((d for _, d in parsed), default=0)
-    return [value * 10 ** (digits - d) for value, d in parsed], 10 ** digits
-
-
 def _parse_bulk(data: bytes):
-    """(n1, n2, m, ubar, weight, weight_scale) of a well-formed file, else None.
+    """(n1, n2, m, ubar, weight, 1) of a valid ASCII integer-weight file, else None.
 
-    Every check runs on whole-file arrays; a file failing any of them is left
-    to ``_diagnose``. ``np.fromstring`` saturates oversized integers instead
-    of failing, so the header is read as exact ints and each edge value is
-    range-checked against it.
+    The fast path for the files ``instgen`` writes. Every check runs on
+    whole-file arrays, and it never raises: a file with a non-ASCII byte, a
+    decimal weight or any fault is declined and left to ``_parse_lines``.
+    ``np.fromstring`` saturates oversized integers instead of failing, so the
+    header is read as exact ints and each edge value is range-checked
+    against it.
     """
     if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
+        return None
     body = _COMMENT.sub(b"", data) if b"#" in data else data
     if not body or body.translate(None, _GRAMMAR_BYTES):
         return None
@@ -298,7 +276,7 @@ def _parse_bulk(data: bytes):
     newline |= raw == ord("\r")
     line_heads = np.flatnonzero(newline[:-1]) + 1
     del newline
-    # Tokens are runs of digits and dots; every other byte left is blank.
+    # Tokens are runs of digits; every other byte left is blank.
     token = raw > ord(" ")
     starts = np.empty(len(raw), dtype=bool)
     starts[:1] = token[:1]
@@ -306,7 +284,7 @@ def _parse_bulk(data: bytes):
     del token
     # Tokens per line, summed in uint8: a wider sum would first copy the whole
     # mask at that width. A count that wraps past 255 only lowers the total,
-    # so the token-count check after np.fromstring rejects the file.
+    # so the token-count check after np.fromstring declines the file.
     per_line = np.add.reduceat(starts.view(np.uint8), np.concatenate(([0], line_heads)),
                                dtype=np.uint8)
     del starts, line_heads
@@ -321,18 +299,6 @@ def _parse_bulk(data: bytes):
     if n1 < 1 or n2 < n1 or m < 1 or ubar < 1 or n1 * n2 > MAX_CELLS:
         return None
 
-    weights = None
-    scale = 1
-    if b"." in body:
-        tokens = body.decode("ascii").split()
-        try:
-            weights, scale = _scale_weights([_parse_weight_token(tok) for tok in tokens[6::3]])
-        except ParseError:
-            return None
-        if max(weights, default=0) > MAX_WEIGHT:
-            return None
-        tokens[6::3] = ["0"] * len(weights)
-        body = " ".join(tokens)
     try:
         values = np.fromstring(body, dtype=np.int64, sep=" ")
     except ValueError:
@@ -340,8 +306,6 @@ def _parse_bulk(data: bytes):
     del body, raw
     if len(values) != int(per_line.sum(dtype=np.int64)):
         return None
-    if weights is not None:
-        values[6::3] = weights
 
     u, v, w = values[4:].reshape(-1, 3).T
     if len(w) and (u.max() >= n1 or v.max() >= n2 or w.max() > MAX_WEIGHT):
@@ -350,15 +314,18 @@ def _parse_bulk(data: bytes):
     weight.reshape(-1)[u * n2 + v] = w
     if np.count_nonzero(weight != ABSENT) != len(w):
         return None  # a duplicate edge overwrote another
-    return n1, n2, m, ubar, weight, scale
+    return n1, n2, m, ubar, weight, 1
 
 
-def _diagnose(data: bytes, path: str) -> NoReturn:
-    """Raise the ParseError of the first fault in a file ``_parse_bulk`` rejected.
+def _parse_lines(data: bytes, path: str):
+    """(n1, n2, m, ubar, weight, weight_scale) of a valid file, else the
+    ParseError of its first fault.
 
     Walks the file line by line in the order the faults are reported:
     encoding, header, each edge line, then scaled weights and duplicates in
-    file order.
+    file order. A weight is read as its value times 10**d, d its fraction
+    digits; every weight is then scaled to the file's largest d, and
+    ``weight_scale`` is 10 to that power.
     """
     try:
         text = data.decode("utf-8")
@@ -366,15 +333,14 @@ def _diagnose(data: bytes, path: str) -> NoReturn:
         lineno = len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8"))) + 1
         raise ParseError(f"line {lineno}: not UTF-8 text") from None
 
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
-        toks = _TOKEN.findall(line.split("#", 1)[0])
-        if toks:
-            rows.append((lineno, toks))
-
-    if not rows:
+    # (line number, tokens) of each line holding a token, one line at a time:
+    # a list of every line's tokens would be most of the peak memory.
+    rows = ((lineno, toks) for lineno, line in enumerate(_LINE_BREAK.split(text), start=1)
+            if (toks := _TOKEN.findall(line.split("#", 1)[0])))
+    first = next(rows, None)
+    if first is None:
         raise ParseError(f"{path}: empty instance file")
-    lineno, header = rows[0]
+    lineno, header = first
     if len(header) != 4:
         raise ParseError(f"line {lineno}: header must be 'n1 n2 m ubar'")
     if not all(_UINT.fullmatch(tok) for tok in header):
@@ -387,30 +353,39 @@ def _diagnose(data: bytes, path: str) -> NoReturn:
     if n1 * n2 > MAX_CELLS:
         raise ParseError(f"line {lineno}: n1 * n2 = {n1 * n2} is more than {MAX_CELLS} cells")
 
-    edges: list[tuple[int, int, int, str]] = []
-    parsed: list[tuple[int, int]] = []
-    for lineno, toks in rows[1:]:
+    edges: list[tuple[int, int, int, str, int, int]] = []
+    for lineno, toks in rows:
         if len(toks) != 3:
             raise ParseError(f"line {lineno}: edge line must be 'u v w'")
         if not (_UINT.fullmatch(toks[0]) and _UINT.fullmatch(toks[1])):
             raise ParseError(f"line {lineno}: bad vertex index")
-        u, v = int(toks[0]), int(toks[1])
+        u, v, tok = int(toks[0]), int(toks[1]), toks[2]
         if not (u < n1 and v < n2):
             raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range")
-        try:
-            parsed.append(_parse_weight_token(toks[2]))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        edges.append((lineno, u, v, toks[2]))
+        negative = tok.startswith("-")
+        match = _WEIGHT.fullmatch(tok[1:] if negative else tok)
+        if match is None or not (match[1] or match[2]):
+            raise ParseError(f"line {lineno}: bad weight {tok!r}")
+        if negative:
+            raise ParseError(f"line {lineno}: negative weight {tok!r}")
+        frac = (match[2] or "").rstrip("0")
+        if len(frac) > 6:
+            raise ParseError(f"line {lineno}: more than 6 fractional digits in {tok!r}")
+        edges.append((lineno, u, v, tok, int((match[1] or "0") + frac), len(frac)))
 
-    seen: set[tuple[int, int]] = set()
-    for (lineno, u, v, tok), scaled in zip(edges, _scale_weights(parsed)[0]):
+    digits = max((d for *_, d in edges), default=0)
+    cells: dict[tuple[int, int], int] = {}
+    for lineno, u, v, tok, value, d in edges:
+        scaled = value * 10 ** (digits - d)
         if scaled > MAX_WEIGHT:
             raise ParseError(f"line {lineno}: weight {tok!r} is more than {MAX_WEIGHT} when scaled")
-        if (u, v) in seen:
+        if (u, v) in cells:
             raise ParseError(f"{path}: duplicate edge ({u}, {v})")
-        seen.add((u, v))
-    raise ParseError(f"{path}: rejected by the bulk parse, yet no line is at fault")
+        cells[u, v] = scaled
+    weight = np.full((n1, n2), ABSENT, dtype=np.int64)
+    for (u, v), scaled in cells.items():
+        weight[u, v] = scaled
+    return n1, n2, m, ubar, weight, 10 ** digits
 
 
 def load_instance(path: str) -> BipartiteGraph:
@@ -423,22 +398,20 @@ def load_instance(path: str) -> BipartiteGraph:
     a weight is ASCII digits with an optional fraction of at most 6 digits
     (trailing zeros do not count). Tokens are separated by ASCII blanks.
 
-    A well-formed file is parsed in bulk: the text is read once, converted by
-    one ``np.fromstring`` pass (decimal weights alone go token by token
-    through ``_parse_weight_token``), checked with whole-array operations and
-    scattered into the weight table. A file failing any bulk check goes to
-    ``_diagnose``, which walks it line by line and raises the ParseError of
-    its first fault, as ``line N: ...``.
+    An ASCII file with integer weights, as ``instgen`` writes, is parsed in
+    bulk by ``_parse_bulk``: the text is read once, converted by one
+    ``np.fromstring`` pass, checked with whole-array operations and scattered
+    into the weight table. Every other file (a decimal weight, a non-ASCII
+    byte or any fault) goes to ``_parse_lines``, which walks it line by line
+    and returns its table or raises the ParseError of its first fault, as
+    ``line N: ...``; that path is several times slower.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    parsed = _parse_bulk(data)
-    if parsed is None:
-        _diagnose(data, path)
-    n1, n2, m, ubar, weight, scale = parsed
+    n1, n2, m, ubar, weight, scale = _parse_bulk(data) or _parse_lines(data, path)
     g = BipartiteGraph(n1, n2, m, ubar, weight, weight_scale=scale)
     if m * ubar < n1:
         raise InfeasibleInstance(f"{path}: m*ubar = {m * ubar} < n1 = {n1}")

@@ -52,7 +52,9 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
     matching is cut when its heaviest edge or ceil(total/m) already reaches
     the incumbent. Guarded to n1 <= 8, m**n1 <= 10**7 and ``ORACLE_MAX_NODES``
     search nodes, which pruning does not bound (complete 8 x 24: 1.6 million).
+    m > n1 is searched as m = n1, which has the same optimum.
     """
+    m = min(m, g.n1)
     if g.n1 > ORACLE_MAX_N1 or m ** g.n1 > BRUTE_FORCE_GUARD:
         raise TooLarge(f"oracle guard: n1={g.n1}, m={m}")
     if m * ubar < g.n1:
@@ -111,8 +113,11 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     matching. Here a plain perfect-matching check vetoes a ban (not charged
     to match time; only the per-iteration full solves are), and the next
     step re-solves the matching instead of repairing it. It reports no
-    lower bound, so it always runs the full ``max_iterations``.
+    lower bound, so it always runs the full ``max_iterations``. m > n1 runs
+    as m = n1, as in ``solve``.
     """
+    m = min(m, g.n1)
+
     def step(bans, deadline):
         t0 = time.perf_counter()
         st = solve_full(g)

@@ -217,7 +217,9 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
 
     The lower bound is ceil(W*/m) with W* the weight of iteration 0's
     matching, so the run stops once the incumbent reaches it and may use
-    fewer than ``max_iterations`` iterations."""
+    fewer than ``max_iterations`` iterations. At most n1 partitions can be
+    non-empty, so m > n1 runs as m = n1."""
+    m = min(m, g.n1)
     rng = random.Random(params.rng_seed)
     st: MatchState | None = None
     lower_bound: int | None = None

@@ -138,6 +138,28 @@ class TestOracleCommand:
         assert run_cli(["oracle", path]) == 5
 
 
+class TestPartitionCountAboveRows:
+    """At most n1 partitions can be non-empty, so m > n1 runs as m = n1."""
+
+    @pytest.fixture
+    def big_m_file(self, tmp_path):
+        path = tmp_path / "big_m.txt"
+        path.write_text("2 2 1000000000000 1\n0 0 1\n1 1 2\n")
+        return str(path)
+
+    @pytest.mark.parametrize("algo", ["fimp-hga", "baseline"])
+    def test_solve(self, big_m_file, tmp_path, capsys, algo):
+        path = str(tmp_path / "sol.json")
+        assert run_cli(["solve", big_m_file, "--algo", algo, "--max-iterations", "3",
+                        "--json", path]) == 0
+        assert capsys.readouterr().out.strip() == "objective 2"
+        assert sorted(load_solution(path)["partition_weights"]) == [1, 2]
+
+    def test_oracle(self, big_m_file, capsys):
+        assert run_cli(["oracle", big_m_file]) == 0
+        assert capsys.readouterr().out.strip() == "2"
+
+
 class TestGenerateCommands:
     def test_generate_then_solve(self, tmp_path, capsys):
         path = str(tmp_path / "gen.txt")

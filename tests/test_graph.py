@@ -12,6 +12,7 @@ from pmmwm.graph import (
     BipartiteGraph,
     PartitionAssignment,
     Solution,
+    _parse_bulk,
     evaluate_objective,
     load_instance,
     load_solution,
@@ -19,6 +20,7 @@ from pmmwm.graph import (
     save_instance,
     validate_solution,
 )
+from pmmwm.instgen import InstanceSpec, write_instance
 
 from helpers import (
     example_base_solution,
@@ -178,29 +180,31 @@ def _outcome(loader, path):
     return (g.n1, g.n2, g.m, g.ubar, g.weight_scale, g.weight.dtype.str, g.weight.tolist())
 
 
-def _weight_token(rng):
+def _weight_token(rng, decimal=True):
     whole = str(rng.choice([0, 1, 7, 42, 999, 10**6, 10**9]))
-    if rng.random() < 0.5:
+    if not decimal or rng.random() < 0.5:
         return whole
     frac = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 6)))
     frac += "0" * rng.randint(0, 2)
     return rng.choice([f"{whole}.{frac}", f".{frac or 5}", f"{whole}."])
 
 
-def _instance_lines(rng):
-    """(header, edge lines) of a random valid instance file."""
+def _instance_lines(rng, decimal=True):
+    """(header, edge lines) of a random valid instance file; ``decimal=False``
+    keeps every weight an integer."""
     n1 = rng.randint(1, 5)
     n2 = rng.randint(n1, 7)
     m = rng.randint(1, 4)
     ubar = rng.randint(-(-n1 // m), n1)
     cells = [(u, v) for u in range(n1) for v in range(n2) if rng.random() < 0.7]
     rng.shuffle(cells)
-    return [str(n1), str(n2), str(m), str(ubar)], [[str(u), str(v), _weight_token(rng)]
+    return [str(n1), str(n2), str(m), str(ubar)], [[str(u), str(v), _weight_token(rng, decimal)]
                                                  for u, v in cells]
 
 
-def _render(rng, header, edges):
-    """Write the lines with random blanks, comments, blank lines and line ends."""
+def _render(rng, header, edges, ascii_only=False):
+    """Write the lines with random blanks, comments, blank lines and line ends;
+    ``ascii_only=True`` writes the comment's ``ü`` as ``u``."""
     def blank():
         return rng.choice([" ", "  ", "\t", " \t", "\v", "\f"])
 
@@ -208,7 +212,8 @@ def _render(rng, header, edges):
     out = []
     for toks in [header] + edges:
         while rng.random() < 0.15:
-            out.append(rng.choice(["", "   ", "# comment only", "\t# ü comment"]))
+            comment = rng.choice(["", "   ", "# comment only", "\t# ü comment"])
+            out.append(comment.replace("ü", "u") if ascii_only else comment)
         line = blank().join(toks)
         if rng.random() < 0.2:
             line = blank() + line + blank()
@@ -297,6 +302,70 @@ class TestLoaderMatchesReference:
         path = tmp_path / "inst.txt"
         path.write_bytes(bytes(data))
         assert _outcome(load_instance, str(path)) == _outcome(load_instance_reference, str(path))
+
+    # The variants below write integer weights and ASCII bytes only, the files
+    # ``_parse_bulk`` takes, so that its accepts and declines are compared too.
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_valid_integer_ascii_files(self, tmp_path, seed):
+        rng = random.Random(seed)
+        text = _render(rng, *_instance_lines(rng, decimal=False), ascii_only=True)
+        path = write(tmp_path, text)
+        got = _outcome(load_instance, path)
+        assert got == _outcome(load_instance_reference, path)
+        assert got[0] != "ParseError"
+        assert _parse_bulk(text.encode()) is not None
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_mutated_integer_ascii_bytes(self, tmp_path, seed):
+        # One random ASCII edit, no ".": the bulk parse takes exactly the
+        # files the reference parses, and both loaders agree on the outcome.
+        rng = random.Random(seed)
+        data = bytearray(_render(rng, *_instance_lines(rng, decimal=False),
+                                 ascii_only=True).encode())
+        at = rng.randrange(len(data) + 1)
+        edit = rng.choice([b"", b"0", b"9", b"-", b"+", b" ", b"\t", b"\n", b"\r",
+                           b"#", b"x", b"\x00"])
+        data[at:at + rng.randint(0, 1)] = edit
+        path = tmp_path / "inst.txt"
+        path.write_bytes(bytes(data))
+        want = _outcome(load_instance_reference, str(path))
+        assert _outcome(load_instance, str(path)) == want
+        assert (_parse_bulk(bytes(data)) is None) == (want[0] == "ParseError")
+
+
+class TestBenchmarkFormat:
+    """Files as ``instgen.write_instance`` writes them, the benchmark's only
+    input, must take the bulk parse; the line-by-line parse is the slow path."""
+
+    @pytest.fixture(params=["CONSISTENT", "INDEPENDENT"])
+    def instgen_file(self, tmp_path, request):
+        path = tmp_path / "inst.txt"
+        write_instance(InstanceSpec(30, 40, 5, 8, 0.5, request.param, 1000, 7), str(path))
+        return path
+
+    def test_accepted_by_bulk_parse(self, instgen_file):
+        data = instgen_file.read_bytes()
+        assert data.startswith(b"# model=")
+        parsed = _parse_bulk(data)
+        assert parsed is not None
+        ref = load_instance_reference(str(instgen_file))
+        assert parsed[:4] == (ref.n1, ref.n2, ref.m, ref.ubar)
+        assert parsed[5] == ref.weight_scale == 1
+        assert (parsed[4] == ref.weight).all()
+
+    @pytest.mark.parametrize("edit", ["decimal", "utf-8-comment"])
+    def test_declined_but_loaded(self, instgen_file, edit):
+        lines = instgen_file.read_text().split("\n")
+        if edit == "decimal":
+            lines[2] += ".5"
+        else:
+            lines[0] += " ü"
+        instgen_file.write_text("\n".join(lines), encoding="utf-8")
+        assert _parse_bulk(instgen_file.read_bytes()) is None
+        got = _outcome(load_instance, str(instgen_file))
+        assert got == _outcome(load_instance_reference, str(instgen_file))
+        assert got[4] == (10 if edit == "decimal" else 1)
 
 
 class TestObjective:
