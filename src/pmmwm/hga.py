@@ -16,6 +16,15 @@ partition crossover, mutation and two-level local search. Everything is
 driven by one seeded ``random.Random``, so identical inputs give bit-identical
 results.
 
+``evolve`` returns its final population with its best individual, and a
+later call may start from that population instead of ``init_population``:
+each part is re-scored on the new ``w`` and improved by the local search
+once, through the call's memo below, so a part carried in several copies
+costs one search. The outer solver changes its matching by one ban per iteration, so
+only a few weights move between calls and a carried population starts close
+to converged (reusing a population when the fitness function shifts:
+Grefenstette, "Genetic algorithms for changing environments", PPSN 1992).
+
 Once the population converges, the generations breed the same children again.
 ``evolve`` therefore gives ``gpx_crossover`` and ``mls_improve`` one memo each
 for the length of the call: the crossover is keyed by its two parents' parts,
@@ -39,7 +48,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -70,6 +79,19 @@ class Individual:
 
     part: np.ndarray
     fitness: tuple[int, ...]
+
+
+class Evolution(NamedTuple):
+    """What ``evolve`` returns: the best individual ever seen and the final
+    population, which a later call on changed weights may start from.
+    ``fitness`` is the best's, for callers that want only the objective."""
+
+    best: Individual
+    population: list[Individual]
+
+    @property
+    def fitness(self) -> tuple[int, ...]:
+        return self.best.fitness
 
 
 def _part_sums(part, w: np.ndarray, m: int) -> np.ndarray:
@@ -339,31 +361,47 @@ def _tournament(population: list[Individual], rng: random.Random) -> Individual:
 
 
 def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
-           on_generation=None, deadline: float | None = None) -> Individual:
-    """Run the generational loop from ``init_population`` and return the best
-    individual ever seen.
+           population: list[Individual] | None = None,
+           on_generation=None, deadline: float | None = None) -> Evolution:
+    """Run the generational loop and return the best individual ever seen
+    with the final population.
+
+    The loop starts from ``init_population`` or, when ``population`` is
+    given, from that population carried over from an earlier call: each
+    individual's part is re-scored on this ``w`` and improved by
+    ``mls_improve`` once. The carried parts are only read, so they may be
+    read-only; ``population`` must hold ``pop_size`` individuals.
 
     ``on_generation`` is called as
     ``on_generation(gen, population, incumbent)`` after each generation; the
     incumbent's fitness is non-increasing across generations because the
     elite survives verbatim. ``deadline`` is a ``time.perf_counter()`` value
     checked before each generation: once it has passed, no further
-    generation starts. ``init_population`` is not interrupted, so a run
-    takes at least that long and at most one generation past the deadline.
+    generation starts. The start population is not interrupted, whether
+    built or carried, so a run takes at least that long and at most one
+    generation past the deadline.
 
     No generation starts either once the best fitness[0] equals the lower
     bound max(ceil(sum(w) / m), max(w)), checked in the same place: the
-    answer is then proven optimal. When the initial population already reaches
+    answer is then proven optimal. When the start population already reaches
     it, ``on_generation`` is never called.
     """
     params.validate()
     rng = random.Random(params.rng_seed)
-    population = init_population(w, m, ubar, params, rng)
+    crossed: dict = {}
+    improved: dict = {}
+    if population is None:
+        population = init_population(w, m, ubar, params, rng)
+    elif len(population) != params.pop_size:
+        raise ValueError(f"population holds {len(population)} individuals, "
+                         f"pop_size is {params.pop_size}")
+    else:
+        population = [mls_improve(Individual(ind.part, fitness_of(ind.part, w, m)),
+                                  w, ubar, memo=improved)
+                      for ind in population]
     best = min(population, key=lambda ind: ind.fitness)
     bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
     stall = 0
-    crossed: dict = {}
-    improved: dict = {}
     for gen in range(params.max_generations):
         if stall >= params.stall_limit or best.fitness[0] == bound:
             break
@@ -387,4 +425,4 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
             stall += 1
         if on_generation is not None:
             on_generation(gen, population, best)
-    return best
+    return Evolution(best, population)

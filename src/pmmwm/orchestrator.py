@@ -1,7 +1,8 @@
 """Iterative match-partition solver with edge banning.
 
 Each iteration holds the matching fixed while the genetic algorithm
-re-partitions the matched weights, then changes the graph in ``modify_graph``:
+re-partitions the matched weights, starting from the population the previous
+iteration's HGA ended with, then changes the graph in ``modify_graph``:
 bans whose tenure has run out are lifted and the matching re-matched around
 them, then the heaviest matched edge inside the heaviest partition is banned
 for ``tenure`` iterations, forcing later matchings (repaired incrementally,
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import InfeasibleInstance, NoPerfectMatching
 from .graph import BipartiteGraph, PartitionAssignment, Solution, partition_weights
-from .hga import HgaParams, evolve
+from .hga import HgaParams, Individual, evolve
 from .matching import MatchState, batch_resolve, repair_after_ban, solve_full
 
 
@@ -208,12 +209,15 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
 
 
 def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult:
-    """FIMP-HGA: ``run_loop`` with a step that evolves a fresh partition of
-    the current matching, then calls ``modify_graph``, which repairs the
-    matching; nothing but the matching state and the bans carries over to
-    the next iteration. Only iteration 0 solves the matching from scratch,
-    and is charged for that. The HGA also stops starting generations once
-    the step's ``deadline`` has passed, so iteration 0 ends soon after it.
+    """FIMP-HGA: ``run_loop`` with a step that evolves a partition of the
+    current matching, then calls ``modify_graph``, which repairs the
+    matching; the matching state, the bans and the HGA's final population
+    carry over to the next iteration. Only iteration 0 solves the matching
+    from scratch, and is charged for that, and only iteration 0 builds the
+    HGA's population with ``init_population``: every later ``evolve`` call
+    starts from the previous one's final population, re-scored on the new
+    matched weights. The HGA also stops starting generations once the step's
+    ``deadline`` has passed, so iteration 0 ends soon after it.
 
     The lower bound is ceil(W*/m) with W* the weight of iteration 0's
     matching, so the run stops once the incumbent reaches it and may use
@@ -222,10 +226,11 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     m = min(m, g.n1)
     rng = random.Random(params.rng_seed)
     st: MatchState | None = None
+    population: list[Individual] | None = None
     lower_bound: int | None = None
 
     def step(bans, deadline):
-        nonlocal st, lower_bound
+        nonlocal st, population, lower_bound
         match_s = 0.0
         if st is None:
             t0 = time.perf_counter()
@@ -236,7 +241,8 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
         w = g.weight[np.arange(g.n1), st.mate_u]
         hga_params = dataclasses.replace(params.hga, rng_seed=rng.getrandbits(63))
         t0 = time.perf_counter()
-        best = evolve(w, m, ubar, hga_params, deadline=deadline)
+        best, population = evolve(w, m, ubar, hga_params, population=population,
+                                  deadline=deadline)
         hga_s = time.perf_counter() - t0
 
         current = Solution(mate=st.mate_u.tolist(), objective=best.fitness[0],

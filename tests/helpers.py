@@ -1,6 +1,8 @@
 """Plain helpers shared by the test modules: the hand-built example
-instance and seeded random graphs."""
+instance, seeded random graphs and the digest golden runs are pinned by."""
 
+import hashlib
+import json
 import random
 
 from pmmwm.graph import BipartiteGraph, PartitionAssignment, Solution
@@ -80,3 +82,9 @@ def seeded_graph(rng: random.Random, n1: int, n2: int, w_max: int) -> BipartiteG
         if rng.random() < 0.1:
             g.ban_edge(u, v)
     return g
+
+
+def lists_digest(*lists) -> str:
+    """sha256 of integer lists, as the golden runs record them."""
+    payload = json.dumps([[int(x) for x in values] for values in lists])
+    return hashlib.sha256(payload.encode()).hexdigest()

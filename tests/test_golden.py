@@ -10,7 +10,6 @@ and say which and why in CHANGES.md.
 import collections
 import dataclasses
 import hashlib
-import json
 import random
 
 import numpy as np
@@ -23,10 +22,7 @@ from pmmwm.instgen import benchmark_specs
 from pmmwm.matching import batch_resolve, repair_after_ban, solve_full
 from pmmwm.numpart import kk_multiway
 
-
-def _digest(*lists) -> str:
-    payload = json.dumps([[int(x) for x in values] for values in lists])
-    return hashlib.sha256(payload.encode()).hexdigest()
+from helpers import lists_digest
 
 
 def _params(seed: int, **kw) -> FimpParams:
@@ -45,7 +41,7 @@ SOLVE_CASES = [
     # tight capacity (n1/m = 2): bans fire and lower the incumbent 401 -> 375
     (InstanceSpec(32, 32, 16, 2, 0.3, "CONSISTENT", 1000, 21), dict(max_iterations=20),
      375,
-     "65d278d6e04681bab4acfd31767b691f9cfb00a41a9833a33e544ac0fe950a52"),
+     "c2b93e61085820abf021e48b76e323df3149f5998688b343120cc99c4fa09399"),
     # sparse tight instance: some bans would leave no perfect matching and are vetoed
     (InstanceSpec(24, 24, 12, 2, 0.15, "CONSISTENT", 1000, 30),
      dict(max_iterations=12, tenure=4), 605,
@@ -116,7 +112,7 @@ def test_generator_golden(spec, digest):
 def test_solve_golden(spec, overrides, objective, digest):
     g = generate(spec)
     sol = solve(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).solution
-    assert (sol.objective, _digest(sol.mate, sol.partition.part_of)) == (objective, digest)
+    assert (sol.objective, lists_digest(sol.mate, sol.partition.part_of)) == (objective, digest)
 
 
 @pytest.mark.parametrize("spec, overrides, objective, digest", BASELINE_CASES,
@@ -124,7 +120,7 @@ def test_solve_golden(spec, overrides, objective, digest):
 def test_baseline_golden(spec, overrides, objective, digest):
     g = generate(spec)
     sol = baseline_ls(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).solution
-    assert (sol.objective, _digest(sol.mate, sol.partition.part_of)) == (objective, digest)
+    assert (sol.objective, lists_digest(sol.mate, sol.partition.part_of)) == (objective, digest)
 
 
 # evolve has taken the weights both as a list of (u, w) items and as one
@@ -134,7 +130,7 @@ _Item = collections.namedtuple("_Item", "u w")
 
 def _evolve(weights, m, ubar, params):
     if "part" in {f.name for f in dataclasses.fields(Individual)}:
-        best = evolve(np.array(weights, dtype=np.int64), m, ubar, params)
+        best = evolve(np.array(weights, dtype=np.int64), m, ubar, params).best
         return best.fitness[0], best.part.tolist()
     best = evolve([_Item(u, w) for u, w in enumerate(weights)], m, ubar, params)
     return best.fitness[0], best.assignment.part_of
@@ -147,7 +143,7 @@ def test_evolve_golden(seed, n, w_max, m, ubar, objective, digest):
     weights = [rng.randint(1, w_max) for _ in range(n)]
     params = HgaParams(pop_size=10, max_generations=30, stall_limit=8, rng_seed=seed)
     found, part_of = _evolve(weights, m, ubar, params)
-    assert (found, _digest(part_of)) == (objective, digest)
+    assert (found, lists_digest(part_of)) == (objective, digest)
 
 
 # The veto case ends on its iteration-0 solution, so its final digest alone
@@ -164,8 +160,8 @@ def test_veto_trace_golden(run, digest):
     spec, overrides = SOLVE_CASES[-1][:2]
     g = generate(spec)
     trace = run(g, spec.m, spec.ubar, _params(spec.seed, **overrides)).stats.trace
-    assert _digest([r.objective for r in trace], [r.incumbent for r in trace],
-                   [r.bans_active for r in trace]) == digest
+    assert lists_digest([r.objective for r in trace], [r.incumbent for r in trace],
+                        [r.bans_active for r in trace]) == digest
 
 
 # Multi-way Karmarkar-Karp seeds the HGA's population; this pins its exact
@@ -191,7 +187,7 @@ def test_kk_multiway_golden():
         weight = KK_WEIGHTS[i % len(KK_WEIGHTS)]
         w = np.array([weight(rng) for _ in range(n)], dtype=np.int64)
         parts.append(kk_multiway(w, m, ubar))
-    assert _digest(*parts) == KK_DIGEST
+    assert lists_digest(*parts) == KK_DIGEST
 
 
 # The matcher's exact state on the shipped n1 = 200, m = 10, seed-0 cells:
@@ -238,4 +234,4 @@ def test_matcher_state_golden(group, digest):
             banned.append((u, v))
         except NoPerfectMatching:
             g.unban_edge(u, v)
-    assert _digest(*states, *_matcher_state(st)) == digest
+    assert lists_digest(*states, *_matcher_state(st)) == digest

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -454,10 +455,11 @@ class TestEvolve:
         items = items_of(14, 3, 9, 12, 5, 8)
         params = HgaParams(pop_size=6, max_generations=15, stall_limit=15,
                            rng_seed=99)
-        a = evolve(items, 2, 4, params)
-        b = evolve(items, 2, 4, params)
+        a, pop_a = evolve(items, 2, 4, params)
+        b, pop_b = evolve(items, 2, 4, params)
         assert a.part.tolist() == b.part.tolist()
         assert a.fitness == b.fitness
+        assert [i.part.tolist() for i in pop_a] == [i.part.tolist() for i in pop_b]
 
     def test_hooks_are_keyword_only(self):
         # a partition passed positionally must not bind to a hook
@@ -552,3 +554,73 @@ class TestMemo:
         assert seen == [((g + 1) * children, params.pop_size + (g + 1) * children)
                         for g in range(len(seen))]
         assert calls["hits"] > 0
+
+
+class TestCarriedPopulation:
+    """``evolve`` started from an earlier call's final population, as the
+    outer solver starts every iteration after the first."""
+
+    N, M, UBAR = 30, 10, 4
+
+    def carried(self, seed=7):
+        """Weights, the same weights with 3 changed, and the final
+        population of a run on the first."""
+        rng = random.Random(seed)
+        w = items_of(*[rng.randint(1, 1000) for _ in range(self.N)])
+        params = HgaParams(pop_size=8, max_generations=20, stall_limit=5, rng_seed=seed)
+        _, population = evolve(w, self.M, self.UBAR, params)
+        changed = w.copy()
+        for u in rng.sample(range(self.N), 3):
+            changed[u] = rng.randint(1, 1000)
+        return w, changed, population, params
+
+    def test_start_is_rescored_and_locally_optimal(self, monkeypatch):
+        w, changed, population, params = self.carried()
+        assert any(ind.fitness != fitness_of(ind.part, changed, self.M) for ind in population)
+        inputs = []
+        real = hga.mls_improve
+
+        def recorded(ind, *args, **kwargs):
+            inputs.append(ind)
+            return real(ind, *args, **kwargs)
+
+        monkeypatch.setattr(hga, "mls_improve", recorded)
+        # no generation runs, so the returned population is the start
+        _, start = evolve(changed, self.M, self.UBAR,
+                          dataclasses.replace(params, max_generations=0),
+                          population=population)
+        # one local search per carried part, on its fitness under the new weights
+        assert [ind.part.tolist() for ind in inputs] == [ind.part.tolist() for ind in population]
+        for ind in inputs + start:
+            assert ind.fitness == fitness_of(ind.part, changed, self.M)
+        for ind in start:
+            assert real(ind, changed, self.UBAR) is ind  # no move left
+
+    def test_same_weights_never_worse(self):
+        w, _, population, params = self.carried()
+        carried_best = min(ind.fitness for ind in population)
+        for seed in range(5):
+            best, _ = evolve(w, self.M, self.UBAR, dataclasses.replace(params, rng_seed=seed),
+                             population=population)
+            assert best.fitness <= carried_best
+
+    def test_read_only_parts_are_only_read(self):
+        _, changed, population, params = self.carried()
+        frozen = []
+        for ind in population:
+            part = ind.part.copy()
+            part.flags.writeable = False
+            frozen.append(Individual(part, ind.fitness))
+        before = [ind.part.tolist() for ind in frozen]
+        generations = []
+        best, _ = evolve(changed, self.M, self.UBAR, params, population=frozen,
+                         on_generation=lambda g, pop, inc: generations.append(g))
+        assert generations  # crossover, mutation and local search all ran
+        assert [ind.part.tolist() for ind in frozen] == before
+        assert best.fitness == fitness_of(best.part, changed, self.M)
+
+    @pytest.mark.parametrize("size", [1, 7, 9])
+    def test_population_must_hold_pop_size(self, size):
+        w, _, population, params = self.carried()
+        with pytest.raises(ValueError, match="pop_size"):
+            evolve(w, self.M, self.UBAR, params, population=(population * 2)[:size])

@@ -15,7 +15,7 @@ from pmmwm.hga import HgaParams
 from pmmwm.matching import check_invariants, solve_full
 from pmmwm.orchestrator import BanList, FimpParams, modify_graph, solve
 
-from helpers import make_example_graph, random_dense_graph
+from helpers import lists_digest, make_example_graph, random_dense_graph
 
 
 @pytest.fixture(autouse=True)
@@ -177,6 +177,41 @@ class TestSolve:
         assert result.stats.iterations == 1
         # init_population is not interrupted; the rest ends within 3x the limit
         assert wall < 3 * 0.300 + sum(init_s)
+
+
+class TestCarriedPopulation:
+    # tight capacity (n1/m = 2): iteration 0 is not certified, so every
+    # iteration of the budget runs
+    SPEC = InstanceSpec(32, 32, 16, 2, 0.3, "CONSISTENT", 1000, 21)
+
+    def test_population_built_once_then_carried(self, monkeypatch):
+        built, carried = [], []
+        real_init, real_evolve = hga.init_population, orchestrator.evolve
+
+        def counted_init(*args, **kwargs):
+            built.append(args)
+            return real_init(*args, **kwargs)
+
+        def recorded_evolve(*args, population=None, **kwargs):
+            carried.append(population is not None)
+            return real_evolve(*args, population=population, **kwargs)
+
+        monkeypatch.setattr(hga, "init_population", counted_init)
+        monkeypatch.setattr(orchestrator, "evolve", recorded_evolve)
+        result = solve(generate(self.SPEC), 16, 2, small_params(seed=3, iterations=6))
+        assert result.stats.iterations == 6
+        assert len(built) == 1
+        assert carried == [False] + [True] * 5
+        incumbents = [rec.incumbent for rec in result.stats.trace]
+        assert incumbents == sorted(incumbents, reverse=True)
+        assert incumbents[-1] < incumbents[0]
+
+    def test_iteration_zero_unchanged(self):
+        # recorded before later iterations carried the population over:
+        # iteration 0 still builds and evolves it as it did then
+        sol = solve(generate(self.SPEC), 16, 2, small_params(seed=3, iterations=1)).solution
+        assert (sol.objective, lists_digest(sol.mate, sol.partition.part_of)) == (
+            401, "43792ddcb7d63d146fed6355dbaa70864dc4119d6a9bdf4452375b1ac57111a6")
 
 
 class TestCertifiedStop:
