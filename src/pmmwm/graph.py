@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleInstance, ParseError
+from .numpart import part_sums
 
 ABSENT = -1
 
@@ -183,10 +184,7 @@ class PartitionAssignment:
     part_of: list[int]
 
     def sizes(self) -> list[int]:
-        counts = [0] * self.m
-        for k in self.part_of:
-            counts[k] += 1
-        return counts
+        return np.bincount(self.part_of, minlength=self.m).tolist()
 
     def copy(self) -> "PartitionAssignment":
         return PartitionAssignment(self.m, self.ubar, list(self.part_of))
@@ -218,10 +216,8 @@ class Violation:
 
 def partition_weights(g: BipartiteGraph, sol: Solution) -> list[int]:
     """Per-partition matched weight, indexed by partition (scaled units)."""
-    sums = [0] * sol.partition.m
-    for u in range(g.n1):
-        sums[sol.partition.part_of[u]] += int(g.weight[u, sol.mate[u]])
-    return sums
+    w = g.weight[np.arange(g.n1), sol.mate]
+    return part_sums(sol.partition.part_of, w, sol.partition.m).tolist()
 
 
 def evaluate_objective(g: BipartiteGraph, sol: Solution) -> int:
@@ -422,24 +418,23 @@ def load_instance(path: str) -> BipartiteGraph:
 
 def save_instance(g: BipartiteGraph, path: str,
                   header_comments: list[str] | None = None) -> None:
-    """Write a graph in the instance file format (deterministic row-major order)."""
-    lines = []
-    for comment in header_comments or []:
-        lines.append(f"# {comment}")
-    lines.append(f"{g.n1} {g.n2} {g.m} {g.ubar}")
+    """Write a graph in the instance file format (deterministic row-major
+    order), one line at a time: no list of every line is held."""
     digits = len(str(g.weight_scale)) - 1
-    for u in range(g.n1):
-        row = g.weight[u]
-        for v in np.flatnonzero(row != ABSENT):
-            w = int(row[v])
-            if g.weight_scale == 1:
-                tok = str(w)
-            else:
-                frac = w % g.weight_scale
-                tok = f"{w // g.weight_scale}.{frac:0{digits}d}".rstrip("0").rstrip(".")
-            lines.append(f"{u} {int(v)} {tok}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for comment in header_comments or []:
+            fh.write(f"# {comment}\n")
+        fh.write(f"{g.n1} {g.n2} {g.m} {g.ubar}\n")
+        for u in range(g.n1):
+            row = g.weight[u]
+            for v in np.flatnonzero(row != ABSENT):
+                w = int(row[v])
+                if g.weight_scale == 1:
+                    tok = str(w)
+                else:
+                    frac = w % g.weight_scale
+                    tok = f"{w // g.weight_scale}.{frac:0{digits}d}".rstrip("0").rstrip(".")
+                fh.write(f"{u} {int(v)} {tok}\n")
 
 
 def solution_to_dict(g: BipartiteGraph, sol: Solution, seed: int,

@@ -16,11 +16,11 @@ partition crossover, mutation and two-level local search. Everything is
 driven by one seeded ``random.Random``, so identical inputs give bit-identical
 results.
 
-``evolve`` returns its final population with its best individual, and a
-later call may start from that population instead of ``init_population``:
-each part is re-scored on the new ``w`` and improved by the local search
-once, through the call's memo below, so a part carried in several copies
-costs one search. The outer solver changes its matching by one ban per iteration, so
+``evolve`` starts from ``init_population``'s constructions or from the final
+population an earlier call returned, and gives both one start step: each
+part is scored on the call's ``w`` and improved by the local search once,
+through the call's memo below, so a part held in several copies costs one
+search. The outer solver changes its matching by one ban per iteration, so
 only a few weights move between calls and a carried population starts close
 to converged (reusing a population when the fitness function shifts:
 Grefenstette, "Genetic algorithms for changing environments", PPSN 1992).
@@ -52,7 +52,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .numpart import _lightest_open, greedy_in_order, greedy_lpt, kk_multiway
+from .numpart import _lightest_open, greedy_in_order, greedy_lpt, kk_multiway, part_sums
 
 
 @dataclass
@@ -94,15 +94,9 @@ class Evolution(NamedTuple):
         return self.best.fitness
 
 
-def _part_sums(part, w: np.ndarray, m: int) -> np.ndarray:
-    sums = np.zeros(m, dtype=np.int64)
-    np.add.at(sums, part, w)
-    return sums
-
-
 def fitness_of(part, w: np.ndarray, m: int) -> tuple[int, ...]:
     """Partition sums sorted descending, as Python ints."""
-    return tuple(sorted(_part_sums(part, w, m).tolist(), reverse=True))
+    return tuple(sorted(part_sums(part, w, m).tolist(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +217,7 @@ def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
             hit = memo[key]
             return ind if hit is None else hit
     part = ind.part.copy()
-    sums = _part_sums(part, w, m)
+    sums = part_sums(part, w, m)
     sizes = np.bincount(part, minlength=m)
     funcs = [_LEVEL_FUNCS[lv] for lv in levels]
     moved_any = False
@@ -335,23 +329,20 @@ def mutate(ind: Individual, w: np.ndarray, ubar: int,
 def init_population(w: np.ndarray, m: int, ubar: int,
                     params: HgaParams, rng: random.Random | None = None) -> list[Individual]:
     """The LPT seed, the KK seed, then ``pop_size - 2`` greedy constructions
-    on shuffled item orders, each improved by MLS once. Raises
-    ``CapacityInfeasible`` (from ``greedy_lpt``) when m * ubar < len(w)."""
+    on shuffled item orders, each scored on ``w``; ``evolve`` improves them.
+    Raises ``CapacityInfeasible`` (from ``greedy_lpt``) when
+    m * ubar < len(w)."""
     if rng is None:
         rng = random.Random(params.rng_seed)
     n = len(w)
-
-    def improved(part: np.ndarray) -> Individual:
-        return mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar)
-
-    population = [improved(greedy_lpt(w, m, ubar)), improved(kk_multiway(w, m, ubar))]
-    while len(population) < params.pop_size:
+    parts = [greedy_lpt(w, m, ubar), kk_multiway(w, m, ubar)]
+    while len(parts) < params.pop_size:
         order = list(range(n))
         rng.shuffle(order)
         part = np.empty(n, dtype=np.int64)
         part[order] = greedy_in_order(w[order], m, ubar)
-        population.append(improved(part))
-    return population
+        parts.append(part)
+    return [Individual(part, fitness_of(part, w, m)) for part in parts]
 
 
 def _tournament(population: list[Individual], rng: random.Random) -> Individual:
@@ -366,11 +357,12 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     """Run the generational loop and return the best individual ever seen
     with the final population.
 
-    The loop starts from ``init_population`` or, when ``population`` is
-    given, from that population carried over from an earlier call: each
-    individual's part is re-scored on this ``w`` and improved by
-    ``mls_improve`` once. The carried parts are only read, so they may be
-    read-only; ``population`` must hold ``pop_size`` individuals.
+    The start population is ``init_population``'s or, when ``population``
+    is given, that population carried over from an earlier call; it must
+    hold ``pop_size`` individuals. Either way each start individual's part
+    is scored on this ``w`` and improved by ``mls_improve`` once, through
+    the call's memo. The start parts are only read, so carried ones may be
+    read-only.
 
     ``on_generation`` is called as
     ``on_generation(gen, population, incumbent)`` after each generation; the
@@ -395,10 +387,9 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     elif len(population) != params.pop_size:
         raise ValueError(f"population holds {len(population)} individuals, "
                          f"pop_size is {params.pop_size}")
-    else:
-        population = [mls_improve(Individual(ind.part, fitness_of(ind.part, w, m)),
-                                  w, ubar, memo=improved)
-                      for ind in population]
+    population = [mls_improve(Individual(ind.part, fitness_of(ind.part, w, m)),
+                              w, ubar, memo=improved)
+                  for ind in population]
     best = min(population, key=lambda ind: ind.fitness)
     bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
     stall = 0

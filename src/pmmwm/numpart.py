@@ -3,12 +3,14 @@ sets minimizing the maximum sum.
 
 Weights come as one int64 vector ``w`` indexed by U-vertex, and every
 partition is returned as one int64 array ``part`` with ``part[u]`` the
-partition of vertex u. Two constructors are provided: longest-processing-time
-greedy (LPT) and multi-way largest-differencing (Karmarkar-Karp), plus an
-exhaustive solver used as the test oracle. Both constructors are
-deterministic: items of equal weight are ordered by U-index and all ties
-break toward the lowest partition index. They seed the genetic algorithm's
-initial population; neither is an exact solver.
+partition of vertex u. ``part_sums`` is the package's one partition-sum
+routine, exact in int64, for the genetic algorithm and the solution alike.
+Two constructors are provided: longest-processing-time greedy (LPT) and
+multi-way largest-differencing (Karmarkar-Karp), plus an exhaustive solver
+used as the test oracle. Both constructors are deterministic: items of equal
+weight are ordered by U-index and all ties break toward the lowest partition
+index. They seed the genetic algorithm's initial population; neither is an
+exact solver.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ def _check_capacity(n: int, m: int, ubar: int) -> None:
         raise CapacityInfeasible(f"need m >= 1 and ubar >= 1, got m={m} ubar={ubar}")
     if m * ubar < n:
         raise CapacityInfeasible(f"m*ubar = {m * ubar} cannot hold {n} items")
+
+
+def part_sums(part, w, m: int) -> np.ndarray:
+    """The m partition sums of ``part``, as int64. Exact: ``np.bincount``
+    with weights would sum in float64 and round past 2**53."""
+    sums = np.zeros(m, dtype=np.int64)
+    np.add.at(sums, part, w)
+    return sums
 
 
 def _lightest_open(sums: list[int], sizes: list[int], ubar: int) -> int:

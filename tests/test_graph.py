@@ -171,6 +171,22 @@ class TestLoadInstance:
             tracemalloc.stop()
         assert peak < 8 * os.path.getsize(path)
 
+    def test_dense_save_peak_memory(self, tmp_path):
+        # A dense 300x300 graph writes a 1.0 MB file. Holding every line
+        # before joining them peaked at 8.1x the file size; written line by
+        # line, 0.07x: the file buffer and one row's indices.
+        n = 300
+        weight = np.random.default_rng(0).integers(0, 1001, (n, n))
+        g = BipartiteGraph(n, n, 10, n, weight)
+        path = str(tmp_path / "dense.txt")
+        tracemalloc.start()
+        try:
+            save_instance(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path) / 2
+
 
 def _outcome(loader, path):
     try:
@@ -381,6 +397,14 @@ class TestObjective:
                                       [(0, 0, 5), (1, 1, 7), (2, 2, 2)])
         sol = Solution(mate=[0, 1, 2], partition=PartitionAssignment(1, 3, [0, 0, 0]))
         assert partition_weights(g, sol) == [14]
+
+    def test_sums_exact_past_2_53(self):
+        # float64 sums would round 2**53 + 3 to 2**53 + 4
+        g = BipartiteGraph.from_edges(3, 3, 2, 3,
+                                      [(0, 0, 2**52), (1, 1, 2**52), (2, 2, 3)])
+        sol = Solution(mate=[0, 1, 2], partition=PartitionAssignment(2, 3, [0, 0, 0]))
+        assert partition_weights(g, sol) == [2**53 + 3, 0]
+        assert evaluate_objective(g, sol) == 2**53 + 3
 
     def test_objective_values(self, example_graph):
         assert evaluate_objective(example_graph, example_base_solution()) == 5

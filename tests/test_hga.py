@@ -339,11 +339,10 @@ class TestInitPopulation:
         items = items_of(8, 7, 6, 5, 4)
         params = HgaParams(pop_size=2, rng_seed=9)
         pop = init_population(items, 2, 5, params)
-        assert len(pop) == 2
-        lpt = mls_improve(individual(greedy_lpt(items, 2, 5), items, 2, 5), items, 5)
-        kk = mls_improve(individual(kk_multiway(items, 2, 5), items, 2, 5), items, 5)
-        assert pop[0].fitness == lpt.fitness
-        assert pop[1].fitness == kk.fitness
+        # the constructions as built and scored: evolve improves them
+        assert [(ind.part.tolist(), ind.fitness) for ind in pop] == [
+            (part.tolist(), fitness_of(part, items, 2))
+            for part in (greedy_lpt(items, 2, 5), kk_multiway(items, 2, 5))]
 
     def test_equal_items_all_balanced(self, monkeypatch):
         # every partition has fitness (8, 8), and each random individual is

@@ -9,6 +9,7 @@ from pmmwm.numpart import (
     greedy_lpt,
     kk_multiway,
     min_max_brute,
+    part_sums,
 )
 
 from oracles import brute_force_partition_min_max
@@ -27,6 +28,13 @@ def sums_of(part, w, m):
 
 def sizes_of(part, m):
     return np.bincount(part, minlength=m).tolist()
+
+
+class TestPartSums:
+    def test_exact_past_2_53(self):
+        # float64 sums would round 2**53 + 3 to 2**53 + 4
+        w = items_of(2**52, 2**52, 3)
+        assert part_sums(np.zeros(3, dtype=np.int64), w, 2).tolist() == [2**53 + 3, 0]
 
 
 class TestGreedyLpt:
