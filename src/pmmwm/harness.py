@@ -4,9 +4,8 @@
 matchings jointly with capacity-feasible partitions; it anchors the
 acceptance tests. ``baseline_ls`` is the deliberately simpler comparison
 solver: it runs ``orchestrator.run_loop``, the outer banning loop of
-``solve``, with the same ban policy (one ``BanList`` holds its bans and
-vetoes), but re-solves the matching from scratch every iteration, checks a
-ban's feasibility with a plain perfect-matching test, and partitions by
+``solve``, and bans and vetoes through the same ``modify_graph``, but
+re-solves the matching from scratch every iteration and partitions by
 greedy construction and relocation-only local search. It reports no lower
 bound, so it runs its full iteration budget at every m.
 ``bench`` runs a directory of instances and emits one CSV row per run;
@@ -37,7 +36,7 @@ from .graph import (
 from .hga import Individual, fitness_of, mls_improve
 from .matching import solve_full
 from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
-from .orchestrator import FimpParams, RunResult, ban_first, run_loop, solve
+from .orchestrator import FimpParams, RunResult, modify_graph, run_loop, solve
 
 ORACLE_MAX_N1 = 8
 ORACLE_MAX_NODES = 200_000
@@ -108,13 +107,12 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     """Comparison anchor: ``run_loop`` with a full matching re-solve, greedy
     construction and relocation-only local search in each step.
 
-    Bans age and are chosen by ``BanList.age`` and ``ban_first``, as in
-    ``solve``; the two ban loops differ only in the feasibility check and the
-    matching. Here a plain perfect-matching check vetoes a ban (not charged
-    to match time; only the per-iteration full solves are), and the next
-    step re-solves the matching instead of repairing it. It reports no
-    lower bound, so it always runs the full ``max_iterations``. m > n1 runs
-    as m = n1, as in ``solve``.
+    Bans age, are chosen and are vetoed by ``modify_graph`` on the state
+    the step just solved, as in ``solve``; the two ban loops differ only in
+    the matching, which the next step re-solves instead of repairing. Only
+    the full solves are charged to match time, not ``modify_graph``. It
+    reports no lower bound, so it always runs the full ``max_iterations``.
+    m > n1 runs as m = n1, as in ``solve``.
     """
     m = min(m, g.n1)
 
@@ -131,8 +129,7 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
 
         current = Solution(mate=st.mate_u.tolist(), objective=ind.fitness[0],
                            partition=PartitionAssignment(m, ubar, ind.part.tolist()))
-        bans.age(g)
-        ban_first(g, current, bans, params.tenure, lambda u, v: g.has_perfect_matching())
+        modify_graph(g, st, current, bans=bans, tenure=params.tenure)
         return current, match_s, part_s, None
 
     return run_loop(g, m, ubar, params, step)

@@ -6,12 +6,14 @@ Jonker-Volgenant style: it maintains vertex potentials ``alpha`` (on U) and
 every available edge) and a matching of tight edges. One *phase* rematches a
 single free U-vertex by running a potential-adjusted Dijkstra over the dense
 weight table and then shifting potentials so every matched edge is tight
-again. A perfect matching of tight edges under feasible potentials is a
-certificate of optimality, which is what makes incremental repair after an
-edge ban or restore sound: ``_rematch``, the only code that frees a matched
-row, frees the one row whose matched edge was disturbed and runs one phase.
-A phase reads only its start row's ``alpha``, and another start value shifts
-all of its distances alike, so ``solve_full`` starts every row at 0.
+again. When n2 == n1, a perfect matching of tight edges under feasible
+potentials is a certificate of optimality, which is what makes incremental
+repair after an edge ban or restore sound: ``_reprice``, the only code that
+changes an edge's cost after a solve, frees the one row whose matched edge
+was banned, or whose potential the restored cost undercuts, and runs one
+phase. When n2 > n1 the certificate also needs ``beta == 0`` on every
+unmatched column, which ``solve_full`` keeps but a repair does not, so a
+repaired matching can be heavier than ``solve_full``'s (ROADMAP item 7).
 
 Costs per call on an n1 x n2 table:
     solve_full          n1 phases, O(n1^2 * n2)
@@ -20,7 +22,9 @@ Costs per call on an n1 x n2 table:
 
 Absent and banned edges participate as a saturating "infinite" weight; a
 phase whose cheapest reachable free vertex costs that much reports
-NoPerfectMatching without mutating the state.
+NoPerfectMatching without mutating the state. That is the veto of both
+solvers' ban step (``orchestrator.modify_graph``), which differ only in
+whether the state they repair was carried or freshly solved.
 
 Each Dijkstra step of a phase settles one column in four in-place vector
 operations over preallocated rows, with no boolean fancy indexing: an
@@ -84,7 +88,7 @@ class MatchState:
     """Matching, dual potentials, and the effective weight table.
 
     ``eff`` mirrors the graph's weights with INF in place of absent or
-    banned edges; the repair operations keep it in sync one edge at a time.
+    banned edges; ``_reprice`` keeps it in sync one edge at a time.
     ``total_weight`` is read from ``eff`` and ``mate_u`` on each access.
     ``phase_count`` counts augmentation phases ever run on this state (tests
     use it to assert that repairs run at most one phase).
@@ -123,15 +127,19 @@ def _augment(st: MatchState, start_u: int) -> None:
     The settled columns and their distances are kept in two lists, in settle
     order, for the path recovery and the dual update.
 
+    ``alpha[start_u]`` is never read, as it shifts all distances alike:
+    they start at ``eff[start_u] - beta`` (>= 0, since eff >= 0 >= beta),
+    and the dual update sets ``alpha[start_u]`` to the path cost ``mu``.
+
     No predecessor array is kept. A column's distance is the minimum of its
     reduced cost from ``start_u`` and the candidates from the columns settled
     before it, and a strict-``<`` relaxation would have kept the first of
     these, in that order, that reaches the minimum. So, walking back from the
     free column, the predecessor of the column j settled at position p is
-    ``start_u`` if ``eff[start_u, j] - alpha[start_u] - beta[j]`` equals its
-    distance, and otherwise the column at the least position q < p whose
-    candidate ``eff[r_q, j] - alpha[r_q] + dist_q - beta[j]`` does, r_q being
-    the row matched to that column.
+    ``start_u`` if ``eff[start_u, j] - beta[j]`` equals its distance, and
+    otherwise the column at the least position q < p whose candidate
+    ``eff[r_q, j] - alpha[r_q] + dist_q - beta[j]`` does, r_q being the row
+    matched to that column.
 
     The dual update applied at the end is the accumulated-delta form of the
     classic per-iteration update, so dual feasibility and tightness of
@@ -142,8 +150,8 @@ def _augment(st: MatchState, start_u: int) -> None:
     eff, alpha, beta = st.eff, st.alpha, st.beta
     mate_u, mate_v = st.mate_u, st.mate_v
 
-    dist = eff[start_u] - alpha[start_u] - beta  # _MASKED once settled
-    base = -beta                                 # _MASKED - beta once settled
+    dist = eff[start_u] - beta  # _MASKED once settled
+    base = -beta                # _MASKED - beta once settled
     cand = np.empty(st.n2, dtype=np.int64)
     shift = np.empty((), dtype=np.int64)  # the step's dist[j] - alpha[r]
     # mate_v and alpha do not change until the dual update after the loop.
@@ -176,14 +184,13 @@ def _augment(st: MatchState, start_u: int) -> None:
     inner_dist = np.array(col_dist[:-1], dtype=np.int64)
     rows = mate_v[inner]
     offset = inner_dist - alpha[rows]  # candidate = eff[rows, j] + offset - beta[j]
-    start_alpha = int(alpha[start_u])
     path = []
     p = len(cols) - 1
     while True:
         j = cols[p]
         path.append(j)
         target = col_dist[p] + int(beta[j])
-        if int(eff[start_u, j]) - start_alpha == target:
+        if int(eff[start_u, j]) == target:
             break
         p = int((eff[rows[:p], j] + offset[:p] == target).argmax())
 
@@ -193,7 +200,7 @@ def _augment(st: MatchState, start_u: int) -> None:
     adj = mu - inner_dist
     alpha[rows] += adj
     beta[inner] -= adj
-    alpha[start_u] += mu
+    alpha[start_u] = mu
 
     # Flip the path: each column takes the row of the column before it.
     for j, jprev in zip(path, path[1:]):
@@ -204,19 +211,26 @@ def _augment(st: MatchState, start_u: int) -> None:
     mate_u[start_u] = path[-1]
 
 
-def _rematch(st: MatchState, u: int, alpha_u: int) -> None:
-    """Free row ``u`` and its column and rematch u in one phase from ``alpha_u``,
-    at most u's least reduced cost; on NoPerfectMatching put all three back."""
-    v, old_alpha = int(st.mate_u[u]), int(st.alpha[u])
+def _reprice(st: MatchState, u: int, v: int, w: int) -> None:
+    """Set the cost of edge (u, v) to ``w`` and repair the matching.
+
+    If (u, v) is u's matched edge, or ``w`` is below ``alpha[u] + beta[v]``,
+    row u and its column are freed and u is rematched in one phase; otherwise
+    the state is already optimal. On NoPerfectMatching the old cost and both
+    mates are put back before the exception propagates.
+    """
+    old_w, old_v = int(st.eff[u, v]), int(st.mate_u[u])
+    st.eff[u, v] = w
+    if old_v != v and int(st.alpha[u]) + int(st.beta[v]) <= w:
+        return
     st.mate_u[u] = FREE
-    st.mate_v[v] = FREE
-    st.alpha[u] = alpha_u
+    st.mate_v[old_v] = FREE
     try:
         _augment(st, u)
     except NoPerfectMatching:
-        st.mate_u[u] = v
-        st.mate_v[v] = u
-        st.alpha[u] = old_alpha
+        st.eff[u, v] = old_w
+        st.mate_u[u] = old_v
+        st.mate_v[old_v] = u
         raise
 
 
@@ -233,23 +247,17 @@ def solve_full(g: BipartiteGraph) -> MatchState:
 def repair_after_ban(g: BipartiteGraph, st: MatchState, u: int, v: int) -> MatchState:
     """Re-optimize after edge (u, v) was banned in ``g``.
 
-    If the edge was unmatched, potentials and matching are untouched and the
-    state is already optimal. If it was matched, one phase rematches u from
-    its current ``alpha``, which stays feasible once the edge costs INF.
+    ``_reprice`` sets the edge's cost to INF: an unmatched edge leaves the
+    state as it is, a matched one costs one phase that rematches u.
 
     On NoPerfectMatching the ban destroyed feasibility: the state is rolled
     back to the pre-ban optimum and the caller MUST unban (u, v) in the graph
-    to restore graph/state consistency.
+    to restore graph/state consistency. Raises ValueError, state untouched,
+    if (u, v) is not banned in ``g``.
     """
     if not g.banned[u, v]:
         raise ValueError(f"repair_after_ban: edge ({u}, {v}) is not banned")
-    st.eff[u, v] = INF
-    if st.mate_u[u] == v:
-        try:
-            _rematch(st, u, int(st.alpha[u]))
-        except NoPerfectMatching:
-            st.eff[u, v] = int(g.weight[u, v])
-            raise
+    _reprice(st, u, v, INF)
     if _checks_enabled():
         check_invariants(g, st)
     return st
@@ -259,32 +267,28 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
                   released: set[tuple[int, int]]) -> MatchState:
     """Re-optimize after a set of edges was unbanned in ``g``.
 
-    Sequential incremental repairs in sorted edge order, at most one phase
-    per edge (the eff table lags the graph until each edge's turn, which is
-    sound: the state stays optimal for the partially-restored graph). A
-    restored edge that satisfies dual feasibility leaves the state unchanged;
-    otherwise one phase rematches u from its least reduced cost.
-    Restoring edges cannot destroy feasibility, so this never raises
-    NoPerfectMatching.
+    ``_reprice`` restores each edge's weight in sorted edge order, at most
+    one phase per edge (the eff table lags the graph until each edge's turn,
+    which is sound: the state stays optimal for the partially-restored
+    graph). Restoring edges cannot destroy feasibility, so this never raises
+    NoPerfectMatching. Raises ValueError, state untouched, if any edge is
+    not available in ``g``; every edge is checked before any is restored.
     """
     edges = sorted(released)
     for (u, v) in edges:
         if g.banned[u, v] or not g.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) is not available")
-        w = int(g.weight[u, v])
-        st.eff[u, v] = w
-        if int(st.alpha[u]) + int(st.beta[v]) <= w:
-            continue
-        # u's least reduced cost is at most w - beta[v], below the alpha[u] that
-        # made u's matched edge tight, so that edge is slack: u always rematches.
-        _rematch(st, u, int((st.eff[u] - st.beta).min()))
+    for (u, v) in edges:
+        _reprice(st, u, v, int(g.weight[u, v]))
     if edges and _checks_enabled():
         check_invariants(g, st)
     return st
 
 
 def check_invariants(g: BipartiteGraph, st: MatchState) -> None:
-    """Full optimality-certificate scan; raises AssertionError on violation."""
+    """Optimality-certificate scan; raises AssertionError on violation. It
+    certifies optimality only when n2 == n1: it does not require ``beta == 0``
+    on unmatched columns, so it passes a heavier repair (ROADMAP item 7)."""
     n1, n2 = g.n1, g.n2
     avail = g.available_mask()
     expected_eff = np.where(avail, g.weight, INF)

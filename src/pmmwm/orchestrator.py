@@ -15,7 +15,11 @@ checks, the time limit, the incumbent, the trace, the ``BanList`` and the
 graph's ban flags; each supplies only its per-iteration step. The
 ``BanList`` is the whole ban policy's state: the active bans and the vetoes
 (bans found to leave no perfect matching), each with its remaining tenure;
-``BanList.age`` expires both and ``ban_first`` picks the next ban.
+``BanList.age`` expires both and ``modify_graph`` picks the next ban. The
+two solvers differ only in the matching each step starts from and in how
+they partition it: ``solve`` repairs one matching state across the run,
+``baseline_ls`` solves a fresh one every step, and both ban and veto
+through ``modify_graph`` on that state.
 
 ``max_iterations`` is a cap, not a count. Every solution's heaviest
 partition weighs at least ceil(W*/m), where W* is the weight of a
@@ -115,12 +119,21 @@ class RunResult:
     stats: RunStats
 
 
-def ban_first(g: BipartiteGraph, sol: Solution, bans: BanList, tenure: int,
-              feasible: Callable[[int, int], bool]) -> None:
-    """Ban the heaviest matched edge (u, v) of the heaviest partition (ties:
-    lowest partition index, then lowest U-index) that is neither banned nor
-    vetoed and that ``feasible(u, v)`` accepts once banned. A rejected edge is
-    unbanned and vetoed for ``tenure`` iterations; none left: no ban."""
+def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
+                 bans: BanList, tenure: int) -> MatchState:
+    """One graph-modification step; repairs ``st`` in place and returns it.
+
+    ``bans.age`` lifts the expired bans and ``batch_resolve`` re-matches
+    around them. Then the heaviest matched edge (u, v) of ``sol``'s heaviest
+    partition (ties: lowest partition index, then lowest U-index) that is
+    neither banned nor vetoed is banned for ``tenure`` iterations, unless
+    ``repair_after_ban`` finds that no perfect matching survives the ban: the
+    edge is then unbanned, vetoed for ``tenure`` iterations, and the next one
+    is tried. None left: no ban. ``st`` must be the matcher's state for
+    ``g`` as it stands, as ``solve``'s repaired state and ``baseline_ls``'s
+    fresh solve both are.
+    """
+    batch_resolve(g, st, set(bans.age(g)))
     sums = partition_weights(g, sol)
     heaviest = sums.index(max(sums))
     part_of, mate = sol.partition.part_of, sol.mate
@@ -130,32 +143,14 @@ def ban_first(g: BipartiteGraph, sol: Solution, bans: BanList, tenure: int,
         if (u, v) in bans.vetoed or (u, v) in bans.entries:
             continue
         g.ban_edge(u, v)
-        if feasible(u, v):
-            bans.entries[(u, v)] = tenure
-            return
-        g.unban_edge(u, v)
-        bans.vetoed[(u, v)] = tenure
-
-
-def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
-                 bans: BanList, tenure: int) -> MatchState:
-    """One graph-modification step; repairs ``st`` in place and returns it.
-
-    ``bans.age`` lifts the expired bans and ``batch_resolve`` re-matches
-    around them; then ``ban_first`` bans the next edge of ``sol`` for
-    ``tenure`` iterations, vetoing any ban that ``repair_after_ban`` finds
-    leaves no perfect matching.
-    """
-    batch_resolve(g, st, set(bans.age(g)))
-
-    def repaired(u: int, v: int) -> bool:
         try:
             repair_after_ban(g, st, u, v)
         except NoPerfectMatching:
-            return False
-        return True
-
-    ban_first(g, sol, bans, tenure, repaired)
+            g.unban_edge(u, v)
+            bans.vetoed[(u, v)] = tenure
+            continue
+        bans.entries[(u, v)] = tenure
+        break
     return st
 
 

@@ -154,6 +154,41 @@ class TestRepairAfterBan:
                 check_invariants(g, st)
                 assert st.total_weight == solve_full(g).total_weight
 
+    def test_unbanned_edge_raises_with_state_untouched(self):
+        g = complete([[1, 2], [2, 1]])
+        st = solve_full(g)
+        before = _snapshot(st)
+        with pytest.raises(ValueError, match="not banned"):
+            repair_after_ban(g, st, 0, 0)
+        assert _snapshot(st) == before
+
+    @pytest.mark.parametrize("extra_cols", [0, 2])
+    def test_veto_iff_kuhn_check_fails(self, extra_cols):
+        """A ban is vetoed exactly when the plain perfect-matching check
+        fails on the graph with the ban, on sparse graphs where both
+        outcomes are common."""
+        outcomes = {True: 0, False: 0}
+        for seed in range(150):
+            rng = random.Random(seed)
+            n1 = rng.randint(2, 8)
+            g = random_dense_graph(n1, n1 + extra_cols, 1, n1, rng, density=0.25)
+            st = solve_full(g)
+            for _ in range(8):
+                u = rng.randrange(n1)
+                cols = [v for v in range(g.n2) if g.is_available(u, v)]
+                v = int(st.mate_u[u]) if rng.random() < 0.75 else rng.choice(cols)
+                g.ban_edge(u, v)
+                feasible = g.has_perfect_matching()
+                try:
+                    repair_after_ban(g, st, u, v)
+                    vetoed = False
+                except NoPerfectMatching:
+                    g.unban_edge(u, v)
+                    vetoed = True
+                assert vetoed == (not feasible), (seed, u, v)
+                outcomes[vetoed] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
     @pytest.mark.xfail(strict=True, reason=(
         "with n2 > n1 a ban frees a column with beta < 0, and the repair phase "
         "stops at the first free column by reduced distance, ignoring that beta"))
@@ -287,6 +322,23 @@ class TestBatchResolve:
         check_invariants(g, st)
         assert st.total_weight == original
         assert st.phase_count - phases <= len(bans)
+
+    def test_unavailable_edge_raises_before_any_restore(self):
+        g = complete([[1, 2, 3], [3, 1, 2], [2, 3, 1]])
+        st = solve_full(g)
+        edges = [(0, 1), (1, 2), (2, 0)]
+        for (u, v) in edges:
+            g.ban_edge(u, v)
+            repair_after_ban(g, st, u, v)
+        g.unban_edge(0, 1)
+        g.unban_edge(2, 0)
+        before = _snapshot(st)
+        with pytest.raises(ValueError, match=r"\(1, 2\) is not available"):
+            batch_resolve(g, st, set(edges))
+        assert _snapshot(st) == before
+        g.ban_edge(0, 1)
+        g.ban_edge(2, 0)
+        check_invariants(g, st)
 
 
 def _reference_phase(st, start_u):
