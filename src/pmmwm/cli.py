@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import os
 import sys
 
@@ -113,14 +112,14 @@ def _nonempty(cell: str) -> str:
 
 def _instances_from_args(args) -> list[tuple[str, str]]:
     """(path, id) pairs listed by ``--manifest``, else by ``--dir``'s
-    manifest.csv when it has one, else every ``*.txt`` file in ``--dir``.
+    manifest.csv when it has one, else each ``*.txt`` non-dot file in ``--dir``.
     Manifest paths resolve relative to the manifest's directory."""
     manifest = args.manifest
     if not manifest:
         manifest = os.path.join(args.dir, "manifest.csv")
         if not os.path.exists(manifest):
-            paths = sorted(glob.glob(os.path.join(args.dir, "*.txt")))
-            return [(p, os.path.basename(p)) for p in paths]
+            names = sorted(n for n in os.listdir(args.dir) if n.endswith(".txt") and n[0] != ".")
+            return [(os.path.join(args.dir, n), n) for n in names]
     base = os.path.dirname(manifest)
     return [(os.path.join(base, row["file"]), row["file"])
             for row in read_csv(manifest, {"file": _nonempty})]

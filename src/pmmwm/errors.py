@@ -12,7 +12,7 @@ class PmmwmError(Exception):
 
 
 class ParseError(PmmwmError):
-    """Instance or solution file is malformed."""
+    """An input file or weight table is malformed; a file's message starts with its path."""
 
     exit_code = 3
 

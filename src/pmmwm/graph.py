@@ -6,8 +6,7 @@ capacity ``ubar``. Weights are stored in a dense n1 x n2 integer table; absent
 edges are marked with the ``ABSENT`` sentinel. Weights given as decimals in
 instance files (at most 6 fractional digits) are scaled to integers at load so
 that all downstream arithmetic is exact; ``weight_scale`` records the factor.
-Integer-weight ASCII files load through a bulk fast path, every other file
-through the line-by-line parser, which also names a bad file's first fault.
+Every file reader decodes by ``read_utf8`` and starts each fault with path and line.
 
 An edge is *available* iff it is present and not banned. Ban flags are the
 only mutable part of a graph after load; they are driven by the solver's
@@ -19,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -252,6 +252,23 @@ def validate_solution(g: BipartiteGraph, sol: Solution) -> Optional[Violation]:
     return None
 
 
+def _fault_at(path: str, before: str, message: str) -> ParseError:
+    """``message`` at the end of ``before``, the text of ``path`` up to a fault."""
+    lines = _LINE_BREAK.split(before)
+    return ParseError(f"{path}: line {len(lines)}, column {len(lines[-1]) + 1}: {message}")
+
+
+def read_utf8(path: str, data: bytes | None = None) -> str:
+    """The text of file ``path`` (of its bytes ``data`` if already read): the
+    only UTF-8 decode of file bytes. LF, CRLF and CR each end a line."""
+    data = Path(path).read_bytes() if data is None else data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _fault_at(path, data[:exc.start].decode("utf-8"),
+                        f"byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
 def _parse_bulk(data: bytes):
     """(n1, n2, m, ubar, weight, 1) of a valid ASCII integer-weight file, else None.
 
@@ -304,7 +321,8 @@ def _parse_bulk(data: bytes):
         return None
 
     u, v, w = values[4:].reshape(-1, 3).T
-    if len(w) and (u.max() >= n1 or v.max() >= n2 or w.max() > MAX_WEIGHT):
+    if len(w) and (u.max() >= n1 or v.max() >= n2
+                   or w.max() > min(MAX_WEIGHT, MAX_TOTAL_WEIGHT // n1)):
         return None
     weight = np.full((n1, n2), ABSENT, dtype=np.int64)
     weight.reshape(-1)[u * n2 + v] = w
@@ -315,7 +333,7 @@ def _parse_bulk(data: bytes):
 
 def _parse_lines(data: bytes, path: str):
     """(n1, n2, m, ubar, weight, weight_scale) of a valid file, else the
-    ParseError of its first fault.
+    ParseError of its first fault, as ``{path}: line N: ...``.
 
     Walks the file line by line in the order the faults are reported:
     encoding, header, each edge line, then scaled weights and duplicates in
@@ -323,60 +341,58 @@ def _parse_lines(data: bytes, path: str):
     digits; every weight is then scaled to the file's largest d, and
     ``weight_scale`` is 10 to that power.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8"))) + 1
-        raise ParseError(f"line {lineno}: not UTF-8 text") from None
+    def fault(lineno: int, message: str) -> ParseError:
+        return ParseError(f"{path}: line {lineno}: {message}")
 
+    text = read_utf8(path, data)
     # (line number, tokens) of each line holding a token, one line at a time:
     # a list of every line's tokens would be most of the peak memory.
     rows = ((lineno, toks) for lineno, line in enumerate(_LINE_BREAK.split(text), start=1)
             if (toks := _TOKEN.findall(line.split("#", 1)[0])))
-    first = next(rows, None)
-    if first is None:
-        raise ParseError(f"{path}: empty instance file")
-    lineno, header = first
+    lineno, header = next(rows, (1, None))
+    if header is None:
+        raise fault(lineno, "empty instance file")
     if len(header) != 4:
-        raise ParseError(f"line {lineno}: header must be 'n1 n2 m ubar'")
+        raise fault(lineno, "header must be 'n1 n2 m ubar'")
     if not all(_UINT.fullmatch(tok) for tok in header):
-        raise ParseError(f"line {lineno}: header must be integers")
+        raise fault(lineno, "header must be integers")
     n1, n2, m, ubar = (int(tok) for tok in header)
     if n1 < 1 or n2 < n1:
-        raise ParseError(f"line {lineno}: need 1 <= n1 <= n2")
+        raise fault(lineno, "need 1 <= n1 <= n2")
     if m < 1 or ubar < 1:
-        raise ParseError(f"line {lineno}: need m >= 1 and ubar >= 1")
+        raise fault(lineno, "need m >= 1 and ubar >= 1")
     if n1 * n2 > MAX_CELLS:
-        raise ParseError(f"line {lineno}: n1 * n2 = {n1 * n2} is more than {MAX_CELLS} cells")
+        raise fault(lineno, f"n1 * n2 = {n1 * n2} is more than {MAX_CELLS} cells")
 
     edges: list[tuple[int, int, int, str, int, int]] = []
     for lineno, toks in rows:
         if len(toks) != 3:
-            raise ParseError(f"line {lineno}: edge line must be 'u v w'")
+            raise fault(lineno, "edge line must be 'u v w'")
         if not (_UINT.fullmatch(toks[0]) and _UINT.fullmatch(toks[1])):
-            raise ParseError(f"line {lineno}: bad vertex index")
+            raise fault(lineno, "bad vertex index")
         u, v, tok = int(toks[0]), int(toks[1]), toks[2]
         if not (u < n1 and v < n2):
-            raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range")
+            raise fault(lineno, f"edge ({u}, {v}) out of range")
         negative = tok.startswith("-")
         match = _WEIGHT.fullmatch(tok[1:] if negative else tok)
         if match is None or not (match[1] or match[2]):
-            raise ParseError(f"line {lineno}: bad weight {tok!r}")
+            raise fault(lineno, f"bad weight {tok!r}")
         if negative:
-            raise ParseError(f"line {lineno}: negative weight {tok!r}")
+            raise fault(lineno, f"negative weight {tok!r}")
         frac = (match[2] or "").rstrip("0")
         if len(frac) > 6:
-            raise ParseError(f"line {lineno}: more than 6 fractional digits in {tok!r}")
+            raise fault(lineno, f"more than 6 fractional digits in {tok!r}")
         edges.append((lineno, u, v, tok, int((match[1] or "0") + frac), len(frac)))
 
     digits = max((d for *_, d in edges), default=0)
+    limit = min(MAX_WEIGHT, MAX_TOTAL_WEIGHT // n1)  # the constructor's two guards
     cells: dict[tuple[int, int], int] = {}
     for lineno, u, v, tok, value, d in edges:
         scaled = value * 10 ** (digits - d)
-        if scaled > MAX_WEIGHT:
-            raise ParseError(f"line {lineno}: weight {tok!r} is more than {MAX_WEIGHT} when scaled")
+        if scaled > limit:
+            raise fault(lineno, f"weight {tok!r} is more than {limit} when scaled")
         if (u, v) in cells:
-            raise ParseError(f"{path}: duplicate edge ({u}, {v})")
+            raise fault(lineno, f"duplicate edge ({u}, {v})")
         cells[u, v] = scaled
     weight = np.full((n1, n2), ABSENT, dtype=np.int64)
     for (u, v), scaled in cells.items():
@@ -400,13 +416,10 @@ def load_instance(path: str) -> BipartiteGraph:
     into the weight table. Every other file (a decimal weight, a non-ASCII
     byte or any fault) goes to ``_parse_lines``, which walks it line by line
     and returns its table or raises the ParseError of its first fault, as
-    ``line N: ...``; that path is several times slower.
+    ``{path}: line N: ...``; that path is several times slower. An unreadable
+    path raises its OSError.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    data = Path(path).read_bytes()
     n1, n2, m, ubar, weight, scale = _parse_bulk(data) or _parse_lines(data, path)
     g = BipartiteGraph(n1, n2, m, ubar, weight, weight_scale=scale)
     if m * ubar < n1:
@@ -460,8 +473,9 @@ def save_json(path: str, payload: dict) -> None:
 
 
 def load_solution(path: str) -> dict:
+    """A solution file's payload; a JSON fault is named as ``read_utf8`` names a bad byte."""
+    text = read_utf8(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read solution {path}: {exc}") from exc
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _fault_at(path, text[:exc.pos], exc.msg) from exc

@@ -32,6 +32,7 @@ from .graph import (
     PartitionAssignment,
     Solution,
     load_instance,
+    read_utf8,
 )
 from .hga import Individual, fitness_of, mls_improve
 from .matching import solve_full
@@ -260,28 +261,14 @@ _REPORT_PARSERS = {
 _OPTIONAL_REPORT_COLUMNS = ("lower_bound", "certified_optimal")
 
 
-def read_utf8(path: str) -> str:
-    """The text of ``path``. Raises ParseError naming the file, the line and
-    the column of the first byte that is not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        col = exc.start - data.rfind(b"\n", 0, exc.start)
-        raise ParseError(f"{path}: line {line}, column {col}: byte "
-                         f"{data[exc.start]:#04x} is not UTF-8") from exc
-
-
 def read_csv(path: str, parsers: dict, optional: tuple[str, ...] = ()) -> list[dict]:
     """Read a CSV with a header line into one dict per row, holding
     ``parsers[col](cell)`` for each column of ``parsers``. A column named in
     ``optional`` may be missing from the header; its key is then left out.
     A row without a cell for a column of its header is an error.
 
-    Raises ParseError naming the file, the line and the column of a missing
-    column, a cell that does not parse, or a byte that is not UTF-8.
+    Raises OSError if ``path`` cannot be read, else ParseError naming the file,
+    the line and the column of a missing column, a bad cell or a non-UTF-8 byte.
     """
     reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
     rows = []

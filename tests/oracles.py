@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from pmmwm.errors import InfeasibleInstance, ParseError
-from pmmwm.graph import ABSENT, MAX_CELLS, MAX_WEIGHT, BipartiteGraph
+from pmmwm.graph import ABSENT, MAX_CELLS, MAX_TOTAL_WEIGHT, MAX_WEIGHT, BipartiteGraph
 
 # Small enough that a whole row of sentinels cannot overflow int64 when summed.
 _BIG = 1 << 56
@@ -323,18 +323,19 @@ def _is_ascii_uint(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _reference_weight(token: str, lineno: int) -> tuple[int, int]:
-    """A weight token as (value scaled by 10**digits, digits)."""
+def _reference_weight(token: str, fault) -> tuple[int, int]:
+    """A weight token as (value scaled by 10**digits, digits); ``fault(text)``
+    is the ParseError of a bad one."""
     text = token[1:] if token.startswith("-") else token
     int_part, _, frac = text.partition(".")
     if not (int_part or frac) or not all(
             part == "" or _is_ascii_uint(part) for part in (int_part, frac)):
-        raise ParseError(f"line {lineno}: bad weight {token!r}")
+        raise fault(f"bad weight {token!r}")
     if token.startswith("-"):
-        raise ParseError(f"line {lineno}: negative weight {token!r}")
+        raise fault(f"negative weight {token!r}")
     frac = frac.rstrip("0")
     if len(frac) > 6:
-        raise ParseError(f"line {lineno}: more than 6 fractional digits in {token!r}")
+        raise fault(f"more than 6 fractional digits in {token!r}")
     return int(int_part or "0") * 10 ** len(frac) + int(frac or "0"), len(frac)
 
 
@@ -344,21 +345,23 @@ def load_instance_reference(path: str) -> BipartiteGraph:
     Reads the file as text with universal newlines, splits each line on
     ASCII blanks and checks every token with Python's own ``str`` methods and
     ``int``. Faults are raised in file order: encoding, header, each edge
-    line, then scaled weights and duplicate edges.
+    line, then scaled weights and duplicate edges, each as
+    ``{path}: line N: ...``; a byte that is not UTF-8 also names its column
+    (in characters, from 1). A path that cannot be read raises its OSError.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[:exc.start].decode("utf-8")
-        lineno = len(io.StringIO(before, newline=None).readlines()) or 1
-        if before.endswith(("\n", "\r")):
-            lineno += 1
-        raise ParseError(f"line {lineno}: not UTF-8 text") from None
+        before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).readlines()
+        if not before or before[-1].endswith("\n"):
+            before.append("")
+        raise ParseError(f"{path}: line {len(before)}, column {len(before[-1]) + 1}: "
+                         f"byte {data[exc.start]:#04x} is not UTF-8") from None
+
+    def fault(lineno: int, message: str) -> ParseError:
+        return ParseError(f"{path}: line {lineno}: {message}")
 
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -370,42 +373,44 @@ def load_instance_reference(path: str) -> BipartiteGraph:
             rows.append((lineno, toks))
 
     if not rows:
-        raise ParseError(f"{path}: empty instance file")
+        raise fault(1, "empty instance file")
     lineno, header = rows[0]
     if len(header) != 4:
-        raise ParseError(f"line {lineno}: header must be 'n1 n2 m ubar'")
+        raise fault(lineno, "header must be 'n1 n2 m ubar'")
     if not all(_is_ascii_uint(tok) for tok in header):
-        raise ParseError(f"line {lineno}: header must be integers")
+        raise fault(lineno, "header must be integers")
     n1, n2, m, ubar = (int(tok) for tok in header)
     if n1 < 1 or n2 < n1:
-        raise ParseError(f"line {lineno}: need 1 <= n1 <= n2")
+        raise fault(lineno, "need 1 <= n1 <= n2")
     if m < 1 or ubar < 1:
-        raise ParseError(f"line {lineno}: need m >= 1 and ubar >= 1")
+        raise fault(lineno, "need m >= 1 and ubar >= 1")
     if n1 * n2 > MAX_CELLS:
-        raise ParseError(f"line {lineno}: n1 * n2 = {n1 * n2} is more than {MAX_CELLS} cells")
+        raise fault(lineno, f"n1 * n2 = {n1 * n2} is more than {MAX_CELLS} cells")
 
     edges = []
     max_digits = 0
     for lineno, toks in rows[1:]:
         if len(toks) != 3:
-            raise ParseError(f"line {lineno}: edge line must be 'u v w'")
+            raise fault(lineno, "edge line must be 'u v w'")
         if not (_is_ascii_uint(toks[0]) and _is_ascii_uint(toks[1])):
-            raise ParseError(f"line {lineno}: bad vertex index")
+            raise fault(lineno, "bad vertex index")
         u, v = int(toks[0]), int(toks[1])
         if not (u < n1 and v < n2):
-            raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range")
-        value, digits = _reference_weight(toks[2], lineno)
+            raise fault(lineno, f"edge ({u}, {v}) out of range")
+        value, digits = _reference_weight(toks[2], lambda text: fault(lineno, text))
         max_digits = max(max_digits, digits)
         edges.append((lineno, u, v, toks[2], value, digits))
 
     weight = np.full((n1, n2), ABSENT, dtype=np.int64)
     for lineno, u, v, token, value, digits in edges:
         scaled = value * 10 ** (max_digits - digits)
-        if scaled > MAX_WEIGHT:
-            raise ParseError(
-                f"line {lineno}: weight {token!r} is more than {MAX_WEIGHT} when scaled")
+        # The BipartiteGraph guards: each weight at most MAX_WEIGHT, n1 times
+        # the largest at most MAX_TOTAL_WEIGHT.
+        if scaled > MAX_WEIGHT or n1 * scaled > MAX_TOTAL_WEIGHT:
+            limit = min(MAX_WEIGHT, MAX_TOTAL_WEIGHT // n1)
+            raise fault(lineno, f"weight {token!r} is more than {limit} when scaled")
         if weight[u, v] != ABSENT:
-            raise ParseError(f"{path}: duplicate edge ({u}, {v})")
+            raise fault(lineno, f"duplicate edge ({u}, {v})")
         weight[u, v] = scaled
 
     g = BipartiteGraph(n1, n2, m, ubar, weight, weight_scale=10 ** max_digits)

@@ -10,7 +10,8 @@ import pytest
 import pmmwm
 from pmmwm.cli import _add_solver_flags, _params_from, build_parser, main
 from pmmwm.graph import load_instance, load_solution, save_instance
-from pmmwm.harness import REPORT_COLUMNS, RunReport, read_reports, write_reports
+from pmmwm.errors import ParseError
+from pmmwm.harness import REPORT_COLUMNS, RunReport, read_csv, read_reports, write_reports
 from pmmwm.hga import HgaParams
 from pmmwm.orchestrator import FimpParams, RunResult, RunStats
 
@@ -207,14 +208,14 @@ class TestErrorCodes:
 
     @pytest.mark.parametrize("body, message", [
         (b"1 1 1 1\n0 0 100000000000000000000\n", "line 2: weight '1000"),
-        (b"1 1 1 1\n0 0 1\xff\n", "line 2: not UTF-8 text"),
+        (b"1 1 1 1\n0 0 1\xff\n", "line 2, column 6: byte 0xff is not UTF-8"),
     ], ids=["oversized-weight", "non-utf-8"])
     def test_unreadable_token_exit_3(self, tmp_path, capsys, body, message):
         path = tmp_path / "broken.txt"
         path.write_bytes(body)
         assert run_cli(["solve", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
 
     @pytest.mark.parametrize("body, message", [
         (b"id,path\na,a.txt\n", "line 1: missing column 'file'"),
@@ -263,7 +264,7 @@ class TestErrorCodes:
         assert message in err and "Traceback" not in err
 
     def test_missing_file_io(self, capsys):
-        assert run_cli(["solve", "/nonexistent/path.txt"]) == 3
+        assert run_cli(["solve", "/nonexistent/path.txt"]) == 6
 
     def test_invalid_solution_exit_7(self, example_file, monkeypatch, capsys):
         sol = example_base_solution()
@@ -439,6 +440,79 @@ class TestCompareMalformed:
     def test_non_utf8_byte(self, tmp_path, capsys):
         err = self._compare(tmp_path, capsys, self.HEADER + b"\xff" + self.GOOD_ROW)
         assert "line 2, column 1" in err
+
+
+class TestOneInputRule:
+    """Every reader of an input file follows one rule: a path that cannot be
+    read raises its OSError (exit 6), and a fault of a file that was read is
+    a ParseError (exit 3) that starts with the file's path and its line, with
+    lines ended by LF, CRLF or CR alike."""
+
+    # reader, file name, and the file's two lines
+    READERS = {
+        "instance": (load_instance, "inst.txt", b"1 1 1 1", b"0 0 1"),
+        "csv": (lambda path: read_csv(path, {"file": str}), "manifest.csv",
+                b"file", b"a.txt"),
+        "solution": (load_solution, "sol.json", b"{", b'"seed": 1}'),
+    }
+    ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+    @pytest.mark.parametrize("end", ENDS)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_byte_names_file_line_and_column(self, tmp_path, reader, end):
+        load, name, first, second = self.READERS[reader]
+        path = tmp_path / name
+        eol = self.ENDS[end]
+        path.write_bytes(first + eol + second[:2] + b"\xff" + second[2:] + eol)
+        with pytest.raises(ParseError) as exc:
+            load(str(path))
+        assert str(exc.value) == f"{path}: line 2, column 3: byte 0xff is not UTF-8"
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_missing_path_raises_os_error(self, tmp_path, reader):
+        load, name, *_ = self.READERS[reader]
+        with pytest.raises(FileNotFoundError):
+            load(str(tmp_path / name))
+
+    @pytest.mark.parametrize("end", ENDS)
+    def test_json_fault_names_file_line_and_column(self, tmp_path, end):
+        path = tmp_path / "sol.json"
+        path.write_bytes(self.ENDS[end].join([b"{", b'"seed": 1,', b"}"]))
+        with pytest.raises(ParseError) as exc:
+            load_solution(str(path))
+        assert str(exc.value) == (f"{path}: line 3, column 1: "
+                                  "Expecting property name enclosed in double quotes")
+
+    # ``solve`` is test_missing_file_io's case.
+    @pytest.mark.parametrize("command", [["oracle"], ["compare", "x.csv"]])
+    def test_missing_path_exits_6(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing")
+        assert run_cli(command[:1] + [missing] + command[1:]) == 6
+        assert capsys.readouterr().err.startswith("io error: ")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bench_dir_names_the_malformed_file(self, tmp_path, capsys, jobs):
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        run_cli(["generate", "--n1", "5", "--m", "2", "--ubar", "3",
+                 "--out", str(inst_dir / "a.txt")])
+        (inst_dir / "b.txt").write_text("1 1 1 1\n0 0 x\n")
+        capsys.readouterr()
+        assert run_cli(["bench", "--dir", str(inst_dir), "--out", str(tmp_path / "runs.csv"),
+                        "--jobs", jobs, "--max-iterations", "2", "--pop-size", "4"]) == 3
+        assert capsys.readouterr().err == f"error: {inst_dir / 'b.txt'}: line 2: bad weight 'x'\n"
+
+    def test_bench_missing_dir_exits_6(self, tmp_path, capsys):
+        assert run_cli(["bench", "--dir", str(tmp_path / "missing"),
+                        "--out", str(tmp_path / "runs.csv")]) == 6
+        assert capsys.readouterr().err.startswith("io error: ")
+
+    def test_bench_dir_without_instances_exits_2(self, tmp_path, capsys):
+        # Only ``*.txt`` names that do not start with a dot are instances.
+        (tmp_path / ".hidden.txt").write_text("not an instance\n")
+        (tmp_path / "notes.md").write_text("not an instance\n")
+        assert run_cli(["bench", "--dir", str(tmp_path), "--out", str(tmp_path / "runs.csv")]) == 2
+        assert capsys.readouterr().err == "no instances found\n"
 
 
 def test_console_entry_point(example_file):

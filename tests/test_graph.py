@@ -8,6 +8,7 @@ import pytest
 from pmmwm.errors import InfeasibleInstance, ParseError
 from pmmwm.graph import (
     ABSENT,
+    MAX_TOTAL_WEIGHT,
     MAX_WEIGHT,
     BipartiteGraph,
     PartitionAssignment,
@@ -121,14 +122,14 @@ class TestLoadInstance:
         (b"100000000000000000000 100000000000000000000 1 1\n0 0 1\n",
          "line 1: n1 * n2 = 10000000000000000000000000000000000000000 is more than "
          "2147483648 cells"),
-        (b"1 1 1 1\r\n0 0 \xff\n", "line 2: not UTF-8 text"),
+        (b"1 1 1 1\r\n0 0 \xff\n", "line 2, column 5: byte 0xff is not UTF-8"),
     ], ids=["weight", "scaled-decimal", "index", "header", "utf-8"])
     def test_oversized_and_undecodable_tokens(self, tmp_path, body, message):
         path = tmp_path / "inst.txt"
         path.write_bytes(body)
         with pytest.raises(ParseError) as exc:
             load_instance(str(path))
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("n1, cell, message", [
         (2, -2, "negative edge weight"),
@@ -149,7 +150,7 @@ class TestLoadInstance:
     def test_line_of_259_tokens(self, tmp_path):
         # 259 tokens wrap the bulk parse's uint8 per-line count round to 3.
         path = write(tmp_path, "1 1 1 1\n" + " ".join(["0"] * 259) + "\n")
-        with pytest.raises(ParseError, match="^line 2: edge line must be 'u v w'$"):
+        with pytest.raises(ParseError, match="line 2: edge line must be 'u v w'$"):
             load_instance(path)
 
     def test_dense_load_peak_memory(self, tmp_path):
@@ -304,6 +305,17 @@ class TestLoaderMatchesReference:
         got = _outcome(load_instance, path)
         assert got == _outcome(load_instance_reference, path)
         assert 10**20 - 1 in got[2:4]
+
+    def test_total_weight_fault_names_its_line(self, tmp_path):
+        # At n1 = 9, a weight of MAX_WEIGHT passes the n1 * weight guard
+        # MAX_TOTAL_WEIGHT: the bulk parse declines the file, and the line
+        # parse names the line, as it does a weight past MAX_WEIGHT.
+        lines = ["9 9 1 9"] + [f"{u} {u} 1" for u in range(8)] + [f"8 8 {MAX_WEIGHT}"]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        got = _outcome(load_instance, path)
+        assert got == _outcome(load_instance_reference, path)
+        assert got == ("ParseError", f"{path}: line 10: weight '{MAX_WEIGHT}' is more "
+                                     f"than {MAX_TOTAL_WEIGHT // 9} when scaled")
 
     @pytest.mark.parametrize("seed", range(300))
     def test_mutated_bytes(self, tmp_path, seed):
@@ -601,5 +613,5 @@ def test_weight_guard():
 def test_load_solution_rejects_non_utf8(tmp_path):
     path = tmp_path / "solution.json"
     path.write_bytes(b"\xff")
-    with pytest.raises(ParseError, match="cannot read solution"):
+    with pytest.raises(ParseError, match="line 1, column 1: byte 0xff is not UTF-8"):
         load_solution(str(path))
