@@ -111,18 +111,15 @@ def _nonempty(cell: str) -> str:
 
 
 def _instances_from_args(args) -> list[tuple[str, str]]:
-    """(path, id) pairs listed by ``--manifest``, else by ``--dir``'s
-    manifest.csv when it has one, else each ``*.txt`` non-dot file in ``--dir``.
-    Manifest paths resolve relative to the manifest's directory."""
-    manifest = args.manifest
-    if not manifest:
-        manifest = os.path.join(args.dir, "manifest.csv")
-        if not os.path.exists(manifest):
-            names = sorted(n for n in os.listdir(args.dir) if n.endswith(".txt") and n[0] != ".")
-            return [(os.path.join(args.dir, n), n) for n in names]
-    base = os.path.dirname(manifest)
+    """(path, id) pairs: each ``*.txt`` file in ``--dir`` whose name does not
+    start with a dot, in name order, or each file ``--manifest`` lists, in
+    its order, with paths relative to the manifest's directory."""
+    if args.dir is not None:
+        names = sorted(n for n in os.listdir(args.dir) if n.endswith(".txt") and n[0] != ".")
+        return [(os.path.join(args.dir, n), n) for n in names]
+    base = os.path.dirname(args.manifest)
     return [(os.path.join(base, row["file"]), row["file"])
-            for row in read_csv(manifest, {"file": _nonempty})]
+            for row in read_csv(args.manifest, {"file": _nonempty})]
 
 
 def _cmd_bench(args) -> int:
@@ -131,8 +128,7 @@ def _cmd_bench(args) -> int:
         print("no instances found", file=sys.stderr)
         return 2
     params = _params_from(args)
-    reports = bench(instances, args.algo, params, jobs=args.jobs,
-                    with_oracle=not args.no_oracle)
+    reports = bench(instances, args.algo, params, jobs=args.jobs)
     write_reports(args.out, reports)
     print(f"{len(reports)} runs written to {args.out}")
     return 0
@@ -189,13 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("bench", help="run a directory of instances to CSV")
-    p.add_argument("--dir", default=None)
-    p.add_argument("--manifest", default=None)
+    p = sub.add_parser("bench", help="run a batch of instances to CSV")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dir", help="run every *.txt file in this directory")
+    source.add_argument("--manifest", help="run the files this CSV's 'file' column lists")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--no-oracle", action="store_true",
-                   help="skip the exact-optimum column even for tiny instances")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -211,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench" and not (args.dir or args.manifest):
-        parser.error("bench requires --dir or --manifest")
     if args.command == "bench" and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.command in ("solve", "bench"):

@@ -8,7 +8,8 @@ solver: it runs ``orchestrator.run_loop``, the outer banning loop of
 re-solves the matching from scratch every iteration and partitions by
 greedy construction and relocation-only local search. It reports no lower
 bound, so it runs its full iteration budget at every m.
-``bench`` runs a directory of instances and emits one CSV row per run;
+``bench`` loads every listed instance before it solves any, then emits one
+CSV row per run, with the exact optimum where the oracle's guards allow;
 ``compare`` joins two such CSVs into a win/tie/loss table. Every CSV the
 package reads goes through one reader, ``read_csv`` (the bench reports and
 the ``bench --manifest`` list), and every CSV it writes through one writer,
@@ -23,6 +24,7 @@ import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -166,20 +168,14 @@ def run_algorithm(g: BipartiteGraph, algo: str, params: FimpParams) -> RunResult
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _try_oracle(g: BipartiteGraph):
-    try:
-        opt, _ = exact_oracle(g, g.m, g.ubar)
-        return opt
-    except TooLarge:
-        return None
-
-
 def report_for(path: str, instance_id: str, algo: str,
-               params: FimpParams, with_oracle: bool = True) -> RunReport:
+               params: FimpParams) -> RunReport:
     g = load_instance(path)
     result = run_algorithm(g, algo, params)
-    objective = g.display_value(result.solution.objective)
-    optimum_scaled = _try_oracle(g) if with_oracle else None
+    try:
+        optimum_scaled, _ = exact_oracle(g, g.m, g.ubar)
+    except TooLarge:
+        optimum_scaled = None
     optimum = g.display_value(optimum_scaled) if optimum_scaled is not None else None
     lower_bound = result.stats.lower_bound
     gap = None
@@ -190,7 +186,7 @@ def report_for(path: str, instance_id: str, algo: str,
             gap = 0.0
     return RunReport(
         instance=instance_id, algo=algo, seed=params.rng_seed,
-        objective=objective, optimum=optimum, gap=gap,
+        objective=g.display_value(result.solution.objective), optimum=optimum, gap=gap,
         iterations=result.stats.iterations,
         wall_time_ms=result.stats.wall_time_ms,
         match_time_ms=result.stats.match_time_ms,
@@ -200,26 +196,25 @@ def report_for(path: str, instance_id: str, algo: str,
     )
 
 
-def _bench_worker(job) -> RunReport:
-    path, instance_id, algo, params, with_oracle = job
-    return report_for(path, instance_id, algo, params, with_oracle)
-
-
-def bench(jobs_spec: list[tuple[str, str]], algo: str, params: FimpParams,
-          jobs: int = 1, with_oracle: bool = True) -> list[RunReport]:
+def bench(instances: list[tuple[str, str]], algo: str, params: FimpParams,
+          jobs: int = 1) -> list[RunReport]:
     """Run ``algo`` on (path, instance_id) pairs; reports sorted by id.
 
-    With ``jobs`` > 1 the runs go to a process pool of at most one worker
-    per run: the pool may start all its workers at once.
+    Every path is loaded, and its graph dropped, before the first run, so a
+    malformed or infeasible file raises before any solve; each run then
+    loads its own file. With ``jobs`` > 1 the runs go to a process pool of
+    at most one worker per run: the pool may start all its workers at once.
     """
-    work = [(path, instance_id, algo, params, with_oracle)
-            for path, instance_id in jobs_spec]
-    workers = min(jobs, len(work))
+    for path, _ in instances:
+        load_instance(path)
+    runs = ([path for path, _ in instances], [instance_id for _, instance_id in instances],
+            repeat(algo), repeat(params))
+    workers = min(jobs, len(instances))
     if workers <= 1:
-        reports = [_bench_worker(job) for job in work]
+        reports = list(map(report_for, *runs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_bench_worker, work))
+            reports = list(pool.map(report_for, *runs))
     reports.sort(key=lambda r: (r.instance, r.algo, r.seed))
     return reports
 
@@ -250,12 +245,18 @@ def _opt_float(text: str) -> float | None:
     return float(text) if text else None
 
 
+def _bool(text: str) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError(f"{text!r} is neither True nor False")
+    return text == "True"
+
+
 # How each report column's cell becomes a RunReport field.
 _REPORT_PARSERS = {
     "instance": str, "algo": str, "seed": int, "objective": float,
     "optimum": _opt_float, "gap": _opt_float, "iterations": int,
     "wall_time_ms": float, "match_time_ms": float, "hga_time_ms": float,
-    "lower_bound": _opt_float, "certified_optimal": lambda text: text == "True",
+    "lower_bound": _opt_float, "certified_optimal": _bool,
 }
 # Files written before these columns existed read as having no bound.
 _OPTIONAL_REPORT_COLUMNS = ("lower_bound", "certified_optimal")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pmmwm
-from pmmwm.cli import _add_solver_flags, _params_from, build_parser, main
+from pmmwm.cli import _add_solver_flags, _instances_from_args, _params_from, build_parser, main
 from pmmwm.graph import load_instance, load_solution, save_instance
 from pmmwm.errors import ParseError
 from pmmwm.harness import REPORT_COLUMNS, RunReport, read_csv, read_reports, write_reports
@@ -310,7 +310,8 @@ class TestSolverFlags:
         assert _params_from(parser.parse_args(["--seed", "7"])) == \
             dataclasses.replace(defaults, rng_seed=7)
 
-    @pytest.mark.parametrize("argv", [["solve", "inst.txt"], ["bench", "--out", "runs.csv"]])
+    @pytest.mark.parametrize("argv", [["solve", "inst.txt"],
+                                      ["bench", "--dir", "d", "--out", "runs.csv"]])
     def test_command_line_without_solver_flags_gives_params_defaults(self, argv):
         assert _params_from(build_parser().parse_args(argv)) == FimpParams()
 
@@ -356,9 +357,17 @@ class TestBenchAndCompare:
         assert run_cli(["bench", "--manifest", str(bench_dir / "trimmed.csv"),
                         "--out", out_csv, "--max-iterations", "3",
                         "--pop-size", "4", "--max-generations", "5"]) == 0
+        # listing the group's files names the same instances as its manifest
+        def instances(*source):
+            return _instances_from_args(build_parser().parse_args(["bench", *source, "--out", "x"]))
 
-    def test_bench_dir_reads_its_manifest(self, tmp_path, capsys):
-        # D/manifest.csv lists one of D's two instance files: only it runs
+        listed = instances("--dir", str(bench_dir))
+        assert len(listed) == len(rows)
+        assert sorted(listed) == sorted(instances("--manifest", str(manifest)))
+
+    def test_bench_dir_lists_files_and_manifest_selects(self, tmp_path, capsys):
+        # D/manifest.csv lists one of D's two instance files: --dir runs both,
+        # --manifest runs only the one it lists
         inst_dir = tmp_path / "instances"
         inst_dir.mkdir()
         for seed in range(2):
@@ -366,9 +375,11 @@ class TestBenchAndCompare:
                      "--seed", str(seed), "--out", str(inst_dir / f"i{seed}.txt")])
         (inst_dir / "manifest.csv").write_text("file\ni1.txt\n")
         out_csv = str(tmp_path / "runs.csv")
-        assert run_cli(["bench", "--dir", str(inst_dir), "--out", out_csv,
-                        "--max-iterations", "3", "--pop-size", "4"]) == 0
-        assert [r.instance for r in read_reports(out_csv)] == ["i1.txt"]
+        for source, expected in ((["--dir", str(inst_dir)], ["i0.txt", "i1.txt"]),
+                                 (["--manifest", str(inst_dir / "manifest.csv")], ["i1.txt"])):
+            assert run_cli(["bench", *source, "--out", out_csv,
+                            "--max-iterations", "3", "--pop-size", "4"]) == 0
+            assert [r.instance for r in read_reports(out_csv)] == expected
 
     def _one_row_csv(self, path, instance):
         write_reports(str(path), [RunReport(instance, "baseline", 0, 3.0, None, None,
@@ -403,6 +414,13 @@ class TestBenchAndCompare:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bench", "--out", "x.csv"])
         assert exc.value.code == 2
+
+    def test_bench_rejects_dir_with_manifest(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--dir", str(tmp_path), "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bench_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
@@ -440,6 +458,11 @@ class TestCompareMalformed:
     def test_non_utf8_byte(self, tmp_path, capsys):
         err = self._compare(tmp_path, capsys, self.HEADER + b"\xff" + self.GOOD_ROW)
         assert "line 2, column 1" in err
+
+    def test_certified_optimal_not_a_bool(self, tmp_path, capsys):
+        bad = self.GOOD_ROW.replace(b",False\n", b",yes\n")
+        err = self._compare(tmp_path, capsys, self.HEADER + bad)
+        assert "line 2, column 'certified_optimal': 'yes' is neither True nor False" in err
 
 
 class TestOneInputRule:

@@ -219,11 +219,10 @@ class TestBenchReports:
         assert [(r.instance, r.objective) for r in serial] == \
             [(r.instance, r.objective) for r in parallel]
 
-    @pytest.mark.parametrize("jobs, count, pools", [(64, 3, [3]), (2, 3, [2]), (4, 1, [])])
-    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch,
-                                                 jobs, count, pools):
-        # A stand-in executor that runs the jobs in this process and records
-        # the pool size it was asked for; no worker process is started.
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """A stand-in executor that runs the jobs in this process and records
+        the pool size it was asked for; no worker process is started."""
         asked = []
 
         class FakePool:
@@ -236,14 +235,32 @@ class TestBenchReports:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        return asked
+
+    @pytest.mark.parametrize("jobs, count, pools", [(64, 3, [3]), (2, 3, [2]), (4, 1, [])])
+    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, fake_pool,
+                                                 jobs, count, pools):
         instances = self.make_instances(tmp_path, count=count)
         reports = bench(instances, "baseline", tiny_params(seed=2), jobs=jobs)
-        assert asked == pools
+        assert fake_pool == pools
         assert len(reports) == count
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_malformed_file_raises_before_any_run(self, tmp_path, monkeypatch,
+                                                  fake_pool, jobs):
+        # The malformed file is listed last, after three good ones.
+        instances = self.make_instances(tmp_path)
+        bad = tmp_path / "z.txt"
+        bad.write_text("1 1 1 1\n0 0 x\n")
+        runs = []
+        monkeypatch.setattr(harness, "run_algorithm", lambda *args: runs.append(args))
+        with pytest.raises(ParseError, match="line 2: bad weight 'x'"):
+            bench(instances + [(str(bad), "z")], "baseline", tiny_params(), jobs=jobs)
+        assert runs == [] and fake_pool == []
 
     def test_compare_self_is_all_ties(self, tmp_path):
         instances = self.make_instances(tmp_path)
