@@ -1,23 +1,21 @@
 """Exact min-weight perfect matching on U with incremental repair.
 
 The engine is a dense shortest-augmenting-path assignment solver in the
-Jonker-Volgenant style: it maintains vertex potentials ``alpha`` (on U) and
-``beta`` (on V) that are dual-feasible (alpha[u] + beta[v] <= w(u, v) for
-every available edge) and a matching of tight edges. One *phase* rematches a
-single free U-vertex by running a potential-adjusted Dijkstra over the dense
-weight table and then shifting potentials so every matched edge is tight
-again. When n2 == n1, a perfect matching of tight edges under feasible
-potentials is a certificate of optimality, which is what makes incremental
-repair after an edge ban or restore sound: ``_reprice``, the only code that
-changes an edge's cost after a solve, frees the one row whose matched edge
-was banned, or whose potential the restored cost undercuts, and runs one
-phase. When n2 > n1 the certificate also needs ``beta == 0`` on every
-unmatched column, which ``solve_full`` keeps but a repair does not, so a
-repaired matching can be heavier than ``solve_full``'s (ROADMAP item 7).
+Jonker-Volgenant style on a square table (``MatchState`` adds zero-cost
+dummy rows when n2 > n1). It keeps potentials ``alpha`` (on rows) and
+``beta`` (on columns) that are dual-feasible (alpha[u] + beta[v] <= w(u, v)
+for every available edge) and a matching of tight edges. One *phase*
+rematches a single free row by running a potential-adjusted Dijkstra over
+the dense weight table and then shifting potentials so every matched edge is
+tight again. A perfect matching of tight edges under feasible potentials is
+a certificate of optimality, which is what makes incremental repair after an
+edge ban or restore sound: ``_reprice``, the only code that changes an
+edge's cost after a solve, frees the one row whose matched edge was banned,
+or whose potential the restored cost undercuts, and runs one phase.
 
 Costs per call on an n1 x n2 table:
-    solve_full          n1 phases, O(n1^2 * n2)
-    repair_after_ban    at most 1 phase, O(n1 * n2)
+    solve_full          n2 phases, O(n2^3)
+    repair_after_ban    at most 1 phase, O(n2^2)
     batch_resolve       at most 1 phase per released edge
 
 Absent and banned edges participate as a saturating "infinite" weight; a
@@ -71,7 +69,8 @@ _INF_CUTOFF = 1 << 59  # any path cost this large must use a forbidden edge
 # Distance and penalty of settled columns. The largest candidate is a settled
 # column's: INF + _MASKED - beta + dist - alpha, with dist < _INF_CUTOFF (only
 # columns closer than that are relaxed from), alpha >= 0 >= beta and |beta|
-# about n1 * max_w <= graph.MAX_TOTAL_WEIGHT = 2**55. INF + _MASKED +
+# about n1 * max_w <= graph.MAX_TOTAL_WEIGHT = 2**55 (dummy rows cost 0).
+# INF + _MASKED +
 # _INF_CUTOFF is 2**63 - 2**59, so int64 holds it for any |beta| < 2**59.
 # A settled column's candidate is never below _MASKED either: it is _MASKED
 # plus a reduced cost (>= 0 under dual feasibility) plus dist >= 0, so the
@@ -85,38 +84,42 @@ def _checks_enabled() -> bool:
 
 
 class MatchState:
-    """Matching, dual potentials, and the effective weight table.
+    """Matching, dual potentials, and the effective weight table, all square.
 
-    ``eff`` mirrors the graph's weights with INF in place of absent or
-    banned edges; ``_reprice`` keeps it in sync one edge at a time.
-    ``total_weight`` is read from ``eff`` and ``mate_u`` on each access.
-    ``phase_count`` counts augmentation phases ever run on this state (tests
-    use it to assert that repairs run at most one phase).
+    ``eff`` is n2 x n2: the graph's weights, with INF for absent or banned
+    edges, in its first n1 rows (``_reprice`` keeps them in sync one edge at
+    a time), then n2 - n1 zero-cost dummy rows that take the columns U leaves
+    free (Burkard, Dell'Amico & Martello, *Assignment Problems*, ch. 4).
+    ``row_mate``, ``alpha`` and ``beta`` have length n2; ``mate_u`` views
+    ``row_mate``'s first n1 entries. ``total_weight`` is read from ``eff`` on
+    each access. ``phase_count`` counts augmentation phases ever run on this
+    state (tests use it to assert that repairs run at most one phase).
     """
 
     def __init__(self, graph: BipartiteGraph):
-        self.eff = np.where(graph.available_mask(), graph.weight, INF)
-        self.mate_u = np.full(graph.n1, FREE, dtype=np.int64)
-        self.mate_v = np.full(graph.n2, FREE, dtype=np.int64)
-        self.alpha = np.zeros(graph.n1, dtype=np.int64)
-        self.beta = np.zeros(graph.n2, dtype=np.int64)
+        n1, n2 = graph.n1, graph.n2
+        avail = graph.available_mask()  # before eff: its temporaries are freed first
+        self.eff = np.zeros((n2, n2), dtype=np.int64)
+        self.eff[:n1] = INF
+        np.copyto(self.eff[:n1], graph.weight, where=avail)
+        self.row_mate = np.full(n2, FREE, dtype=np.int64)
+        self.mate_u = self.row_mate[:n1]
+        self.mate_v = np.full(n2, FREE, dtype=np.int64)
+        self.alpha = np.zeros(n2, dtype=np.int64)
+        self.beta = np.zeros(n2, dtype=np.int64)
         self.phase_count = 0
 
     @property
-    def n1(self) -> int:
-        return self.eff.shape[0]
-
-    @property
     def n2(self) -> int:
-        return self.eff.shape[1]
+        return len(self.row_mate)
 
     @property
     def total_weight(self) -> int:
-        return int(self.eff[np.arange(self.n1), self.mate_u].sum())
+        return int(self.eff[np.arange(self.n2), self.row_mate].sum())
 
 
 def _augment(st: MatchState, start_u: int) -> None:
-    """Rematch the free vertex ``start_u`` along a shortest augmenting path.
+    """Rematch the free row ``start_u`` along a shortest augmenting path.
 
     Dijkstra runs with the potentials frozen at phase start. ``dist`` holds
     the tentative distance of each unsettled column and ``_MASKED`` on
@@ -148,7 +151,7 @@ def _augment(st: MatchState, start_u: int) -> None:
     """
     st.phase_count += 1
     eff, alpha, beta = st.eff, st.alpha, st.beta
-    mate_u, mate_v = st.mate_u, st.mate_v
+    row_mate, mate_v = st.row_mate, st.mate_v
 
     dist = eff[start_u] - beta  # _MASKED once settled
     base = -beta                # _MASKED - beta once settled
@@ -206,9 +209,9 @@ def _augment(st: MatchState, start_u: int) -> None:
     for j, jprev in zip(path, path[1:]):
         r = int(mate_v[jprev])
         mate_v[j] = r
-        mate_u[r] = j
+        row_mate[r] = j
     mate_v[path[-1]] = start_u
-    mate_u[start_u] = path[-1]
+    row_mate[start_u] = path[-1]
 
 
 def _reprice(st: MatchState, u: int, v: int, w: int) -> None:
@@ -235,9 +238,9 @@ def _reprice(st: MatchState, u: int, v: int, w: int) -> None:
 
 
 def solve_full(g: BipartiteGraph) -> MatchState:
-    """Min-weight perfect matching on U from scratch (n1 phases)."""
+    """Min-weight perfect matching on U from scratch (n2 phases, real rows first)."""
     st = MatchState(g)
-    for u in range(g.n1):
+    for u in range(st.n2):
         _augment(st, u)
     if _checks_enabled():
         check_invariants(g, st)
@@ -286,22 +289,19 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
 
 
 def check_invariants(g: BipartiteGraph, st: MatchState) -> None:
-    """Optimality-certificate scan; raises AssertionError on violation. It
-    certifies optimality only when n2 == n1: it does not require ``beta == 0``
-    on unmatched columns, so it passes a heavier repair (ROADMAP item 7)."""
-    n1, n2 = g.n1, g.n2
-    avail = g.available_mask()
-    expected_eff = np.where(avail, g.weight, INF)
-    assert (st.eff == expected_eff).all(), "eff table out of sync with graph"
+    """Optimality-certificate scan of the square state, for every shape; raises
+    AssertionError on violation: ``eff`` in sync with the graph, feasible
+    potentials, a perfect matching of tight edges, and dual == primal."""
+    real = np.where(g.available_mask(), g.weight, INF)
+    assert (st.eff[:g.n1] == real).all(), "eff table out of sync with graph"
+    assert not st.eff[g.n1:].any(), "dummy row not zero-cost"
+    avail = st.eff < INF
     slack = st.eff - st.alpha[:, None] - st.beta[None, :]
     assert (slack[avail] >= 0).all(), "dual feasibility violated"
-    assert (st.mate_u >= 0).all(), "matching not perfect on U"
-    us = np.arange(n1)
-    assert (st.mate_v[st.mate_u] == us).all(), "mate_u/mate_v inconsistent"
-    matched_cols = np.zeros(n2, dtype=bool)
-    matched_cols[st.mate_u] = True
-    assert ((st.mate_v >= 0) == matched_cols).all(), "mate_v marks wrong columns"
-    assert avail[us, st.mate_u].all(), "matched edge not available"
-    assert (slack[us, st.mate_u] == 0).all(), "matched edge not tight"
-    dual_value = int(st.alpha.sum()) + int(st.beta[matched_cols].sum())
+    rows = np.arange(st.n2)
+    assert (st.row_mate >= 0).all(), "matching not perfect"
+    assert (st.mate_v[st.row_mate] == rows).all(), "row_mate/mate_v inconsistent"
+    assert avail[rows, st.row_mate].all(), "matched edge not available"
+    assert (slack[rows, st.row_mate] == 0).all(), "matched edge not tight"
+    dual_value = int(st.alpha.sum()) + int(st.beta.sum())
     assert st.total_weight == dual_value, "primal != dual objective"

@@ -77,8 +77,17 @@ class TestSolveFull:
         rng = random.Random(5)
         g = random_complete_graph(8, 8, 1, 8, rng)
         st = solve_full(g)
-        matched_cols = st.mate_v >= 0
-        assert st.total_weight == int(st.alpha.sum()) + int(st.beta[matched_cols].sum())
+        assert st.total_weight == int(st.alpha.sum()) + int(st.beta.sum())
+
+    def test_certificate_covers_free_columns(self):
+        # A column U leaves free is matched to a zero-cost dummy row; lowering
+        # its beta keeps the potentials feasible but loosens that edge.
+        g = random_complete_graph(6, 8, 1, 6, random.Random(4))
+        st = solve_full(g)
+        free = sorted(set(range(8)) - set(st.mate_u.tolist()))[0]
+        st.beta[free] -= 1
+        with pytest.raises(AssertionError, match="matched edge not tight"):
+            check_invariants(g, st)
 
     def test_infeasible_raises(self):
         g = BipartiteGraph.from_edges(2, 2, 1, 2, [(0, 0, 1), (1, 0, 1)])
@@ -189,9 +198,6 @@ class TestRepairAfterBan:
                 outcomes[vetoed] += 1
         assert min(outcomes.values()) > 100, outcomes
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "with n2 > n1 a ban frees a column with beta < 0, and the repair phase "
-        "stops at the first free column by reduced distance, ignoring that beta"))
     def test_rectangular_bans_match_full_solve(self):
         suboptimal = []
         for seed in range(200):
@@ -345,18 +351,18 @@ def _reference_phase(st, start_u):
     """Drop-in for ``matching._augment`` that runs ``augment_reference``."""
     st.phase_count += 1
     eff, alpha, beta = st.eff.tolist(), st.alpha.tolist(), st.beta.tolist()
-    mate_u, mate_v = st.mate_u.tolist(), st.mate_v.tolist()
-    if not augment_reference(eff, alpha, beta, mate_u, mate_v, start_u,
+    row_mate, mate_v = st.row_mate.tolist(), st.mate_v.tolist()
+    if not augment_reference(eff, alpha, beta, row_mate, mate_v, start_u,
                              matching._INF_CUTOFF):
         raise NoPerfectMatching(f"no augmenting path from U-vertex {start_u}")
     st.alpha[:] = alpha
     st.beta[:] = beta
-    st.mate_u[:] = mate_u
+    st.row_mate[:] = row_mate
     st.mate_v[:] = mate_v
 
 
 def _snapshot(st):
-    return (st.mate_u.tolist(), st.mate_v.tolist(), st.alpha.tolist(),
+    return (st.row_mate.tolist(), st.mate_v.tolist(), st.alpha.tolist(),
             st.beta.tolist(), st.eff.tolist(), st.total_weight, st.phase_count)
 
 
@@ -528,12 +534,14 @@ class TestInt64Headroom:
     plus potentials of about n1 * max_w; these graphs sit at the weight
     limits and the autouse fixture certifies every operation."""
 
+    @pytest.mark.parametrize("extra_cols", [0, 3])
     @pytest.mark.parametrize("n1", [8, 64])
-    def test_ban_unban_at_max_weight(self, n1):
+    def test_ban_unban_at_max_weight(self, n1, extra_cols):
         rng = random.Random(n1)
-        small = n1 <= 8
-        for _ in range(6 if small else 2):
-            g = _heavy_graph(rng, n1, n1)
+        # brute force enumerates n2! / (n2 - n1)! maps: at most 8! here
+        small = n1 + extra_cols <= 8
+        for _ in range(6 if n1 <= 8 else 2):
+            g = _heavy_graph(rng, n1, n1 + extra_cols)
             st = solve_full(g)
             if small:
                 assert st.total_weight == brute_force_min_matching(g)
@@ -566,12 +574,14 @@ class TestAgainstScipy:
         assert avail[rows, cols].all(), "the optimum used an absent edge"
         return int(cost[rows, cols].sum())
 
+    @pytest.mark.parametrize("rectangular", [False, True])
     @pytest.mark.parametrize("n1", [50, 200, 500])
     @pytest.mark.parametrize("density", [1.0, 0.1])
-    def test_full_solve_and_repairs(self, n1, density):
+    def test_full_solve_and_repairs(self, n1, density, rectangular):
         pytest.importorskip("scipy.optimize")
         rng = random.Random(n1 + int(density * 10))
-        g = random_dense_graph(n1, n1, 1, n1, rng, density=density, w_max=1000)
+        n2 = n1 + n1 // 5 if rectangular else n1
+        g = random_dense_graph(n1, n2, 1, n1, rng, density=density, w_max=1000)
         st = solve_full(g)
         assert st.total_weight == self._optimum(g)
         for st, _ in _ban_unban_walk(g, st, rng, 20, lambda: rng.randrange(n1)):

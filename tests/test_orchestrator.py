@@ -348,9 +348,10 @@ class TestModifyGraph:
             sizes.append(len(bans))
         assert sizes == sorted(sizes)
 
-    def test_sampled_state_equals_full_resolve(self):
+    @pytest.mark.parametrize("n2", [8, 11])
+    def test_sampled_state_equals_full_resolve(self, n2):
         rng = random.Random(6)
-        g = random_dense_graph(8, 8, 2, 5, rng, density=0.7)
+        g = random_dense_graph(8, n2, 2, 5, rng, density=0.7)
         st = solve_full(g)
         part = PartitionAssignment(2, 5, [u % 2 for u in range(8)])
         sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
