@@ -1,20 +1,20 @@
 """Exact min-weight perfect matching on U with incremental repair.
 
 The engine is a dense shortest-augmenting-path assignment solver in the
-Jonker-Volgenant style on a square table (``MatchState`` adds zero-cost
-dummy rows when n2 > n1). It keeps potentials ``alpha`` (on rows) and
-``beta`` (on columns) that are dual-feasible (alpha[u] + beta[v] <= w(u, v)
-for every available edge) and a matching of tight edges. One *phase*
-rematches a single free row by running a potential-adjusted Dijkstra over
-the dense weight table and then shifting potentials so every matched edge is
-tight again. A perfect matching of tight edges under feasible potentials is
-a certificate of optimality, which is what makes incremental repair after an
-edge ban or restore sound: ``_reprice``, the only code that changes an
-edge's cost after a solve, frees the one row whose matched edge was banned,
-or whose potential the restored cost undercuts, and runs one phase.
+Jonker-Volgenant style on a square table (``MatchState`` adds virtual
+zero-cost dummy rows when n2 > n1). It keeps potentials ``alpha`` (on rows)
+and ``beta`` (on columns) that are dual-feasible (alpha[u] + beta[v] <=
+w(u, v) for every available edge) and a matching of tight edges. One *phase*
+rematches a single free row by a potential-adjusted Dijkstra over the dense
+weight table, then shifts potentials so every matched edge is tight again. A
+perfect matching of tight edges under feasible potentials is a certificate
+of optimality, which is what makes incremental repair after an edge ban or
+restore sound: ``_reprice``, the only code that changes an edge's cost after
+a solve, frees the one row whose matched edge was banned, or whose potential
+the restored cost undercuts, and runs one phase.
 
 Costs per call on an n1 x n2 table:
-    solve_full          n2 phases, O(n2^3)
+    solve_full          n1 phases, O(n1^2 * n2)
     repair_after_ban    at most 1 phase, O(n2^2)
     batch_resolve       at most 1 phase per released edge
 
@@ -27,28 +27,20 @@ whether the state they repair was carried or freshly solved.
 Each Dijkstra step of a phase settles one column in four in-place vector
 operations over preallocated rows, with no boolean fancy indexing: an
 ``argmin`` over the working distances (settled columns hold ``_MASKED``, so
-no mask is built), one row add and one scalar add for the candidate
-distances through the settled column's mate, and one ``np.minimum`` into the
-distances. The candidate row includes a per-phase penalty row that is
-``_MASKED`` on settled columns; since reduced costs are non-negative under
-dual feasibility, a settled column's candidate is never below ``_MASKED`` and
-the minimum leaves it at ``_MASKED``. Ties go to the lowest column index and
-the phase stops at the first free column settled. No predecessor array is
-kept: after the phase, the augmenting path is recovered from the settled
-columns by the tie rule that a strict-``<`` relaxation implies (the start
-row first, then the earliest-settled column; see ``_augment``), so matchings
-and potentials are those of the textbook step. All of this stays within
-int64: see the bound at ``_MASKED``.
+no mask is built), one row add and one scalar add for the candidates through
+the settled column's mate, and one ``np.minimum`` into the distances. Ties
+go to the lowest column index and the phase stops at the first free column
+settled. No predecessor array is kept: the augmenting path is recovered
+after the phase by the tie rule a strict-``<`` relaxation implies (see
+``_augment``), so matchings and potentials are those of the textbook step.
+All of this stays within int64: see the bound at ``_MASKED``.
 
-A step's array work runs in numpy, but its scalars stay out of numpy
-scalar objects: at n2 = 500, boxing them (``int(dist[j])``,
-``int(mate_v[j])``, adding a Python int to an array) would cost about half
-as much again as the four array operations. So the settled column's
-distance is read with ``dist.item(j)``; its row and that row's ``alpha``
-come from Python-list copies of ``mate_v`` and ``alpha`` made once per phase
-(neither changes before the dual update); and the step's offset
-``dist[j] - alpha[r]`` is added through a 0-d int64 buffer made once per
-phase.
+A step's scalars stay out of numpy scalar objects, which at n2 = 500 would
+cost about half as much again as its four array operations: the settled
+column's distance is read with ``dist.item(j)``, its row and that row's
+``alpha`` come from list copies made once per phase (neither changes before
+the dual update), and the step's offset ``dist[j] - alpha[r]`` is added
+through a 0-d int64 buffer.
 
 Set the environment variable ``PMMWM_CHECK_INVARIANTS=1`` to run a full
 dual-feasibility / complementary-slackness scan after every public operation
@@ -70,8 +62,7 @@ _INF_CUTOFF = 1 << 59  # any path cost this large must use a forbidden edge
 # column's: INF + _MASKED - beta + dist - alpha, with dist < _INF_CUTOFF (only
 # columns closer than that are relaxed from), alpha >= 0 >= beta and |beta|
 # about n1 * max_w <= graph.MAX_TOTAL_WEIGHT = 2**55 (dummy rows cost 0).
-# INF + _MASKED +
-# _INF_CUTOFF is 2**63 - 2**59, so int64 holds it for any |beta| < 2**59.
+# INF + _MASKED + _INF_CUTOFF = 2**63 - 2**59 fits int64 for |beta| < 2**59.
 # A settled column's candidate is never below _MASKED either: it is _MASKED
 # plus a reduced cost (>= 0 under dual feasibility) plus dist >= 0, so the
 # np.minimum of a step leaves a settled column's distance at _MASKED.
@@ -84,22 +75,21 @@ def _checks_enabled() -> bool:
 
 
 class MatchState:
-    """Matching, dual potentials, and the effective weight table, all square.
+    """Matching, dual potentials and effective weights of the square problem:
+    n1 real rows, then n2 - n1 zero-cost dummy rows that take the columns U
+    leaves free (Burkard, Dell'Amico & Martello, *Assignment Problems*, ch. 4).
 
-    ``eff`` is n2 x n2: the graph's weights, with INF for absent or banned
-    edges, in its first n1 rows (``_reprice`` keeps them in sync one edge at
-    a time), then n2 - n1 zero-cost dummy rows that take the columns U leaves
-    free (Burkard, Dell'Amico & Martello, *Assignment Problems*, ch. 4).
-    ``row_mate``, ``alpha`` and ``beta`` have length n2; ``mate_u`` views
-    ``row_mate``'s first n1 entries. ``total_weight`` is read from ``eff`` on
-    each access. ``phase_count`` counts augmentation phases ever run on this
-    state (tests use it to assert that repairs run at most one phase).
+    ``eff`` has the graph's weights, INF on absent or banned edges, in its n1
+    rows (``_reprice`` keeps them in sync), then one zero row that every dummy
+    row reads, so memory stays O(n1 * n2). ``row_mate``, ``alpha`` and
+    ``beta`` have length n2; ``mate_u`` views ``row_mate``'s first n1
+    entries. ``phase_count`` counts phases ever run on this state.
     """
 
     def __init__(self, graph: BipartiteGraph):
         n1, n2 = graph.n1, graph.n2
         avail = graph.available_mask()  # before eff: its temporaries are freed first
-        self.eff = np.zeros((n2, n2), dtype=np.int64)
+        self.eff = np.zeros((n1 + 1, n2), dtype=np.int64)
         self.eff[:n1] = INF
         np.copyto(self.eff[:n1], graph.weight, where=avail)
         self.row_mate = np.full(n2, FREE, dtype=np.int64)
@@ -114,21 +104,22 @@ class MatchState:
         return len(self.row_mate)
 
     @property
-    def total_weight(self) -> int:
-        return int(self.eff[np.arange(self.n2), self.row_mate].sum())
+    def total_weight(self) -> int:  # dummy rows cost 0
+        n1 = len(self.eff) - 1
+        return int(self.eff[np.arange(n1), self.row_mate[:n1]].sum())
 
 
 def _augment(st: MatchState, start_u: int) -> None:
     """Rematch the free row ``start_u`` along a shortest augmenting path.
 
     Dijkstra runs with the potentials frozen at phase start. ``dist`` holds
-    the tentative distance of each unsettled column and ``_MASKED`` on
-    settled ones; ``base`` is the penalty row folded with ``-beta``
-    (``_MASKED - beta[j]`` once column j is settled), so a step through the
-    settled column j matched to row r computes ``eff[r] + base + dist[j] -
-    alpha[r]`` into ``cand`` and takes the elementwise minimum into ``dist``.
-    The settled columns and their distances are kept in two lists, in settle
-    order, for the path recovery and the dual update.
+    the tentative distance of each unsettled column, ``_MASKED`` on settled
+    ones; ``base`` is ``-beta`` plus ``_MASKED`` on settled columns, so a
+    step through the settled column j matched to row r computes ``eff[r] +
+    base + dist[j] - alpha[r]`` into ``cand`` (a dummy row reads the zero
+    row ``eff[n1]``) and takes the elementwise minimum into ``dist``. The
+    settled columns and their distances are listed in settle order for the
+    path recovery and the dual update.
 
     ``alpha[start_u]`` is never read, as it shifts all distances alike:
     they start at ``eff[start_u] - beta`` (>= 0, since eff >= 0 >= beta),
@@ -152,6 +143,7 @@ def _augment(st: MatchState, start_u: int) -> None:
     st.phase_count += 1
     eff, alpha, beta = st.eff, st.alpha, st.beta
     row_mate, mate_v = st.row_mate, st.mate_v
+    n1 = len(eff) - 1
 
     dist = eff[start_u] - beta  # _MASKED once settled
     base = -beta                # _MASKED - beta once settled
@@ -176,7 +168,7 @@ def _augment(st: MatchState, start_u: int) -> None:
         r = row_of[j]
         if r == FREE:
             break
-        add(eff[r], base, out=cand)
+        add(eff[r if r < n1 else n1], base, out=cand)
         shift[()] = dj - alpha_of[r]
         cand += shift
         minimum(dist, cand, out=dist)
@@ -186,7 +178,8 @@ def _augment(st: MatchState, start_u: int) -> None:
     inner = np.array(cols[:-1], dtype=np.int64)
     inner_dist = np.array(col_dist[:-1], dtype=np.int64)
     rows = mate_v[inner]
-    offset = inner_dist - alpha[rows]  # candidate = eff[rows, j] + offset - beta[j]
+    eff_rows = np.minimum(rows, n1)
+    offset = inner_dist - alpha[rows]  # cand = eff[eff_rows, j] + offset - beta[j]
     path = []
     p = len(cols) - 1
     while True:
@@ -195,7 +188,7 @@ def _augment(st: MatchState, start_u: int) -> None:
         target = col_dist[p] + int(beta[j])
         if int(eff[start_u, j]) == target:
             break
-        p = int((eff[rows[:p], j] + offset[:p] == target).argmax())
+        p = int((eff[eff_rows[:p], j] + offset[:p] == target).argmax())
 
     # Dual update: every settled column except the free endpoint, and the
     # rows matched to them, shift by the remaining distance to the path cost.
@@ -222,26 +215,31 @@ def _reprice(st: MatchState, u: int, v: int, w: int) -> None:
     the state is already optimal. On NoPerfectMatching the old cost and both
     mates are put back before the exception propagates.
     """
-    old_w, old_v = int(st.eff[u, v]), int(st.mate_u[u])
+    old_w, old_v = int(st.eff[u, v]), int(st.row_mate[u])
     st.eff[u, v] = w
     if old_v != v and int(st.alpha[u]) + int(st.beta[v]) <= w:
         return
-    st.mate_u[u] = FREE
+    st.row_mate[u] = FREE
     st.mate_v[old_v] = FREE
     try:
         _augment(st, u)
     except NoPerfectMatching:
         st.eff[u, v] = old_w
-        st.mate_u[u] = old_v
+        st.row_mate[u] = old_v
         st.mate_v[old_v] = u
         raise
 
 
 def solve_full(g: BipartiteGraph) -> MatchState:
-    """Min-weight perfect matching on U from scratch (n2 phases, real rows first)."""
+    """Min-weight perfect matching on U from scratch, in n1 phases. The dummy
+    rows then take the free columns with no phase: at cost 0 and alpha 0 those
+    edges are tight (free columns keep beta 0) and feasible (beta <= 0)."""
     st = MatchState(g)
-    for u in range(st.n2):
+    for u in range(g.n1):
         _augment(st, u)
+    free = np.flatnonzero(st.mate_v == FREE)
+    st.row_mate[g.n1:] = free
+    st.mate_v[free] = np.arange(g.n1, st.n2)
     if _checks_enabled():
         check_invariants(g, st)
     return st
@@ -289,19 +287,21 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
 
 
 def check_invariants(g: BipartiteGraph, st: MatchState) -> None:
-    """Optimality-certificate scan of the square state, for every shape; raises
-    AssertionError on violation: ``eff`` in sync with the graph, feasible
-    potentials, a perfect matching of tight edges, and dual == primal."""
+    """Optimality-certificate scan of the square state, for every shape: eff in
+    sync, feasible potentials (a dummy row's: alpha + max(beta) <= 0), a perfect
+    matching of tight edges and dual == primal; raises AssertionError if not."""
+    n1, alpha, beta = g.n1, st.alpha, st.beta
     real = np.where(g.available_mask(), g.weight, INF)
-    assert (st.eff[:g.n1] == real).all(), "eff table out of sync with graph"
-    assert not st.eff[g.n1:].any(), "dummy row not zero-cost"
-    avail = st.eff < INF
-    slack = st.eff - st.alpha[:, None] - st.beta[None, :]
-    assert (slack[avail] >= 0).all(), "dual feasibility violated"
+    assert (st.eff[:n1] == real).all(), "eff table out of sync with graph"
+    assert not st.eff[n1].any(), "dummy row not zero-cost"
+    slack = st.eff[:n1] - alpha[:n1, None] - beta[None, :]
+    assert (slack[real < INF] >= 0).all(), "dual feasibility violated"
+    assert (alpha[n1:] + beta.max() <= 0).all(), "dual feasibility violated"
     rows = np.arange(st.n2)
     assert (st.row_mate >= 0).all(), "matching not perfect"
     assert (st.mate_v[st.row_mate] == rows).all(), "row_mate/mate_v inconsistent"
-    assert avail[rows, st.row_mate].all(), "matched edge not available"
-    assert (slack[rows, st.row_mate] == 0).all(), "matched edge not tight"
+    cost = st.eff[np.minimum(rows, n1), st.row_mate]
+    assert (cost < INF).all(), "matched edge not available"
+    assert (cost == alpha + beta[st.row_mate]).all(), "matched edge not tight"
     dual_value = int(st.alpha.sum()) + int(st.beta.sum())
     assert st.total_weight == dual_value, "primal != dual objective"

@@ -84,10 +84,22 @@ class TestSolveFull:
         # its beta keeps the potentials feasible but loosens that edge.
         g = random_complete_graph(6, 8, 1, 6, random.Random(4))
         st = solve_full(g)
+        assert st.phase_count == 6  # the dummy rows take free columns unphased
         free = sorted(set(range(8)) - set(st.mate_u.tolist()))[0]
         st.beta[free] -= 1
         with pytest.raises(AssertionError, match="matched edge not tight"):
             check_invariants(g, st)
+
+    def test_wide_graph_stays_linear_in_n2(self):
+        # The dummy rows share one zero row of eff and run no phase, so a
+        # 10 x 20000 graph costs 10 phases and an 11 x 20000 table, not the
+        # 20000 x 20000 (3.2 GB) one a materialised square table would need.
+        rng = np.random.default_rng(8)
+        weight = rng.integers(1, 1000, size=(10, 20000), dtype=np.int64)
+        g = BipartiteGraph(10, 20000, 1, 10, weight)
+        st = solve_full(g)
+        assert st.eff.shape == (11, 20000)
+        assert st.phase_count == 10  # the autouse fixture certified the state
 
     def test_infeasible_raises(self):
         g = BipartiteGraph.from_edges(2, 2, 1, 2, [(0, 0, 1), (1, 0, 1)])
@@ -350,7 +362,9 @@ class TestBatchResolve:
 def _reference_phase(st, start_u):
     """Drop-in for ``matching._augment`` that runs ``augment_reference``."""
     st.phase_count += 1
-    eff, alpha, beta = st.eff.tolist(), st.alpha.tolist(), st.beta.tolist()
+    n1 = len(st.mate_u)  # every dummy row reads the zero row eff[n1]
+    eff = st.eff[np.minimum(np.arange(st.n2), n1)].tolist()
+    alpha, beta = st.alpha.tolist(), st.beta.tolist()
     row_mate, mate_v = st.row_mate.tolist(), st.mate_v.tolist()
     if not augment_reference(eff, alpha, beta, row_mate, mate_v, start_u,
                              matching._INF_CUTOFF):
