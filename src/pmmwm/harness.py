@@ -4,8 +4,8 @@
 matchings jointly with capacity-feasible partitions; it anchors the
 acceptance tests. ``baseline_ls`` is the deliberately simpler comparison
 solver: it runs ``orchestrator.run_loop``, the outer banning loop of
-``solve``, and bans and vetoes through the same ``modify_graph``, but
-re-solves the matching from scratch every iteration and partitions by
+``solve``, so it bans and vetoes through the same ``modify_graph``, but
+its matcher re-solves from scratch every iteration and its partitioner is
 greedy construction and relocation-only local search. It reports no lower
 bound, so it runs its full iteration budget at every m.
 ``bench`` loads every listed instance before it solves any, then emits one
@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
-
-import numpy as np
 
 from .errors import InfeasibleInstance, ParseError, TooLarge
 from .graph import (
@@ -39,7 +36,7 @@ from .graph import (
 from .hga import Individual, fitness_of, mls_improve
 from .matching import solve_full
 from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
-from .orchestrator import FimpParams, RunResult, modify_graph, run_loop, solve
+from .orchestrator import FimpParams, RunResult, run_loop, solve
 
 ORACLE_MAX_N1 = 8
 ORACLE_MAX_NODES = 200_000
@@ -107,35 +104,29 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
 
 def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
                 params: FimpParams) -> RunResult:
-    """Comparison anchor: ``run_loop`` with a full matching re-solve, greedy
-    construction and relocation-only local search in each step.
+    """Comparison anchor: ``run_loop`` with a matcher that re-solves the
+    matching from scratch every iteration and a partitioner that runs
+    greedy construction and relocation-only local search.
 
-    Bans age, are chosen and are vetoed by ``modify_graph`` on the state
-    the step just solved, as in ``solve``; the two ban loops differ only in
-    the matching, which the next step re-solves instead of repairing. Only
-    the full solves are charged to match time, not ``modify_graph``. It
-    reports no lower bound, so it always runs the full ``max_iterations``.
-    m > n1 runs as m = n1, as in ``solve``.
+    ``run_loop`` ages, chooses and vetoes bans through ``modify_graph`` on
+    the state the matcher just solved, as for ``solve``; the two ban loops
+    differ only in the matching, which the next iteration re-solves instead
+    of repairing. Match time is the full solves plus ``modify_graph``, and
+    partition time is the greedy construction plus the local search, as
+    ``run_loop`` charges them for both solvers. It reports no lower bound,
+    so it always runs the full ``max_iterations``. m > n1 runs as m = n1,
+    as in ``solve``.
     """
     m = min(m, g.n1)
 
-    def step(bans, deadline):
-        t0 = time.perf_counter()
-        st = solve_full(g)
-        match_s = time.perf_counter() - t0
+    def match():
+        return solve_full(g), None
 
-        w = g.weight[np.arange(g.n1), st.mate_u]
-        t0 = time.perf_counter()
+    def partition(w, deadline):
         part = greedy_lpt(w, m, ubar)
-        ind = mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar, levels=(1,))
-        part_s = time.perf_counter() - t0
+        return mls_improve(Individual(part, fitness_of(part, w, m)), w, ubar, levels=(1,))
 
-        current = Solution(mate=st.mate_u.tolist(), objective=ind.fitness[0],
-                           partition=PartitionAssignment(m, ubar, ind.part.tolist()))
-        modify_graph(g, st, current, bans=bans, tenure=params.tenure)
-        return current, match_s, part_s, None
-
-    return run_loop(g, m, ubar, params, step)
+    return run_loop(g, m, ubar, params, match, partition)
 
 
 # ---------------------------------------------------------------------------

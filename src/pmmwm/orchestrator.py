@@ -11,15 +11,16 @@ never re-solved from scratch) to route around it. The incumbent is the best
 mutated, and its objective is non-increasing over the run.
 
 ``solve`` and ``harness.baseline_ls`` both run ``run_loop``, which owns the
-checks, the time limit, the incumbent, the trace, the ``BanList`` and the
-graph's ban flags; each supplies only its per-iteration step. The
+checks, the time limit, the incumbent, the trace, the timing, the ``BanList``,
+the graph's ban flags and each iteration's tail (the ``Solution`` and the ban
+step); each solver supplies only its matcher and its partitioner. The
 ``BanList`` is the whole ban policy's state: the active bans and the vetoes
 (bans found to leave no perfect matching), each with its remaining tenure;
 ``BanList.age`` expires both and ``modify_graph`` picks the next ban. The
-two solvers differ only in the matching each step starts from and in how
-they partition it: ``solve`` repairs one matching state across the run,
-``baseline_ls`` solves a fresh one every step, and both ban and veto
-through ``modify_graph`` on that state.
+two solvers differ only in the matching each iteration starts from and in
+how they partition it: ``solve`` repairs one matching state across the run,
+``baseline_ls`` solves a fresh one every iteration, and ``run_loop`` bans
+and vetoes through ``modify_graph`` on that state for both.
 
 ``max_iterations`` is a cap, not a count. Every solution's heaviest
 partition weighs at least ceil(W*/m), where W* is the weight of a
@@ -120,8 +121,8 @@ class RunResult:
 
 
 def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
-                 bans: BanList, tenure: int) -> MatchState:
-    """One graph-modification step; repairs ``st`` in place and returns it.
+                 bans: BanList, tenure: int) -> None:
+    """One graph-modification step; repairs ``st`` in place.
 
     ``bans.age`` lifts the expired bans and ``batch_resolve`` re-matches
     around them. Then the heaviest matched edge (u, v) of ``sol``'s heaviest
@@ -130,8 +131,7 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
     ``repair_after_ban`` finds that no perfect matching survives the ban: the
     edge is then unbanned, vetoed for ``tenure`` iterations, and the next one
     is tried. None left: no ban. ``st`` must be the matcher's state for
-    ``g`` as it stands, as ``solve``'s repaired state and ``baseline_ls``'s
-    fresh solve both are.
+    ``g`` as it stands, as every ``match()`` of ``run_loop`` returns it.
     """
     batch_resolve(g, st, set(bans.age(g)))
     sums = partition_weights(g, sol)
@@ -151,23 +151,25 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
             continue
         bans.entries[(u, v)] = tenure
         break
-    return st
 
 
 def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
-             step: Callable) -> RunResult:
+             match: Callable, partition: Callable) -> RunResult:
     """The outer match-partition loop of ``solve`` and ``baseline_ls``.
 
-    ``step(bans, deadline)`` runs one iteration and returns its solution,
-    the seconds charged to matching and to partitioning, and a lower bound
-    on every solution's objective (``None``: no bound known); it
-    may age and add bans in ``bans``. The returned solution becomes the
-    incumbent on strict improvement. The loop runs at most
-    ``max_iterations`` steps and stops early, certified optimal, once the
-    incumbent reaches the bound, or before any step after the first once
-    ``deadline`` (the ``time.perf_counter()`` value at which
-    ``time_limit_ms`` runs out; ``None``: no limit) has passed. The graph's
-    ban flags are restored on every exit, an exception included.
+    Each iteration calls ``match()``, which returns the matcher's state for
+    ``g`` as it stands and a lower bound on every solution's objective
+    (``None``: no bound known), then ``partition(w, deadline)``, which
+    returns an ``Individual`` partitioning the matched weights ``w``. The
+    two make the iteration's solution, which becomes the incumbent on strict
+    improvement; ``modify_graph`` then ages the bans and bans an edge of it,
+    repairing the state in place. ``match()`` plus ``modify_graph`` is
+    charged to matching time, ``partition`` to partition time. The loop
+    runs at most ``max_iterations`` iterations and stops early, certified
+    optimal, once the incumbent reaches the bound, or before any iteration
+    after the first once ``deadline`` (the ``time.perf_counter()`` value at
+    which ``time_limit_ms`` runs out; ``None``: no limit) has passed. The
+    graph's ban flags are restored on every exit, an exception included.
     """
     params.validate()
     if m * ubar < g.n1:
@@ -185,11 +187,21 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
         for it in range(params.max_iterations):
             if it > 0 and deadline is not None and time.perf_counter() >= deadline:
                 break
-            current, match_s, part_s, lower_bound = step(bans, deadline)
+            t0 = time.perf_counter()
+            st, lower_bound = match()
+            t1 = time.perf_counter()
+            best = partition(g.weight[np.arange(g.n1), st.mate_u], deadline)
+            t2 = time.perf_counter()
+            current = Solution(mate=st.mate_u.tolist(), objective=best.fitness[0],
+                               partition=PartitionAssignment(m, ubar, best.part.tolist()))
+            t3 = time.perf_counter()
+            modify_graph(g, st, current, bans=bans, tenure=params.tenure)
+            match_s = (t1 - t0) + (time.perf_counter() - t3)
+            del st  # so a matcher that solves afresh never holds two states at once
             if incumbent is None or current.objective < incumbent.objective:
                 incumbent = current
             trace.append(IterationRecord(it, current.objective, incumbent.objective,
-                                         len(bans), match_s * 1000.0, part_s * 1000.0))
+                                         len(bans), match_s * 1000.0, (t2 - t1) * 1000.0))
             certified = lower_bound is not None and incumbent.objective == lower_bound
             if certified:
                 break
@@ -204,14 +216,13 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
 
 
 def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult:
-    """FIMP-HGA: ``run_loop`` with a step that evolves a partition of the
-    current matching, then calls ``modify_graph``, which repairs the
-    matching; the matching state, the bans and the HGA's final population
-    carry over to the next iteration. Only iteration 0 solves the matching
-    from scratch, and is charged for that, and only iteration 0 builds the
-    HGA's population with ``init_population``: every later ``evolve`` call
-    starts from the previous one's final population, re-scored on the new
-    matched weights. The HGA also stops starting generations once the step's
+    """FIMP-HGA: ``run_loop`` with a matcher that returns one matching state,
+    which ``modify_graph`` repairs after every iteration, and a partitioner
+    that evolves one HGA population across iterations. Only iteration 0
+    solves the matching from scratch, and only iteration 0 builds the HGA's
+    population with ``init_population``: every later ``evolve`` call starts
+    from the previous one's final population, re-scored on the new matched
+    weights. The HGA also stops starting generations once the run's
     ``deadline`` has passed, so iteration 0 ends soon after it.
 
     The lower bound is ceil(W*/m) with W* the weight of iteration 0's
@@ -224,26 +235,18 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     population: list[Individual] | None = None
     lower_bound: int | None = None
 
-    def step(bans, deadline):
-        nonlocal st, population, lower_bound
-        match_s = 0.0
+    def match():
+        nonlocal st, lower_bound
         if st is None:
-            t0 = time.perf_counter()
             st = solve_full(g)
-            match_s = time.perf_counter() - t0
             lower_bound = -(-st.total_weight // m)
+        return st, lower_bound
 
-        w = g.weight[np.arange(g.n1), st.mate_u]
+    def partition(w, deadline):
+        nonlocal population
         hga_params = dataclasses.replace(params.hga, rng_seed=rng.getrandbits(63))
-        t0 = time.perf_counter()
         best, population = evolve(w, m, ubar, hga_params, population=population,
                                   deadline=deadline)
-        hga_s = time.perf_counter() - t0
+        return best
 
-        current = Solution(mate=st.mate_u.tolist(), objective=best.fitness[0],
-                           partition=PartitionAssignment(m, ubar, best.part.tolist()))
-        t0 = time.perf_counter()
-        modify_graph(g, st, current, bans=bans, tenure=params.tenure)
-        return current, match_s + (time.perf_counter() - t0), hga_s, lower_bound
-
-    return run_loop(g, m, ubar, params, step)
+    return run_loop(g, m, ubar, params, match, partition)

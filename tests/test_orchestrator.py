@@ -136,6 +136,24 @@ class TestSolve:
         assert not g.banned.any()
 
     @both_solvers
+    def test_one_ban_step_per_iteration_charged_to_matching(self, monkeypatch, run):
+        # two partitions of exactly 4: solve is not certified at iteration 0,
+        # so both solvers run their whole budget
+        g = random_dense_graph(8, 8, 2, 4, random.Random(23), density=0.8)
+        calls = []
+        real = orchestrator.modify_graph
+
+        def slow_modify_graph(*args, **kwargs):
+            calls.append(1)
+            time.sleep(0.005)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "modify_graph", slow_modify_graph)
+        result = run(g, 2, 4, small_params(seed=1, iterations=5))
+        assert result.stats.iterations == len(calls) == 5
+        assert all(rec.match_ms >= 5.0 for rec in result.stats.trace)
+
+    @both_solvers
     def test_time_limit_stops_early(self, run):
         rng = random.Random(31)
         g = random_dense_graph(10, 10, 3, 4, rng, density=1.0)
@@ -264,7 +282,7 @@ class TestModifyGraph:
             key=lambda u: (int(g.weight[u, sol.mate[u]]), -u))
         expect_edge = (expect_u, sol.mate[expect_u])
         bans = BanList()
-        st = modify_graph(g, st, sol, bans=bans, tenure=4)
+        modify_graph(g, st, sol, bans=bans, tenure=4)
         assert bans.entries == {expect_edge: 4}
         assert g.banned[expect_edge]
         check_invariants(g, st)
@@ -272,9 +290,9 @@ class TestModifyGraph:
     def test_consecutive_calls_add_bans(self):
         g, st, sol, _ = self.build(seed=1)
         bans = BanList()
-        st = modify_graph(g, st, sol, bans=bans, tenure=50)
+        modify_graph(g, st, sol, bans=bans, tenure=50)
         assert len(bans) == 1
-        st = modify_graph(g, st, sol, bans=bans, tenure=50)
+        modify_graph(g, st, sol, bans=bans, tenure=50)
         assert len(bans) == 2
 
     def test_vetoed_ban_restores_and_tries_next(self):
@@ -290,7 +308,7 @@ class TestModifyGraph:
         sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
                        objective=st.total_weight)
         bans = BanList()
-        st = modify_graph(g, st, sol, bans=bans, tenure=6)
+        modify_graph(g, st, sol, bans=bans, tenure=6)
         assert (0, 0) in bans.vetoed and not g.banned[0, 0]
         assert len(bans) == 1 and (0, 0) not in bans.entries
         check_invariants(g, st)
@@ -298,15 +316,15 @@ class TestModifyGraph:
     def test_tenure_expiry_restores_edges(self):
         g, st, sol, _ = self.build(seed=3)
         bans = BanList()
-        st = modify_graph(g, st, sol, bans=bans, tenure=2)
+        modify_graph(g, st, sol, bans=bans, tenure=2)
         banned_edge = next(iter(bans.entries))
         assert bans.entries[banned_edge] == 2
-        st = modify_graph(g, st, sol, bans=bans, tenure=2)
+        modify_graph(g, st, sol, bans=bans, tenure=2)
         assert bans.entries[banned_edge] == 1
         # third call: the edge expires and is released; with the solution held
         # fixed it is immediately re-banned as the still-heaviest candidate,
         # which shows as a fresh tenure rather than a stale zero
-        st = modify_graph(g, st, sol, bans=bans, tenure=2)
+        modify_graph(g, st, sol, bans=bans, tenure=2)
         assert bans.entries[banned_edge] == 2
         flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
         assert flagged == set(bans.entries)
@@ -331,7 +349,7 @@ class TestModifyGraph:
         g, st, sol, _ = self.build(seed=4)
         bans = BanList()
         for _ in range(12):
-            st = modify_graph(g, st, sol, bans=bans, tenure=3)
+            modify_graph(g, st, sol, bans=bans, tenure=3)
             flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
             assert flagged == set(bans.entries)
             assert all(t >= 1 for t in bans.entries.values())
@@ -344,7 +362,7 @@ class TestModifyGraph:
         bans = BanList()
         sizes = []
         for _ in range(10):
-            st = modify_graph(g, st, sol, bans=bans, tenure=10_000)
+            modify_graph(g, st, sol, bans=bans, tenure=10_000)
             sizes.append(len(bans))
         assert sizes == sorted(sizes)
 
@@ -358,7 +376,7 @@ class TestModifyGraph:
                        objective=100)
         bans = BanList()
         for _ in range(10):
-            st = modify_graph(g, st, sol, bans=bans, tenure=5)
+            modify_graph(g, st, sol, bans=bans, tenure=5)
             check_invariants(g, st)
             assert st.total_weight == solve_full(g).total_weight
             sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
