@@ -13,8 +13,23 @@ restore sound: ``_reprice``, the only code that changes an edge's cost after
 a solve, frees the one row whose matched edge was banned, or whose potential
 the restored cost undercuts, and runs one phase.
 
+A from-scratch solve on a square table starts warm (``_warm_start``): an
+eps-scaling Jacobi auction (Bertsekas, "The auction algorithm", 1988) prices
+the columns, beta = -price, each row the auction matched takes as alpha its
+least reduced cost and keeps its auction column if that edge is tight, and
+phases match the other rows from alpha 0. Any beta <= 0 with alpha so
+chosen is dual-feasible (eff >= 0, so every reduced cost is >= 0) and the
+kept edges are tight, so the warm state is a valid start for phases and the
+finished state carries the same certificate as a cold solve; the prices
+only decide how many phases remain and how long they run. Wide tables
+(n2 > n1) start cold: the dummy rows' certificate needs every column U
+leaves free at beta 0.
+
 Costs per call on an n1 x n2 table:
-    solve_full          n1 phases, O(n1^2 * n2)
+    solve_full          square: auction rounds of O(rows bidding * n2), then
+                        one phase per row left free (half to two thirds of
+                        n1 on the shipped n1 = 200 and 500 cells); wide: n1
+                        phases, O(n1^2 * n2)
     repair_after_ban    at most 1 phase, O(n2^2)
     batch_resolve       at most 1 phase per released edge
 
@@ -60,13 +75,29 @@ INF = 1 << 61          # effective weight of absent/banned edges
 _INF_CUTOFF = 1 << 59  # any path cost this large must use a forbidden edge
 # Distance and penalty of settled columns. The largest candidate is a settled
 # column's: INF + _MASKED - beta + dist - alpha, with dist < _INF_CUTOFF (only
-# columns closer than that are relaxed from), alpha >= 0 >= beta and |beta|
-# about n1 * max_w <= graph.MAX_TOTAL_WEIGHT = 2**55 (dummy rows cost 0).
-# INF + _MASKED + _INF_CUTOFF = 2**63 - 2**59 fits int64 for |beta| < 2**59.
+# columns closer than that are relaxed from). INF + _MASKED + _INF_CUTOFF =
+# 2**63 - 3 * 2**59, so it fits int64 while alpha >= 0 >= beta and
+# |beta| < 2**59. Both hold for every state ``solve_full`` returns:
+# - It starts cold (alpha = beta = 0) or warm, with -_PRICE_CAP <= beta <= 0
+#   and alpha >= 0 (see ``_warm_start``). The dual update only raises alpha
+#   and lowers beta.
+# - A phase that ends at the free column f sets each settled column j to
+#   beta[f] + A(j) - A(f), where A(x) is the unmatched minus the matched
+#   weight along the shortest alternating path to x. So beta[j] drops at most
+#   2 * n1 * max_w <= 2 * graph.MAX_TOTAL_WEIGHT = 2**56 below beta[f].
+# - During a solve a free column keeps its start beta, and a matched column
+#   stays matched. So |beta| <= _PRICE_CAP + 2**56 < 2**59 throughout.
+# - A path over available edges costs A(f) - beta[f] <= 2**55 + _PRICE_CAP,
+#   below _INF_CUTOFF; one through an INF edge costs at least INF - alpha,
+#   above it, as alpha <= max_w + |beta| on a matched row.
+# A repair ends its phase at the column it freed, so the same step bounds
+# that repair's drop below that column's beta; ``TestInt64Headroom`` walks
+# repairs at the weight limits.
 # A settled column's candidate is never below _MASKED either: it is _MASKED
 # plus a reduced cost (>= 0 under dual feasibility) plus dist >= 0, so the
 # np.minimum of a step leaves a settled column's distance at _MASKED.
 _MASKED = 1 << 62
+_PRICE_CAP = 1 << 58  # warm-start prices are clamped to this
 FREE = -1
 
 
@@ -230,12 +261,107 @@ def _reprice(st: MatchState, u: int, v: int, w: int) -> None:
         raise
 
 
+def _auction_prices(eff: np.ndarray, max_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column prices and a partial assignment from an eps-scaling Jacobi
+    auction for minimum cost on the square table ``eff`` (Bertsekas 1988).
+
+    Absent and banned edges cost the finite big-M ``n * (max_w + 1) + 1``.
+    Each round, every free row bids at once for its cheapest column under
+    ``cost + price``, raising that price by its margin over its second
+    choice plus eps; a column goes to its highest bid (the lowest row on
+    ties) and its previous owner is freed. eps runs from ``max_w // 5`` down
+    to 1, dividing by 5, and each eps level starts with every row free.
+
+    A level stops bidding once at most ``n // 20`` rows are still free and
+    leaves them to the phases, which match them faster than the level's last
+    rounds of a few bidders each. Measured on a 2-vCPU x86 host at n = 200
+    and 500: without that stop ``solve_full`` took 1.3-2.5x as long on
+    independent weights; with it, consistent weights solve about 4x faster
+    than cold phases. The divisors 5 and 20 are fixed at those measurements.
+
+    The auction stops at once if a price passes ``_PRICE_CAP``. Every round
+    starts with prices at most that, so its values and bids stay below
+    2 * (big-M + _PRICE_CAP) + eps, far inside int64 and below INF.
+
+    Returns ``(price, obj_of)``, ``obj_of[u]`` being row u's column or FREE.
+    """
+    n = len(eff)
+    big = n * (max_w + 1) + 1
+    price = np.zeros(n, dtype=np.int64)
+    obj_of = np.full(n, FREE, dtype=np.int64)
+    eps = max(1, max_w // 5)
+    while True:
+        owner = np.full(n, FREE, dtype=np.int64)
+        obj_of.fill(FREE)
+        free = np.arange(n)
+        vals = np.minimum(eff, big)
+        while True:
+            vals += price
+            k = np.arange(len(free))
+            best = vals.argmin(axis=1)
+            first = vals[k, best]
+            vals[k, best] = INF
+            bid = price[best] + (vals.min(axis=1) - first) + eps
+            # one winner per column: highest bid, then lowest row
+            order = np.lexsort((free, -bid, best))
+            cols = best[order]
+            won = order[np.flatnonzero(np.diff(cols, prepend=FREE))]
+            cols, rows = best[won], free[won]
+            lost = owner[cols]
+            obj_of[lost[lost != FREE]] = FREE
+            owner[cols] = rows
+            obj_of[rows] = cols
+            price[cols] = bid[won]
+            if price.max() > _PRICE_CAP:
+                return price, obj_of
+            free = np.flatnonzero(obj_of == FREE)
+            if len(free) <= n // 20:
+                break
+            vals = eff[free]
+            np.minimum(vals, big, out=vals)
+        if eps == 1:
+            return price, obj_of
+        eps = max(1, eps // 5)
+
+
+def _warm_start(st: MatchState) -> None:
+    """Seed a square state with the auction's duals: beta = -price (clamped
+    to [-_PRICE_CAP, 0]), alpha[u] = min over columns of (eff[u] - beta) for
+    each row the auction matched, and keep those rows' auction pairs that are
+    tight and available. Every other row stays free at alpha 0, the value a
+    phase assumes for its start row: ``_augment`` sets that alpha to the path
+    cost, where the textbook step adds the cost to it. Dual-feasible for any
+    prices (see the module docstring)."""
+    n = len(st.row_mate)
+    eff = st.eff[:n]
+    max_w = eff.max(where=eff < INF, initial=-1)
+    if max_w < 0:
+        return
+    price, obj_of = _auction_prices(eff, int(max_w))
+    st.beta[:] = -np.minimum(price, _PRICE_CAP)
+    reduced = eff - st.beta
+    alpha = reduced.min(axis=1)
+    rows = np.flatnonzero(obj_of != FREE)
+    cols = obj_of[rows]
+    keep = (reduced[rows, cols] == alpha[rows]) & (eff[rows, cols] < INF)
+    rows, cols = rows[keep], cols[keep]
+    st.alpha[rows] = alpha[rows]
+    st.row_mate[rows] = cols
+    st.mate_v[cols] = rows
+
+
 def solve_full(g: BipartiteGraph) -> MatchState:
-    """Min-weight perfect matching on U from scratch, in n1 phases. The dummy
-    rows then take the free columns with no phase: at cost 0 and alpha 0 those
-    edges are tight (free columns keep beta 0) and feasible (beta <= 0)."""
+    """Min-weight perfect matching on U from scratch. A square table (n1 > 1)
+    is warm-started from auction prices (``_warm_start``) and one phase
+    rematches each row it leaves free; otherwise all n1 rows run a phase
+    from zero potentials. The dummy rows then take the free columns with no
+    phase: at cost 0 and alpha 0 those edges are tight (free columns keep
+    beta 0, which auction prices would break, so wide tables start cold)
+    and feasible (beta <= 0)."""
     st = MatchState(g)
-    for u in range(g.n1):
+    if g.n2 == g.n1 > 1:
+        _warm_start(st)
+    for u in np.flatnonzero(st.mate_u == FREE).tolist():
         _augment(st, u)
     free = np.flatnonzero(st.mate_v == FREE)
     st.row_mate[g.n1:] = free

@@ -34,7 +34,7 @@ def _params(seed: int, **kw) -> FimpParams:
 SOLVE_CASES = [
     (InstanceSpec(30, 30, 3, 12, 0.6, "INDEPENDENT", 1000, 11), dict(max_iterations=4),
      887,
-     "2683385cc79465becfbc3e4ee38fc4d6569a6f6b4dfd014b12b93266cec9acd7"),
+     "6cf5ae0cafc2c862c97729f07a4425076c02eafd1acc28211fd18e38c33ec791"),
     (InstanceSpec(30, 36, 5, 7, 0.4, "CONSISTENT", 500, 12), dict(max_iterations=4),
      617,
      "27c14416c32e8d02812b056f395ef39bdf2995865ce6b0dc3d14bc13d6c38266"),
@@ -194,16 +194,17 @@ def test_kk_multiway_golden():
 # ``solve_full``'s mates, potentials and phase count, then the same after a
 # seeded walk of 20 steps that ban a matched edge (unbanned again when no
 # perfect matching is left) or restore one banned edge; on each cell that is
-# 17 bans and 3 restores, each of which runs one phase. Ties in the Dijkstra
-# steps and in the path recovery decide the potentials, so any change to the
-# phase's arithmetic or tie rules moves these digests.
+# 17 bans and 3 restores, each of which runs one phase. The warm start's
+# auction prices, and ties in the Dijkstra steps and in the path recovery,
+# decide the potentials, so any change to the auction's rules or the phase's
+# arithmetic or tie rules moves these digests.
 MATCHER_CASES = [
     ("consistent-dense",
-     "5ad08a143294ccd112ca2cd9d9423cd65bbc082ca858c0272d0c4d0ef0e60b8d"),
+     "4cf1ad8b50a0930c9ed1426893503305bf27023f0456e53952b0a01987ced09c"),
     ("consistent-sparse",
-     "f1347fbb0e6421d2358ddd8a31e9791f9a7406b5644bb83bdf164f9365365d17"),
+     "db902664ad91b90b6b740e38aaad26399286afb1a550c638fe7574f5e807a619"),
     ("independent-sparse",
-     "1a344e7b1f78805f64855b9c5ebb5986aced00bc120c7ce5b66b4ed938df03a7"),
+     "58186ec7e5864188e801670f321455d6fac6faf77419955123b36aa095cb7dfb"),
 ]
 
 

@@ -1,3 +1,4 @@
+import collections
 import random
 from unittest import mock
 
@@ -8,6 +9,8 @@ from pmmwm import matching
 from pmmwm.errors import NoPerfectMatching
 from pmmwm.graph import MAX_TOTAL_WEIGHT, MAX_WEIGHT, BipartiteGraph
 from pmmwm.matching import (
+    FREE,
+    MatchState,
     batch_resolve,
     check_invariants,
     repair_after_ban,
@@ -111,6 +114,132 @@ class TestSolveFull:
         g.ban_edge(1, 0)
         with pytest.raises(NoPerfectMatching):
             solve_full(g)
+
+
+def _square_graph(rng: random.Random) -> BipartiteGraph:
+    """Seeded square graph for the warm start: n1 from 1 to 14 (1 and 2
+    often), weights tied (w_max 1-3), all zero, spread or up to 2**40, and
+    densities 0.1-1.0, so many graphs have no perfect matching."""
+    n1 = rng.choice([1, 2, 2, rng.randint(3, 14), rng.randint(3, 14), rng.randint(3, 14)])
+    w_max = rng.choice([0, 1, 2, 3, 3, 40, 1000, 1 << 40])
+    density = rng.choice([0.1, 0.3, 0.6, 1.0])
+    edges = [(u, v, rng.randint(0, w_max))
+             for u in range(n1) for v in range(n1) if rng.random() < density]
+    return BipartiteGraph.from_edges(n1, n1, 1, n1, edges)
+
+
+def _scipy_optimum(g: BipartiteGraph) -> int | None:
+    """Minimum perfect-matching weight by scipy's linear_sum_assignment, or
+    None when no perfect matching over available edges exists."""
+    lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    avail = g.available_mask()
+    if not avail.any():
+        return None
+    big = (int(g.weight.max()) + 1) * g.n1  # above any matching of real edges
+    cost = np.where(avail, g.weight, big)
+    rows, cols = lsa(cost)
+    return int(cost[rows, cols].sum()) if avail[rows, cols].all() else None
+
+
+def _cold_solve(g: BipartiteGraph) -> MatchState:
+    """``solve_full`` without the warm start: one phase per row from zero
+    potentials, then the dummy rows take the free columns."""
+    st = MatchState(g)
+    for u in range(g.n1):
+        matching._augment(st, u)
+    free = np.flatnonzero(st.mate_v == FREE)
+    st.row_mate[g.n1:] = free
+    st.mate_v[free] = np.arange(g.n1, st.n2)
+    return st
+
+
+class TestWarmStart:
+    """``solve_full`` seeds square tables from auction prices; the autouse
+    fixture certifies every state it returns."""
+
+    def test_square_graphs_against_scipy(self):
+        rng = random.Random(3232)
+        seen = collections.Counter()
+        for _ in range(1200):
+            g = _square_graph(rng)
+            expected = _scipy_optimum(g)
+            try:
+                st = solve_full(g)
+            except NoPerfectMatching:
+                assert expected is None
+                seen["infeasible"] += 1
+                continue
+            assert st.total_weight == expected
+            seen["n1=%d" % g.n1 if g.n1 <= 2 else "warm" if st.phase_count < g.n1
+                 else "cold"] += 1
+        assert min(seen[k] for k in ("infeasible", "n1=1", "n1=2", "warm")) >= 50, seen
+
+    def test_infeasible_square_graphs_raise(self):
+        no_edge = BipartiteGraph.from_edges(3, 3, 1, 3,
+                                            [(0, 0, 1), (0, 1, 2), (1, 1, 1), (1, 2, 3)])
+        # rows 0-2 have edges only into columns 0 and 1
+        hall = BipartiteGraph.from_edges(
+            4, 4, 1, 4, [(u, v, u + v) for u in range(3) for v in range(2)]
+            + [(3, v, 1) for v in range(4)])
+        all_banned = complete([[1, 2], [2, 1]])
+        for u in range(2):
+            for v in range(2):
+                all_banned.ban_edge(u, v)
+        for g in (no_edge, hall, all_banned):
+            with pytest.raises(NoPerfectMatching):
+                solve_full(g)
+
+    def test_free_rows_start_their_phase_at_alpha_zero(self):
+        # augment_reference reads alpha[start_u]; a free row left at its
+        # reduced-cost minimum would start that phase off by it.
+        real = matching._augment
+        starts = []
+
+        def phase(st, u):
+            starts.append((int(st.row_mate[u]), int(st.alpha[u])))
+            real(st, u)
+
+        rng = random.Random(77)
+        warm = 0
+        with mock.patch.object(matching, "_augment", phase):
+            for _ in range(300):
+                g = _square_graph(rng)
+                try:
+                    warm += solve_full(g).phase_count < g.n1
+                except NoPerfectMatching:
+                    pass
+        assert warm >= 50 and len(starts) >= 300
+        assert set(starts) == {(FREE, 0)}
+
+    def test_wide_tables_solve_as_before(self):
+        # Bit-identical to the cold solve: mates, potentials and phase count.
+        rng = random.Random(44)
+        solved = 0
+        for _ in range(300):
+            n1 = rng.randint(1, 10)
+            n2 = n1 + rng.randint(0 if n1 == 1 else 1, 4)  # 1 x 1 starts cold too
+            g = seeded_graph(rng, n1, n2, rng.choice([1, 2, 3, 40, 1000]))
+            try:
+                cold = _snapshot(_cold_solve(g))
+            except NoPerfectMatching:
+                with pytest.raises(NoPerfectMatching):
+                    solve_full(g)
+                continue
+            assert _snapshot(solve_full(g)) == cold
+            solved += 1
+        g = random_dense_graph(100, 130, 1, 100, rng, density=0.3, w_max=1000)
+        assert _snapshot(solve_full(g)) == _snapshot(_cold_solve(g))
+        assert solved >= 150
+
+    def test_capped_prices_stay_certified(self, monkeypatch):
+        # A price past the cap stops the auction; the clamped prices still
+        # give a feasible start.
+        monkeypatch.setattr(matching, "_PRICE_CAP", 50)
+        rng = random.Random(9)
+        for _ in range(40):
+            g = random_dense_graph(12, 12, 1, 12, rng, density=0.7, w_max=1000)
+            st = solve_full(g)
+            assert st.total_weight == _scipy_optimum(g)
 
 
 class TestRepairAfterBan:
@@ -482,18 +611,27 @@ class TestAgainstReferencePhase:
             self._run(g, rng, seen)
         assert min(seen["ban"], seen["unban"], seen["batch"]) >= 40, seen
 
+    def _cold_phases(self, g):
+        """One phase per row of ``g``, in row order, on fresh states (zero
+        potentials) on the real and the reference side: the phase sequence
+        the tie tests below pin, whatever ``solve_full``'s warm start does."""
+        states = [MatchState(g), MatchState(g)]
+        for u in range(g.n1):
+            assert not self._both(lambda st: matching._augment(st, u), states)
+        return states[0]
+
     def test_start_row_wins_tie_with_settled_column(self):
         # Phase 1 settles column 0 (row 0's mate) at distance 0; the candidate
         # through it for column 1 is 1, equal to row 1's own reduced cost 1,
         # so column 1 is reached from row 1 directly and row 0 keeps column 0.
-        st, _ = self._solve_both(complete([[1, 2], [1, 2]]))
+        st = self._cold_phases(complete([[1, 2], [1, 2]]))
         assert st.mate_u.tolist() == [0, 1]
 
     def test_earlier_settled_column_wins_tie(self):
         # Phase 2 settles column 0 and then column 1, both at distance 0, and
         # each gives column 2 the candidate 1 (row 2's own cost is 4): the
         # path runs through column 0, so row 0 moves and row 1 stays.
-        st, _ = self._solve_both(complete([[1, 5, 2], [5, 1, 2], [1, 1, 5]]))
+        st = self._cold_phases(complete([[1, 5, 2], [5, 1, 2], [1, 1, 5]]))
         assert st.mate_u.tolist() == [2, 1, 0]
 
 
@@ -545,8 +683,9 @@ def _ban_unban_walk(g, st, rng, steps, pick_u):
 
 class TestInt64Headroom:
     """The penalty row adds 2**62 to candidate rows that can hold INF = 2**61
-    plus potentials of about n1 * max_w; these graphs sit at the weight
-    limits and the autouse fixture certifies every operation."""
+    plus potentials of about n1 * max_w, or the warm start's prices on square
+    tables; these graphs sit at the weight limits and the autouse fixture
+    certifies every operation."""
 
     @pytest.mark.parametrize("extra_cols", [0, 3])
     @pytest.mark.parametrize("n1", [8, 64])
@@ -572,6 +711,23 @@ class TestInt64Headroom:
             st = batch_resolve(g, st, released)
             check_invariants(g, st)
             assert vetoes
+
+
+    @pytest.mark.parametrize("n1", [8, 64, 128])
+    def test_warm_start_within_bound(self, n1):
+        # Square tables start from auction prices; the bound at
+        # matching._MASKED holds for the state solve_full returns.
+        rng = random.Random(n1 + 1)
+        for _ in range(4 if n1 <= 8 else 2):
+            g = _heavy_graph(rng, n1, n1)
+            st = solve_full(g)
+            assert st.phase_count < n1  # the warm start kept some pairs
+            assert st.alpha.min() >= 0 >= st.beta.max()
+            assert -int(st.beta.min()) <= matching._PRICE_CAP + 2**56 < 2**59
+            if n1 <= 8:
+                assert st.total_weight == brute_force_min_matching(g)
+            else:
+                assert st.total_weight == _cold_solve(g).total_weight
 
 
 class TestAgainstScipy:
