@@ -27,7 +27,7 @@ class NoPerfectMatching(PmmwmError):
     """An augmentation phase exhausted reachable vertices without a free one.
 
     Raised by the matcher when a ban (or a defective instance) leaves some
-    U-vertex unmatchable. Callers banning edges must treat this as a vetoed
+    U-vertex unmatchable. Callers banning edges must treat this as a rejected
     ban and restore the edge.
     """
 

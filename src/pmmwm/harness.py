@@ -4,7 +4,7 @@
 matchings jointly with capacity-feasible partitions; it anchors the
 acceptance tests. ``baseline_ls`` is the deliberately simpler comparison
 solver: it runs ``orchestrator.run_loop``, the outer banning loop of
-``solve``, so it bans and vetoes through the same ``modify_graph``, but
+``solve``, so it bans through the same ``modify_graph``, but
 its matcher re-solves from scratch every iteration and its partitioner is
 greedy construction and relocation-only local search. It reports no lower
 bound, so it runs its full iteration budget at every m.
@@ -108,7 +108,7 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     matching from scratch every iteration and a partitioner that runs
     greedy construction and relocation-only local search.
 
-    ``run_loop`` ages, chooses and vetoes bans through ``modify_graph`` on
+    ``run_loop`` ages and chooses bans through ``modify_graph`` on
     the state the matcher just solved, as for ``solve``; the two ban loops
     differ only in the matching, which the next iteration re-solves instead
     of repairing. Match time is the full solves plus ``modify_graph``, and

@@ -35,9 +35,9 @@ Costs per call on an n1 x n2 table:
 
 Absent and banned edges participate as a saturating "infinite" weight; a
 phase whose cheapest reachable free vertex costs that much reports
-NoPerfectMatching without mutating the state. That is the veto of both
-solvers' ban step (``orchestrator.modify_graph``), which differ only in
-whether the state they repair was carried or freshly solved.
+NoPerfectMatching without mutating the state. That is how both solvers'
+ban step (``orchestrator.modify_graph``) rejects a ban; the solvers differ
+only in whether the state they repair was carried or freshly solved.
 
 Each Dijkstra step of a phase settles one column in four in-place vector
 operations over preallocated rows, with no boolean fancy indexing: an

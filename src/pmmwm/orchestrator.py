@@ -14,13 +14,12 @@ mutated, and its objective is non-increasing over the run.
 checks, the time limit, the incumbent, the trace, the timing, the ``BanList``,
 the graph's ban flags and each iteration's tail (the ``Solution`` and the ban
 step); each solver supplies only its matcher and its partitioner. The
-``BanList`` is the whole ban policy's state: the active bans and the vetoes
-(bans found to leave no perfect matching), each with its remaining tenure;
-``BanList.age`` expires both and ``modify_graph`` picks the next ban. The
-two solvers differ only in the matching each iteration starts from and in
-how they partition it: ``solve`` repairs one matching state across the run,
-``baseline_ls`` solves a fresh one every iteration, and ``run_loop`` bans
-and vetoes through ``modify_graph`` on that state for both.
+``BanList`` is the whole ban policy's state: the active bans, each with its
+remaining tenure; ``BanList.age`` expires them and ``modify_graph`` picks the
+next ban. The two solvers differ only in the matching each iteration starts
+from and in how they partition it: ``solve`` repairs one matching state
+across the run, ``baseline_ls`` solves a fresh one every iteration, and
+``run_loop`` bans through ``modify_graph`` on that state for both.
 
 ``max_iterations`` is a cap, not a count. Every solution's heaviest
 partition weighs at least ceil(W*/m), where W* is the weight of a
@@ -70,23 +69,19 @@ class FimpParams:
 
 class BanList:
     """The ban policy's state: ``entries`` maps each banned edge to its
-    remaining tenure and mirrors the graph's ban flags; ``vetoed`` maps each
-    edge whose ban was rejected to the iterations left before it may be
-    tried again."""
+    remaining tenure and mirrors the graph's ban flags."""
 
     def __init__(self):
         self.entries: dict[tuple[int, int], int] = {}
-        self.vetoed: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def age(self, g: BipartiteGraph) -> list[tuple[int, int]]:
-        """Age every ban and veto by one iteration; unban the expired bans
-        in ``g`` and return them, sorted."""
+        """Age every ban by one iteration; unban the expired bans in ``g``
+        and return them, sorted."""
         expired = sorted(edge for edge, left in self.entries.items() if left <= 1)
         self.entries = {edge: left - 1 for edge, left in self.entries.items() if left > 1}
-        self.vetoed = {edge: left - 1 for edge, left in self.vetoed.items() if left > 1}
         for (u, v) in expired:
             g.unban_edge(u, v)
         return expired
@@ -127,11 +122,12 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
     ``bans.age`` lifts the expired bans and ``batch_resolve`` re-matches
     around them. Then the heaviest matched edge (u, v) of ``sol``'s heaviest
     partition (ties: lowest partition index, then lowest U-index) that is
-    neither banned nor vetoed is banned for ``tenure`` iterations, unless
+    not already banned is banned for ``tenure`` iterations, unless
     ``repair_after_ban`` finds that no perfect matching survives the ban: the
-    edge is then unbanned, vetoed for ``tenure`` iterations, and the next one
-    is tried. None left: no ban. ``st`` must be the matcher's state for
-    ``g`` as it stands, as every ``match()`` of ``run_loop`` returns it.
+    edge is then unbanned and the next one is tried. Nothing records the
+    rejection, so a later call tries the edge again. None left: no ban.
+    ``st`` must be the matcher's state for ``g`` as it stands, as every
+    ``match()`` of ``run_loop`` returns it.
     """
     batch_resolve(g, st, set(bans.age(g)))
     sums = partition_weights(g, sol)
@@ -140,14 +136,13 @@ def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
     for u in sorted((u for u in range(g.n1) if part_of[u] == heaviest),
                     key=lambda u: (-int(g.weight[u, mate[u]]), u)):
         v = mate[u]
-        if (u, v) in bans.vetoed or (u, v) in bans.entries:
+        if (u, v) in bans.entries:
             continue
         g.ban_edge(u, v)
         try:
             repair_after_ban(g, st, u, v)
         except NoPerfectMatching:
             g.unban_edge(u, v)
-            bans.vetoed[(u, v)] = tenure
             continue
         bans.entries[(u, v)] = tenure
         break

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from pmmwm import InstanceSpec, generate, harness, hga, orchestrator
-from pmmwm.errors import InfeasibleInstance
+from pmmwm.errors import InfeasibleInstance, NoPerfectMatching
 from pmmwm.graph import (
     BipartiteGraph,
     PartitionAssignment,
@@ -295,9 +295,27 @@ class TestModifyGraph:
         modify_graph(g, st, sol, bans=bans, tenure=50)
         assert len(bans) == 2
 
-    def test_vetoed_ban_restores_and_tries_next(self):
-        # vertex 0 has a single edge: banning it is always infeasible, so the
-        # next-heaviest candidate in the partition gets banned instead
+    @staticmethod
+    def record_tries(monkeypatch):
+        """Wrap ``modify_graph``'s ``repair_after_ban``; the returned list
+        gets each tried edge and whether its ban was kept."""
+        tries = []
+        repair = orchestrator.repair_after_ban
+
+        def recording(g, st, u, v):
+            try:
+                repair(g, st, u, v)
+            except NoPerfectMatching:
+                tries.append(((u, v), False))
+                raise
+            tries.append(((u, v), True))
+
+        monkeypatch.setattr(orchestrator, "repair_after_ban", recording)
+        return tries
+
+    @staticmethod
+    def single_edge_row():
+        # vertex 0 has a single edge, (0, 0): banning it is always infeasible
         edges = [(0, 0, 50)]
         for u in range(1, 4):
             for v in range(4):
@@ -307,11 +325,49 @@ class TestModifyGraph:
         part = PartitionAssignment(1, 4, [0, 0, 0, 0])
         sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
                        objective=st.total_weight)
+        return g, st, sol
+
+    def test_vetoed_ban_restores_and_tries_next(self):
+        # (0, 0) is the heaviest candidate and its ban is rejected: the edge
+        # is restored, nothing records the rejection, and the next-heaviest
+        # candidate in the partition is banned instead
+        g, st, sol = self.single_edge_row()
         bans = BanList()
         modify_graph(g, st, sol, bans=bans, tenure=6)
-        assert (0, 0) in bans.vetoed and not g.banned[0, 0]
-        assert len(bans) == 1 and (0, 0) not in bans.entries
+        assert not g.banned[0, 0] and (0, 0) not in bans.entries
+        assert len(bans) == 1 and not hasattr(bans, "vetoed")
         check_invariants(g, st)
+
+    def test_rejected_ban_is_tried_again(self, monkeypatch):
+        g, st, sol = self.single_edge_row()
+        tries = self.record_tries(monkeypatch)
+        bans = BanList()
+        modify_graph(g, st, sol, bans=bans, tenure=6)
+        modify_graph(g, st, sol, bans=bans, tenure=6)
+        assert [ok for edge, ok in tries if edge == (0, 0)] == [False, False]
+        assert len(bans) == 2 and not g.banned[0, 0]
+        check_invariants(g, st)
+
+    def test_rejected_ban_taken_once_its_blocker_expires(self, monkeypatch):
+        # one partition, tenure 2, the solution re-read from the state on
+        # every call. Call 1 bans (2, 1); the matching then routes through
+        # (0, 1), whose ban call 2 rejects while (2, 1) is active. Call 3
+        # releases (2, 1) and bans (0, 1) at once.
+        edges = [(0, 0, 3), (0, 1, 52), (1, 0, 98), (1, 1, 67), (1, 2, 69),
+                 (2, 0, 47), (2, 1, 23)]
+        g = BipartiteGraph.from_edges(3, 3, 1, 3, edges)
+        st = solve_full(g)
+        part = PartitionAssignment(1, 3, [0, 0, 0])
+        tries = self.record_tries(monkeypatch)
+        bans = BanList()
+        entries = []
+        for _ in range(3):
+            sol = Solution(mate=[int(v) for v in st.mate_u], partition=part)
+            modify_graph(g, st, sol, bans=bans, tenure=2)
+            entries.append(dict(bans.entries))
+            check_invariants(g, st)
+        assert entries == [{(2, 1): 2}, {(2, 1): 1}, {(0, 1): 2}]
+        assert tries.index(((0, 1), False)) < tries.index(((0, 1), True))
 
     def test_tenure_expiry_restores_edges(self):
         g, st, sol, _ = self.build(seed=3)
@@ -336,13 +392,11 @@ class TestModifyGraph:
         for edge, left in {(0, 1): 2, (2, 3): 1}.items():
             g.ban_edge(*edge)
             bans.entries[edge] = left
-        bans.vetoed[(1, 2)] = 2
         assert bans.age(g) == [(2, 3)]
         assert bans.entries == {(0, 1): 1}
-        assert bans.vetoed == {(1, 2): 1}
         assert g.banned[0, 1] and not g.banned[2, 3]
         assert bans.age(g) == [(0, 1)]
-        assert len(bans) == 0 and bans.vetoed == {}
+        assert len(bans) == 0
         assert not g.banned.any()
 
     def test_banlist_mirrors_graph_flags(self):
@@ -356,8 +410,8 @@ class TestModifyGraph:
             assert st.total_weight == solve_full(g).total_weight
 
     def test_monotone_ban_growth_without_expiry(self):
-        # effectively infinite tenure: the banned set grows until candidates
-        # run out or get vetoed
+        # effectively infinite tenure: the banned set grows until every
+        # candidate is banned or its ban is rejected
         g, st, sol, _ = self.build(seed=5)
         bans = BanList()
         sizes = []
