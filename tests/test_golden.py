@@ -37,7 +37,7 @@ SOLVE_CASES = [
      "6cf5ae0cafc2c862c97729f07a4425076c02eafd1acc28211fd18e38c33ec791"),
     (InstanceSpec(30, 36, 5, 7, 0.4, "CONSISTENT", 500, 12), dict(max_iterations=4),
      617,
-     "27c14416c32e8d02812b056f395ef39bdf2995865ce6b0dc3d14bc13d6c38266"),
+     "e3de39964252820bfb31aa1bcc7267d3155fd9922201ebdc938dcaad3103646e"),
     # tight capacity (n1/m = 2): bans fire and lower the incumbent 401 -> 375
     (InstanceSpec(32, 32, 16, 2, 0.3, "CONSISTENT", 1000, 21), dict(max_iterations=20),
      375,

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
@@ -474,6 +475,82 @@ class TestEvolve:
     def test_constants_are_not_settable(self, constant):
         with pytest.raises(TypeError):
             HgaParams(**{constant: 1})
+
+
+class TestStartStep:
+    """``evolve`` scores every start individual, then improves them in order
+    until one reaches the bound or the deadline has passed."""
+
+    # 5 partitions of exactly 2 items: the optimum 19 lies above the bound 17
+    ABOVE_BOUND = (17, 3, 9, 12, 5, 8, 4, 11, 2, 6)
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The inputs of every ``mls_improve`` call ``evolve`` makes."""
+        inputs = []
+        real = hga.mls_improve
+
+        def wrapper(ind, *args, **kwargs):
+            inputs.append(ind)
+            return real(ind, *args, **kwargs)
+
+        monkeypatch.setattr(hga, "mls_improve", wrapper)
+        return inputs
+
+    @staticmethod
+    def assert_scored(population, w, m, pop_size):
+        assert len(population) == pop_size
+        for ind in population:
+            assert ind.fitness == fitness_of(ind.part, w, m)
+
+    def test_stops_once_an_individual_reaches_the_bound(self, monkeypatch):
+        # LPT gives (17, 13); its local search reaches max(ceil(30 / 2), 8) = 15
+        items = items_of(8, 7, 6, 5, 4)
+        params = HgaParams(pop_size=6, rng_seed=4)
+        inputs = self.recorded(monkeypatch)
+        best, population = evolve(items, 2, 3, params)
+        assert [ind.part.tolist() for ind in inputs] == [greedy_lpt(items, 2, 3).tolist()]
+        assert best.fitness[0] == 15
+        self.assert_scored(population, items, 2, params.pop_size)
+        # the others join scored but not improved
+        assert max(ind.fitness for ind in population) == (18, 12)
+
+    def test_improves_every_start_individual_below_the_bound(self, monkeypatch):
+        items = items_of(*self.ABOVE_BOUND)
+        params = HgaParams(pop_size=8, max_generations=0, rng_seed=3)
+        start = init_population(items, 5, 2, params)
+        inputs = self.recorded(monkeypatch)
+        _, population = evolve(items, 5, 2, params)
+        # one call per start part, in order
+        assert [ind.part.tolist() for ind in inputs] == [ind.part.tolist() for ind in start]
+        assert len({ind.part.tobytes() for ind in inputs}) == params.pop_size
+        self.assert_scored(population, items, 5, params.pop_size)
+        for ind in population:
+            assert mls_improve(ind, items, 2) is ind  # no move left
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_passed_deadline_skips_the_local_search(self, monkeypatch, carried):
+        items = items_of(*self.ABOVE_BOUND)
+        params = HgaParams(pop_size=8, max_generations=30, rng_seed=3)
+        start = evolve(items, 5, 2, params).population if carried else None
+        inputs = self.recorded(monkeypatch)
+        generations = []
+        best, population = evolve(items, 5, 2, params, population=start,
+                                  deadline=time.perf_counter() - 1.0,
+                                  on_generation=lambda g, pop, inc: generations.append(g))
+        assert inputs == [] and generations == []
+        self.assert_scored(population, items, 5, params.pop_size)
+        expected = start or init_population(items, 5, 2, params)
+        assert [ind.part.tolist() for ind in population] == [ind.part.tolist() for ind in expected]
+        assert best.fitness == min(ind.fitness for ind in population)
+
+    def test_unreached_deadline_changes_nothing(self):
+        items = items_of(*self.ABOVE_BOUND)
+        params = HgaParams(pop_size=8, max_generations=30, rng_seed=3)
+        plain = evolve(items, 5, 2, params)
+        timed = evolve(items, 5, 2, params, deadline=time.perf_counter() + 3600.0)
+        for a, b in [(plain.best, timed.best), *zip(plain.population, timed.population)]:
+            assert a.part.tolist() == b.part.tolist() and a.fitness == b.fitness
 
 
 class TestMemo:

@@ -170,6 +170,14 @@ class TestSolve:
         result = run(g, 3, 4, small_params(seed=2, iterations=5, time_limit_ms=0))
         assert result.stats.iterations == 1
 
+    def test_zero_time_limit_gives_a_valid_solution(self):
+        # the deadline has passed before the HGA starts, so its start
+        # population goes unimproved; the answer must still be valid
+        g = generate(InstanceSpec(200, 200, 10, 24, 0.3, "CONSISTENT", 1000, 9))
+        result = solve(g, 10, 24, FimpParams(time_limit_ms=0, rng_seed=9))
+        assert result.stats.iterations == 1
+        assert validate_solution(g, result.solution) is None
+
     def test_time_limit_interrupts_the_hga(self, monkeypatch):
         # Unlimited, this one evolve call runs 150 generations of about
         # 90 ms each at n1=200, m=100, ubar=2 (pop 20): some 13 s against a
