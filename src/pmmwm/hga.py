@@ -48,6 +48,7 @@ further individual, and ``evolve`` starts no generation.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -357,7 +358,7 @@ def _tournament(population: list[Individual], rng: random.Random) -> Individual:
 
 def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
            population: list[Individual] | None = None,
-           on_generation=None, deadline: float | None = None) -> Evolution:
+           on_generation=None, deadline: float = math.inf) -> Evolution:
     """Run the generational loop and return the best individual ever seen
     with the final population.
 
@@ -396,7 +397,7 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     population = [Individual(ind.part, fitness_of(ind.part, w, m)) for ind in population]
     bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
     for i, ind in enumerate(population):
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             break
         population[i] = mls_improve(ind, w, ubar, memo=improved)
         if population[i].fitness[0] == bound:
@@ -404,9 +405,7 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     best = min(population, key=lambda ind: ind.fitness)
     stall = 0
     for gen in range(params.max_generations):
-        if stall >= params.stall_limit or best.fitness[0] == bound:
-            break
-        if deadline is not None and time.perf_counter() >= deadline:
+        if stall >= params.stall_limit or best.fitness[0] == bound or time.perf_counter() >= deadline:
             break
         population.sort(key=lambda ind: ind.fitness)
         next_pop = population[:params.elite_count]

@@ -176,10 +176,10 @@ def bounded_min_max(weights: list[int], m: int, ubar: int,
 
 
 def min_max_brute(w: np.ndarray, m: int, ubar: int) -> tuple[int, np.ndarray]:
-    """Exact minimum of the max partition sum by exhaustive enumeration.
+    """Exact minimum of the max partition sum by ``bounded_min_max``'s DFS.
 
-    Guarded to m**n <= 10**7 labeled assignments; the oracle the heuristic
-    constructors are measured against. Returns (objective, part).
+    Refused (TooLarge) when m**n > 10**7 labeled assignments; the oracle the
+    heuristic constructors are measured against. Returns (objective, part).
     """
     if m ** len(w) > BRUTE_FORCE_GUARD:
         raise TooLarge(f"{m}**{len(w)} exceeds enumeration guard")

@@ -7,19 +7,19 @@ bans whose tenure has run out are lifted and the matching re-matched around
 them, then the heaviest matched edge inside the heaviest partition is banned
 for ``tenure`` iterations, forcing later matchings (repaired incrementally,
 never re-solved from scratch) to route around it. The incumbent is the best
-(matching, partition) pair ever seen, built fresh each iteration and never
-mutated, and its objective is non-increasing over the run.
+(matching, partition) pair ever seen, built only on a strict improvement and
+never mutated, and its objective is non-increasing over the run.
 
 ``solve`` and ``harness.baseline_ls`` both run ``run_loop``, which owns the
 checks, the time limit, the incumbent, the trace, the timing, the ``BanList``,
-the graph's ban flags and each iteration's tail (the ``Solution`` and the ban
-step); each solver supplies only its matcher and its partitioner. The
-``BanList`` is the whole ban policy's state: the active bans, each with its
-remaining tenure; ``BanList.age`` expires them and ``modify_graph`` picks the
-next ban. The two solvers differ only in the matching each iteration starts
-from and in how they partition it: ``solve`` repairs one matching state
-across the run, ``baseline_ls`` solves a fresh one every iteration, and
-``run_loop`` bans through ``modify_graph`` on that state for both.
+the graph's ban flags and the ban step; each solver supplies only its matcher
+and its partitioner. The ``BanList`` is the whole ban policy's state: the
+active bans, each with its remaining tenure; ``BanList.age`` expires them and
+``modify_graph`` picks the next ban. The two solvers differ only in the
+matching each iteration starts from and in how they partition it: ``solve``
+repairs one matching state across the run, ``baseline_ls`` solves a fresh one
+every iteration, and ``run_loop`` bans through ``modify_graph`` on that state
+for both.
 
 ``max_iterations`` is a cap, not a count. Every solution's heaviest
 partition weighs at least ceil(W*/m), where W* is the weight of a
@@ -33,6 +33,7 @@ does.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -41,9 +42,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import InfeasibleInstance, NoPerfectMatching
-from .graph import BipartiteGraph, PartitionAssignment, Solution, partition_weights
+from .graph import BipartiteGraph, PartitionAssignment, Solution
 from .hga import HgaParams, Individual, evolve
 from .matching import MatchState, batch_resolve, repair_after_ban, solve_full
+from .numpart import part_sums
 
 
 @dataclass
@@ -115,29 +117,27 @@ class RunResult:
     stats: RunStats
 
 
-def modify_graph(g: BipartiteGraph, st: MatchState, sol: Solution, *,
+def modify_graph(g: BipartiteGraph, st: MatchState, best: Individual, *,
                  bans: BanList, tenure: int) -> None:
     """One graph-modification step; repairs ``st`` in place.
 
     ``bans.age`` lifts the expired bans and ``batch_resolve`` re-matches
-    around them. Then the heaviest matched edge (u, v) of ``sol``'s heaviest
-    partition (ties: lowest partition index, then lowest U-index) that is
-    not already banned is banned for ``tenure`` iterations, unless
+    around them. Then the heaviest edge (u, v) that ``st`` matched on entry
+    inside ``best``'s heaviest partition (ties: lowest partition index, then
+    lowest U-index) is banned for ``tenure`` iterations, unless
     ``repair_after_ban`` finds that no perfect matching survives the ban: the
     edge is then unbanned and the next one is tried. Nothing records the
     rejection, so a later call tries the edge again. None left: no ban.
-    ``st`` must be the matcher's state for ``g`` as it stands, as every
-    ``match()`` of ``run_loop`` returns it.
+    ``best`` partitions the entry matching's weights, and ``st`` must be the
+    matcher's state for ``g`` as it stands, as ``match()`` returns it.
     """
+    mate = st.mate_u.copy()
     batch_resolve(g, st, set(bans.age(g)))
-    sums = partition_weights(g, sol)
-    heaviest = sums.index(max(sums))
-    part_of, mate = sol.partition.part_of, sol.mate
-    for u in sorted((u for u in range(g.n1) if part_of[u] == heaviest),
-                    key=lambda u: (-int(g.weight[u, mate[u]]), u)):
-        v = mate[u]
-        if (u, v) in bans.entries:
-            continue
+    w = g.weight[np.arange(g.n1), mate]
+    heaviest = np.argmax(part_sums(best.part, w, len(best.fitness)))
+    members = np.flatnonzero(best.part == heaviest)
+    for u in members[np.argsort(-w[members], kind="stable")].tolist():
+        v = int(mate[u])
         g.ban_edge(u, v)
         try:
             repair_after_ban(g, st, u, v)
@@ -155,22 +155,23 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
     Each iteration calls ``match()``, which returns the matcher's state for
     ``g`` as it stands and a lower bound on every solution's objective
     (``None``: no bound known), then ``partition(w, deadline)``, which
-    returns an ``Individual`` partitioning the matched weights ``w``. The
-    two make the iteration's solution, which becomes the incumbent on strict
-    improvement; ``modify_graph`` then ages the bans and bans an edge of it,
-    repairing the state in place. ``match()`` plus ``modify_graph`` is
-    charged to matching time, ``partition`` to partition time. The loop
-    runs at most ``max_iterations`` iterations and stops early, certified
-    optimal, once the incumbent reaches the bound, or before any iteration
-    after the first once ``deadline`` (the ``time.perf_counter()`` value at
-    which ``time_limit_ms`` runs out; ``None``: no limit) has passed. The
+    returns an ``Individual`` partitioning the matched weights ``w``. A strict
+    improvement makes the two the incumbent, the only ``Solution`` built;
+    ``modify_graph`` then ages the bans and bans an edge of the
+    ``Individual``'s heaviest partition, repairing the state in place.
+    ``match()`` plus ``modify_graph`` is charged to matching time,
+    ``partition`` to partition time. The loop runs at most ``max_iterations``
+    iterations and stops early, certified optimal, once the incumbent reaches
+    the bound, or before any iteration after the first once ``deadline``
+    (``math.inf`` without a ``time_limit_ms``, else the
+    ``time.perf_counter()`` value at which it runs out) has passed. The
     graph's ban flags are restored on every exit, an exception included.
     """
     params.validate()
     if m * ubar < g.n1:
         raise InfeasibleInstance(f"m*ubar = {m * ubar} < n1 = {g.n1}")
     t_start = time.perf_counter()
-    deadline = (None if params.time_limit_ms is None
+    deadline = (math.inf if params.time_limit_ms is None
                 else t_start + params.time_limit_ms / 1000.0)
     trace: list[IterationRecord] = []
     bans = BanList()
@@ -180,22 +181,21 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
     saved_bans = g.banned.copy()
     try:
         for it in range(params.max_iterations):
-            if it > 0 and deadline is not None and time.perf_counter() >= deadline:
+            if it > 0 and time.perf_counter() >= deadline:
                 break
             t0 = time.perf_counter()
             st, lower_bound = match()
             t1 = time.perf_counter()
             best = partition(g.weight[np.arange(g.n1), st.mate_u], deadline)
             t2 = time.perf_counter()
-            current = Solution(mate=st.mate_u.tolist(), objective=best.fitness[0],
-                               partition=PartitionAssignment(m, ubar, best.part.tolist()))
+            if incumbent is None or best.fitness[0] < incumbent.objective:
+                incumbent = Solution(mate=st.mate_u.tolist(), objective=best.fitness[0],
+                                     partition=PartitionAssignment(m, ubar, best.part.tolist()))
             t3 = time.perf_counter()
-            modify_graph(g, st, current, bans=bans, tenure=params.tenure)
+            modify_graph(g, st, best, bans=bans, tenure=params.tenure)
             match_s = (t1 - t0) + (time.perf_counter() - t3)
             del st  # so a matcher that solves afresh never holds two states at once
-            if incumbent is None or current.objective < incumbent.objective:
-                incumbent = current
-            trace.append(IterationRecord(it, current.objective, incumbent.objective,
+            trace.append(IterationRecord(it, best.fitness[0], incumbent.objective,
                                          len(bans), match_s * 1000.0, (t2 - t1) * 1000.0))
             certified = lower_bound is not None and incumbent.objective == lower_bound
             if certified:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import pmmwm
+from pmmwm import instgen
 from pmmwm.cli import _add_solver_flags, _instances_from_args, _params_from, build_parser, main
 from pmmwm.graph import load_instance, load_solution, save_instance
 from pmmwm.errors import ParseError
@@ -191,6 +193,23 @@ class TestGenerateCommands:
                         "--ubar", "3", "--out", str(path)]) == 2
         assert f"n2={n2}" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_benchmark_gen(self, tmp_path, monkeypatch, capsys):
+        # one cell of the sweep, one seed: one instance and its manifest row
+        monkeypatch.setattr(instgen, "BENCHMARK_N1", (6,))
+        monkeypatch.setattr(instgen, "BENCHMARK_M", (2,))
+        monkeypatch.setattr(instgen, "BENCHMARK_SEEDS", 1)
+        out = tmp_path / "bench"
+        assert run_cli(["benchmark-gen", "--group", "consistent-dense",
+                        "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == f"1 instances written to {out}\n"
+        with open(out / "manifest.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert sorted(os.listdir(out)) == sorted([row["file"], "manifest.csv"])
+        assert {k: row[k] for k in ("n1", "n2", "m", "ubar", "density", "model", "seed")} == \
+            dict(n1="6", n2="6", m="2", ubar="4", density="1.0", model="CONSISTENT", seed="0")
+        g = load_instance(str(out / row["file"]))
+        assert (g.n1, g.n2, g.m, g.ubar) == (6, 6, 2, 4)
 
     def test_generate_n2_defaults_to_n1(self, tmp_path, capsys):
         path = str(tmp_path / "square.txt")

@@ -7,8 +7,6 @@ bit-identical; re-record a value only for a change meant to alter results,
 and say which and why in CHANGES.md.
 """
 
-import collections
-import dataclasses
 import hashlib
 import random
 
@@ -17,7 +15,7 @@ import pytest
 
 from pmmwm import FimpParams, HgaParams, InstanceSpec, baseline_ls, generate, solve
 from pmmwm.errors import NoPerfectMatching
-from pmmwm.hga import Individual, evolve
+from pmmwm.hga import evolve
 from pmmwm.instgen import benchmark_specs
 from pmmwm.matching import batch_resolve, repair_after_ban, solve_full
 from pmmwm.numpart import kk_multiway
@@ -123,17 +121,9 @@ def test_baseline_golden(spec, overrides, objective, digest):
     assert (sol.objective, lists_digest(sol.mate, sol.partition.part_of)) == (objective, digest)
 
 
-# evolve has taken the weights both as a list of (u, w) items and as one
-# int64 vector indexed by U-vertex; the cases run unchanged against either.
-_Item = collections.namedtuple("_Item", "u w")
-
-
 def _evolve(weights, m, ubar, params):
-    if "part" in {f.name for f in dataclasses.fields(Individual)}:
-        best = evolve(np.array(weights, dtype=np.int64), m, ubar, params).best
-        return best.fitness[0], best.part.tolist()
-    best = evolve([_Item(u, w) for u, w in enumerate(weights)], m, ubar, params)
-    return best.fitness[0], best.assignment.part_of
+    best = evolve(np.array(weights, dtype=np.int64), m, ubar, params).best
+    return best.fitness[0], best.part.tolist()
 
 
 @pytest.mark.parametrize("seed, n, w_max, m, ubar, objective, digest", EVOLVE_CASES,

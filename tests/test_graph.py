@@ -147,6 +147,29 @@ class TestLoadInstance:
             BipartiteGraph(n1, n1, 1, n1, weight)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("n1, n2, m, ubar, shape, message", [
+        (0, 2, 1, 1, (0, 2), "need 1 <= n1 <= n2, got n1=0 n2=2"),
+        (3, 2, 1, 3, (3, 2), "need 1 <= n1 <= n2, got n1=3 n2=2"),
+        (2, 2, 0, 2, (2, 2), "need m >= 1 and ubar >= 1, got m=0 ubar=2"),
+        (2, 2, 1, 0, (2, 2), "need m >= 1 and ubar >= 1, got m=1 ubar=0"),
+        (2, 2, 1, 2, (2, 3), "weight table shape (2, 3) != (2, 2)"),
+    ], ids=["n1-zero", "n2-below-n1", "m-zero", "ubar-zero", "shape"])
+    def test_constructor_size_checks(self, n1, n2, m, ubar, shape, message):
+        with pytest.raises(ParseError) as exc:
+            BipartiteGraph(n1, n2, m, ubar, np.full(shape, ABSENT, dtype=np.int64))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("edge, message", [
+        ((2, 0, 1), "edge (2, 0) out of range"),
+        ((0, -1, 1), "edge (0, -1) out of range"),
+        ((0, 1, -3), "edge (0, 1) has negative weight -3"),
+        ((0, 0, 4), "duplicate edge (0, 0)"),
+    ], ids=["u-out-of-range", "v-out-of-range", "negative", "duplicate"])
+    def test_from_edges_checks(self, edge, message):
+        with pytest.raises(ParseError) as exc:
+            BipartiteGraph.from_edges(2, 2, 1, 2, [(0, 0, 5), edge])
+        assert str(exc.value) == message
+
     def test_line_of_259_tokens(self, tmp_path):
         # 259 tokens wrap the bulk parse's uint8 per-line count round to 3.
         path = write(tmp_path, "1 1 1 1\n" + " ".join(["0"] * 259) + "\n")
@@ -469,6 +492,15 @@ class TestValidateSolution:
         example_graph.ban_edge(0, 0)
         v = validate_solution(example_graph, sol)
         assert v is not None and v.constraint == 1 and v.subject == 0
+
+    @pytest.mark.parametrize("field, constraint", [("mate", 1), ("part_of", 3)])
+    def test_wrong_length(self, example_graph, field, constraint):
+        sol = example_base_solution()
+        owner = sol if field == "mate" else sol.partition
+        getattr(owner, field).pop()
+        v = validate_solution(example_graph, sol)
+        assert (v.constraint, v.subject) == (constraint, -1)
+        assert v.message == f"{field} has length 5, expected 6"
 
     def test_partition_out_of_range(self, example_graph):
         sol = example_base_solution()

@@ -15,6 +15,7 @@ from pmmwm.harness import (
     compare_reports,
     exact_oracle,
     read_reports,
+    run_algorithm,
     write_compare,
     write_reports,
 )
@@ -77,6 +78,12 @@ class TestExactOracle:
         with pytest.raises(InfeasibleInstance):
             exact_oracle(g, 2, 2)
 
+    def test_no_perfect_matching(self):
+        # both U-vertices can only reach v0
+        g = BipartiteGraph.from_edges(2, 2, 2, 1, [(0, 0, 1), (1, 0, 1)])
+        with pytest.raises(InfeasibleInstance, match="^no perfect matching on available edges$"):
+            exact_oracle(g, 2, 1)
+
     @staticmethod
     def wide_graph():
         # n1 = 8 passes the size guards; complete 8 x 24 takes 1.6 million
@@ -138,6 +145,11 @@ class TestBaseline:
         b = baseline_ls(g.copy(), 2, 4, tiny_params(seed=5))
         assert a.solution.mate == b.solution.mate
         assert a.solution.objective == b.solution.objective
+
+
+def test_run_algorithm_rejects_unknown_name():
+    with pytest.raises(ValueError, match="^unknown algorithm 'nope'$"):
+        run_algorithm(make_example_graph(), "nope", tiny_params())
 
 
 class TestBenchReports:

@@ -467,9 +467,14 @@ class TestEvolve:
         with pytest.raises(TypeError):
             evolve(items, 2, 2, HgaParams(), greedy_lpt(items, 2, 2))
 
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            evolve(items_of(1, 2), 2, 1, HgaParams(pop_size=1))
+    @pytest.mark.parametrize("kw, message", [
+        (dict(pop_size=1), "pop_size must be >= 2"),
+        (dict(max_generations=-1), "need max_generations >= 0 and stall_limit >= 1"),
+        (dict(stall_limit=0), "need max_generations >= 0 and stall_limit >= 1"),
+    ], ids=["pop-size", "max-generations", "stall-limit"])
+    def test_param_validation(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            evolve(items_of(1, 2), 2, 1, HgaParams(**kw))
 
     @pytest.mark.parametrize("constant", ["elite_count", "mutation_rate"])
     def test_constants_are_not_settable(self, constant):

@@ -63,9 +63,14 @@ class TestGreedyLpt:
         pa = greedy_lpt(items, 2, 2)
         assert max(sizes_of(pa, 2)) <= 2
 
-    def test_capacity_infeasible(self):
-        with pytest.raises(CapacityInfeasible):
-            greedy_lpt(items_of(1, 1, 1), 1, 2)
+    @pytest.mark.parametrize("m, ubar, message", [
+        (1, 2, r"m\*ubar = 2 cannot hold 3 items"),
+        (0, 3, "need m >= 1 and ubar >= 1, got m=0 ubar=3"),
+        (3, 0, "need m >= 1 and ubar >= 1, got m=3 ubar=0"),
+    ], ids=["over-capacity", "m-zero", "ubar-zero"])
+    def test_capacity_infeasible(self, m, ubar, message):
+        with pytest.raises(CapacityInfeasible, match=message):
+            greedy_lpt(items_of(1, 1, 1), m, ubar)
 
     def test_order_matters_for_plain_greedy(self):
         # position order: 1 -> P0 (1,0); 8 -> P1 (1,8); 2 -> P0 (3,8)

@@ -1,18 +1,14 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from pmmwm import InstanceSpec, generate, harness, hga, orchestrator
 from pmmwm.errors import InfeasibleInstance, NoPerfectMatching
-from pmmwm.graph import (
-    BipartiteGraph,
-    PartitionAssignment,
-    Solution,
-    validate_solution,
-)
-from pmmwm.hga import HgaParams
-from pmmwm.matching import check_invariants, solve_full
+from pmmwm.graph import BipartiteGraph, validate_solution
+from pmmwm.hga import HgaParams, Individual, fitness_of
+from pmmwm.matching import check_invariants, repair_after_ban, solve_full
 from pmmwm.orchestrator import BanList, FimpParams, modify_graph, solve
 
 from helpers import lists_digest, make_example_graph, random_dense_graph
@@ -270,38 +266,52 @@ class TestCertifiedStop:
 
 
 class TestModifyGraph:
+    @staticmethod
+    def individual(g, st, part, m):
+        """The ``Individual`` that partitions ``st``'s matched weights by ``part``."""
+        part = np.array(part, dtype=np.int64)
+        return Individual(part, fitness_of(part, g.weight[np.arange(g.n1), st.mate_u], m))
+
+    @staticmethod
+    def first_candidate(g, mate, part):
+        """The heaviest edge (u, mate[u]) of the heaviest partition under
+        ``mate`` (ties: lowest partition, then lowest u)."""
+        sums = [0] * (max(part) + 1)
+        for u in range(g.n1):
+            sums[part[u]] += int(g.weight[u, mate[u]])
+        heaviest = sums.index(max(sums))
+        u = max((u for u in range(g.n1) if part[u] == heaviest),
+                key=lambda u: (int(g.weight[u, mate[u]]), -u))
+        return (u, int(mate[u]))
+
     def build(self, seed=0):
         rng = random.Random(seed)
         g = random_dense_graph(8, 8, 2, 5, rng, density=1.0)
         st = solve_full(g)
-        part = PartitionAssignment(2, 5, [u % 2 for u in range(8)])
-        sol = Solution(mate=[int(v) for v in st.mate_u], partition=part)
-        sums = [0, 0]
-        for u in range(8):
-            sums[part.part_of[u]] += int(g.weight[u, sol.mate[u]])
-        sol.objective = max(sums)
-        return g, st, sol, sums
+        part = [u % 2 for u in range(8)]
+        return g, st, part, self.individual(g, st, part, 2)
 
     def test_bans_heaviest_edge_of_heaviest_partition(self):
-        g, st, sol, sums = self.build()
-        heaviest = sums.index(max(sums))
-        expect_u = max(
-            (u for u in range(8) if sol.partition.part_of[u] == heaviest),
-            key=lambda u: (int(g.weight[u, sol.mate[u]]), -u))
-        expect_edge = (expect_u, sol.mate[expect_u])
+        g, st, part, best = self.build()
+        expect_edge = self.first_candidate(g, st.mate_u.tolist(), part)
         bans = BanList()
-        modify_graph(g, st, sol, bans=bans, tenure=4)
+        modify_graph(g, st, best, bans=bans, tenure=4)
         assert bans.entries == {expect_edge: 4}
         assert g.banned[expect_edge]
         check_invariants(g, st)
 
     def test_consecutive_calls_add_bans(self):
-        g, st, sol, _ = self.build(seed=1)
+        # the second call reads the matching repaired around the first ban,
+        # so it bans that matching's first candidate, a different edge
+        g, st, part, best = self.build(seed=1)
         bans = BanList()
-        modify_graph(g, st, sol, bans=bans, tenure=50)
-        assert len(bans) == 1
-        modify_graph(g, st, sol, bans=bans, tenure=50)
-        assert len(bans) == 2
+        modify_graph(g, st, best, bans=bans, tenure=50)
+        [first] = bans.entries
+        assert int(st.mate_u[first[0]]) != first[1]
+        second = self.first_candidate(g, st.mate_u.tolist(), part)
+        modify_graph(g, st, self.individual(g, st, part, 2), bans=bans, tenure=50)
+        assert bans.entries == {first: 49, second: 50}
+        check_invariants(g, st)
 
     @staticmethod
     def record_tries(monkeypatch):
@@ -321,8 +331,7 @@ class TestModifyGraph:
         monkeypatch.setattr(orchestrator, "repair_after_ban", recording)
         return tries
 
-    @staticmethod
-    def single_edge_row():
+    def single_edge_row(self):
         # vertex 0 has a single edge, (0, 0): banning it is always infeasible
         edges = [(0, 0, 50)]
         for u in range(1, 4):
@@ -330,68 +339,84 @@ class TestModifyGraph:
                 edges.append((u, v, 10 * u + v))
         g = BipartiteGraph.from_edges(4, 4, 1, 4, edges)
         st = solve_full(g)
-        part = PartitionAssignment(1, 4, [0, 0, 0, 0])
-        sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
-                       objective=st.total_weight)
-        return g, st, sol
+        return g, st, self.individual(g, st, [0, 0, 0, 0], 1)
 
     def test_vetoed_ban_restores_and_tries_next(self):
         # (0, 0) is the heaviest candidate and its ban is rejected: the edge
         # is restored, nothing records the rejection, and the next-heaviest
         # candidate in the partition is banned instead
-        g, st, sol = self.single_edge_row()
+        g, st, best = self.single_edge_row()
         bans = BanList()
-        modify_graph(g, st, sol, bans=bans, tenure=6)
+        modify_graph(g, st, best, bans=bans, tenure=6)
         assert not g.banned[0, 0] and (0, 0) not in bans.entries
-        assert len(bans) == 1 and not hasattr(bans, "vetoed")
+        assert len(bans) == 1
         check_invariants(g, st)
 
     def test_rejected_ban_is_tried_again(self, monkeypatch):
-        g, st, sol = self.single_edge_row()
+        g, st, best = self.single_edge_row()
         tries = self.record_tries(monkeypatch)
         bans = BanList()
-        modify_graph(g, st, sol, bans=bans, tenure=6)
-        modify_graph(g, st, sol, bans=bans, tenure=6)
+        modify_graph(g, st, best, bans=bans, tenure=6)
+        modify_graph(g, st, self.individual(g, st, [0, 0, 0, 0], 1), bans=bans, tenure=6)
         assert [ok for edge, ok in tries if edge == (0, 0)] == [False, False]
         assert len(bans) == 2 and not g.banned[0, 0]
         check_invariants(g, st)
 
     def test_rejected_ban_taken_once_its_blocker_expires(self, monkeypatch):
-        # one partition, tenure 2, the solution re-read from the state on
-        # every call. Call 1 bans (2, 1); the matching then routes through
-        # (0, 1), whose ban call 2 rejects while (2, 1) is active. Call 3
-        # releases (2, 1) and bans (0, 1) at once.
+        # one partition, tenure 2. Call 1 bans (2, 1); the matching then
+        # routes through (0, 1), whose ban call 2 rejects while (2, 1) is
+        # active. Call 3 releases (2, 1) and bans (0, 1) at once.
         edges = [(0, 0, 3), (0, 1, 52), (1, 0, 98), (1, 1, 67), (1, 2, 69),
                  (2, 0, 47), (2, 1, 23)]
         g = BipartiteGraph.from_edges(3, 3, 1, 3, edges)
         st = solve_full(g)
-        part = PartitionAssignment(1, 3, [0, 0, 0])
         tries = self.record_tries(monkeypatch)
         bans = BanList()
         entries = []
         for _ in range(3):
-            sol = Solution(mate=[int(v) for v in st.mate_u], partition=part)
-            modify_graph(g, st, sol, bans=bans, tenure=2)
+            modify_graph(g, st, self.individual(g, st, [0, 0, 0], 1), bans=bans, tenure=2)
             entries.append(dict(bans.entries))
             check_invariants(g, st)
         assert entries == [{(2, 1): 2}, {(2, 1): 1}, {(0, 1): 2}]
         assert tries.index(((0, 1), False)) < tries.index(((0, 1), True))
 
     def test_tenure_expiry_restores_edges(self):
-        g, st, sol, _ = self.build(seed=3)
+        # call 2 bans the repaired matching's candidate, so call 3 releases
+        # call 1's ban while call 2's ages and one more is added; the released
+        # edge was unmatched on entry to call 3, so it is not re-banned
+        g, st, part, best = self.build(seed=3)
         bans = BanList()
-        modify_graph(g, st, sol, bans=bans, tenure=2)
-        banned_edge = next(iter(bans.entries))
-        assert bans.entries[banned_edge] == 2
-        modify_graph(g, st, sol, bans=bans, tenure=2)
-        assert bans.entries[banned_edge] == 1
-        # third call: the edge expires and is released; with the solution held
-        # fixed it is immediately re-banned as the still-heaviest candidate,
-        # which shows as a fresh tenure rather than a stale zero
-        modify_graph(g, st, sol, bans=bans, tenure=2)
-        assert bans.entries[banned_edge] == 2
+        modify_graph(g, st, best, bans=bans, tenure=2)
+        [first] = bans.entries
+        assert bans.entries == {first: 2}
+        modify_graph(g, st, self.individual(g, st, part, 2), bans=bans, tenure=2)
+        [second] = set(bans.entries) - {first}
+        assert bans.entries == {first: 1, second: 2}
+        modify_graph(g, st, self.individual(g, st, part, 2), bans=bans, tenure=2)
+        assert not g.banned[first] and first not in bans.entries
+        assert len(bans) == 2 and bans.entries[second] == 1
         flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
         assert flagged == set(bans.entries)
+        check_invariants(g, st)
+
+    def test_bans_the_edge_matched_before_the_release(self):
+        # (0, 0) is banned and expires in this call. On entry row 0 is
+        # matched to (0, 1), weight 50, the heaviest edge; the release
+        # re-matches it to (0, 0). The step bans the entry edge (0, 1), now
+        # unmatched, which leaves the repaired matching as it is, and not
+        # (1, 1), the heaviest edge of the repaired matching.
+        g = BipartiteGraph.from_edges(2, 2, 1, 2, [(0, 0, 10), (0, 1, 50),
+                                                    (1, 0, 20), (1, 1, 20)])
+        st = solve_full(g)
+        g.ban_edge(0, 0)
+        repair_after_ban(g, st, 0, 0)
+        assert st.mate_u.tolist() == [1, 0]
+        bans = BanList()
+        bans.entries[(0, 0)] = 1
+        modify_graph(g, st, self.individual(g, st, [0, 0], 1), bans=bans, tenure=3)
+        assert bans.entries == {(0, 1): 3}
+        assert st.mate_u.tolist() == [0, 1]
+        assert g.banned[0, 1] and not g.banned[0, 0]
         check_invariants(g, st)
 
     def test_banlist_age_unit(self):
@@ -408,10 +433,10 @@ class TestModifyGraph:
         assert not g.banned.any()
 
     def test_banlist_mirrors_graph_flags(self):
-        g, st, sol, _ = self.build(seed=4)
+        g, st, part, _ = self.build(seed=4)
         bans = BanList()
         for _ in range(12):
-            modify_graph(g, st, sol, bans=bans, tenure=3)
+            modify_graph(g, st, self.individual(g, st, part, 2), bans=bans, tenure=3)
             flagged = {(int(u), int(v)) for u, v in zip(*g.banned.nonzero())}
             assert flagged == set(bans.entries)
             assert all(t >= 1 for t in bans.entries.values())
@@ -420,11 +445,11 @@ class TestModifyGraph:
     def test_monotone_ban_growth_without_expiry(self):
         # effectively infinite tenure: the banned set grows until every
         # candidate is banned or its ban is rejected
-        g, st, sol, _ = self.build(seed=5)
+        g, st, part, _ = self.build(seed=5)
         bans = BanList()
         sizes = []
         for _ in range(10):
-            modify_graph(g, st, sol, bans=bans, tenure=10_000)
+            modify_graph(g, st, self.individual(g, st, part, 2), bans=bans, tenure=10_000)
             sizes.append(len(bans))
         assert sizes == sorted(sizes)
 
@@ -433,13 +458,9 @@ class TestModifyGraph:
         rng = random.Random(6)
         g = random_dense_graph(8, n2, 2, 5, rng, density=0.7)
         st = solve_full(g)
-        part = PartitionAssignment(2, 5, [u % 2 for u in range(8)])
-        sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
-                       objective=100)
+        part = [u % 2 for u in range(8)]
         bans = BanList()
         for _ in range(10):
-            modify_graph(g, st, sol, bans=bans, tenure=5)
+            modify_graph(g, st, self.individual(g, st, part, 2), bans=bans, tenure=5)
             check_invariants(g, st)
             assert st.total_weight == solve_full(g).total_weight
-            sol = Solution(mate=[int(v) for v in st.mate_u], partition=part,
-                           objective=100)
