@@ -126,14 +126,51 @@ def _evolve(weights, m, ubar, params):
     return best.fitness[0], best.part.tolist()
 
 
+EVOLVE_IDS = ["wide", "narrow", "groups", "tight", "repeats"]
+
+
 @pytest.mark.parametrize("seed, n, w_max, m, ubar, objective, digest", EVOLVE_CASES,
-                         ids=["wide", "narrow", "groups", "tight", "repeats"])
+                         ids=EVOLVE_IDS)
 def test_evolve_golden(seed, n, w_max, m, ubar, objective, digest):
     rng = random.Random(seed)
     weights = [rng.randint(1, w_max) for _ in range(n)]
     params = HgaParams(pop_size=10, max_generations=30, stall_limit=8, rng_seed=seed)
     found, part_of = _evolve(weights, m, ubar, params)
     assert (found, lists_digest(part_of)) == (objective, digest)
+
+
+# Each EVOLVE_CASES run's whole final population, then a second call carried
+# from it onto the same weights with three of them redrawn, as the outer
+# solver carries a population from one iteration to the next: sha256 of the
+# best and of every population member's part and fitness, in order, for both
+# calls.
+EVOLVE_POPULATION_DIGESTS = [
+    "49cd7f14f0c65045a4349c6cf9a0d57bb2195f9f8f1f468127c31dc54964496c",
+    "58d95f1d976b76737786aae1735395c82d5fd42de89b2426cd78a07810d6d540",
+    "63538209f8deb0ecf356b99c7aa0c032a8ea7c06767e199316cc2a99467dd74b",
+    "27ee914dc319589855ae747208a26a62a4824b3b62e457fa770e00544ed2ca02",
+    "28c40dee0dd40013e54b74a89c302a82d725ba4e760ca7e6fca0e7ab543977a6",
+]
+
+
+def _evolution_lists(evo) -> list[list[int]]:
+    return [evo.best.part.tolist(), list(evo.best.fitness),
+            *[values for ind in evo.population for values in (ind.part.tolist(), ind.fitness)]]
+
+
+@pytest.mark.parametrize("case, digest", zip(EVOLVE_CASES, EVOLVE_POPULATION_DIGESTS),
+                         ids=EVOLVE_IDS)
+def test_evolve_population_golden(case, digest):
+    seed, n, w_max, m, ubar = case[:5]
+    rng = random.Random(seed)
+    w = np.array([rng.randint(1, w_max) for _ in range(n)], dtype=np.int64)
+    params = HgaParams(pop_size=10, max_generations=30, stall_limit=8, rng_seed=seed)
+    first = evolve(w, m, ubar, params)
+    changed = w.copy()
+    for u in rng.sample(range(n), 3):
+        changed[u] = rng.randint(1, w_max)
+    carried = evolve(changed, m, ubar, params, population=first.population)
+    assert lists_digest(*_evolution_lists(first), *_evolution_lists(carried)) == digest
 
 
 # The veto case ends on its iteration-0 solution, so its final digest alone
