@@ -14,19 +14,24 @@ Population flow per generation: the best ``elite_count`` individuals survive
 verbatim; the rest are produced by binary-tournament selection, greedy
 partition crossover, mutation and two-level local search. Everything is
 driven by one seeded ``random.Random``, so identical inputs give bit-identical
-results.
+results. A generation takes all its draws first: each child's two
+tournaments, the mutation's coin and item (``mutation_site``) and, only for
+a fired mutation with a partition to take the item, the target index, for
+which that child is crossed at once. Then the other children are crossed,
+and all of them searched, each in one batched pass (below).
 
 ``evolve`` starts from ``init_population``'s constructions or from the final
 population an earlier call returned, and gives both one start step: every
 part is scored on the call's ``w``, then the parts are improved by the local
 search once each, in order, through the call's memo below, so a part held in
-several copies costs one search. The improving stops at the first part that
-reaches the lower bound below, or once the deadline has passed; the rest
-join the population scored but not improved. The outer solver changes its
-matching by one ban per iteration, so only a few weights move between calls
-and a carried population starts close to converged (reusing a population
-when the fitness function shifts: Grefenstette, "Genetic algorithms for
-changing environments", PPSN 1992).
+several copies costs one search. Part 0 is searched first; only when it
+misses the lower bound below are the others searched, in one batch. The
+improving stops at the first part that reaches the bound, or once the
+deadline has passed; the rest join the population scored but not improved.
+The outer solver changes its matching by one ban per iteration, so only a
+few weights move between calls and a carried population starts close to
+converged (reusing a population when the fitness function shifts:
+Grefenstette, "Genetic algorithms for changing environments", PPSN 1992).
 
 Once the population converges, the generations breed the same children again.
 ``evolve`` therefore gives ``gpx_crossover`` and ``mls_improve`` one memo each
@@ -37,6 +42,13 @@ the keyed parts, so every child is bit-identical to an un-memoized run. The
 stored individuals' arrays are read-only, and both memos are freed when
 ``evolve`` returns. The memo lives inside the operators, so each child still
 costs one call of each, and a tracer counting calls sees the same counts.
+
+The memo misses are filled in batches. ``_gpx_batch`` runs the crossover
+rounds of a generation's missing parent pairs on one P x m x m cross table,
+and ``_mls_batch`` runs the local searches of its missing children, and of
+the start parts after part 0, in lockstep. Each gives every member the
+single operator's result, and only fills the memo, so the operator calls
+that follow are reads. Below a few misses the single operators compute them.
 
 No partition of ``w`` into m parts has an objective below
 max(ceil(sum(w) / m), max(w)): the heaviest part holds at least the average
@@ -184,6 +196,22 @@ def _l2_swap(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
 _LEVEL_FUNCS = {1: _l1_relocate, 2: _l2_swap}
 
 
+def _descend(part, w, sums, sizes, m, ubar, levels) -> bool:
+    """The descent of ``mls_improve`` on ``part`` and its ``sums`` and
+    ``sizes``, all updated in place; True when a move was made."""
+    funcs = [_LEVEL_FUNCS[lv] for lv in levels]
+    moved_any = False
+    while True:
+        h = int(np.argmax(sums))
+        h_items = np.flatnonzero(part == h)  # levels only read part until one moves
+        for func in funcs:
+            if func(part, w, sums, sizes, m, ubar, h, h_items):
+                moved_any = True
+                break
+        else:
+            return moved_any
+
+
 def _remember(memo: dict, key, ind: Individual | None) -> None:
     """Store ``ind`` under ``key``. Every later hit shares its ``part``, so
     the array is made read-only: an in-place write raises instead of
@@ -223,18 +251,7 @@ def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
             return ind if hit is None else hit
     part = ind.part.copy()
     sums = part_sums(part, w, m)
-    sizes = np.bincount(part, minlength=m)
-    funcs = [_LEVEL_FUNCS[lv] for lv in levels]
-    moved_any = False
-    while True:
-        h = int(np.argmax(sums))
-        h_items = np.flatnonzero(part == h)  # levels only read part until one moves
-        for func in funcs:
-            if func(part, w, sums, sizes, m, ubar, h, h_items):
-                moved_any = True
-                break
-        else:
-            break
+    moved_any = _descend(part, w, sums, np.bincount(part, minlength=m), m, ubar, levels)
     result = Individual(part, fitness_of(part, w, m)) if moved_any else None
     if memo is not None:
         _remember(memo, key, result)
@@ -309,15 +326,26 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
     return result
 
 
-def mutate(ind: Individual, w: np.ndarray, ubar: int,
-           rate: float, rng: random.Random) -> Individual:
-    """With probability ``rate`` relocate one uniformly random item to a
-    uniformly random different partition with spare capacity (no legal
-    target: unchanged). Always feasible."""
+def mutation_site(n: int, rate: float, rng: random.Random) -> int | None:
+    """The first two draws of a mutation of an n-item individual: with
+    probability ``rate`` the uniformly random item it relocates, else None
+    (rate 0 draws nothing). They do not depend on the individual, so a
+    caller can take them before the individual exists."""
     if rate <= 0.0 or rng.random() >= rate:
+        return None
+    return rng.randrange(n)
+
+
+def mutate(ind: Individual, w: np.ndarray, ubar: int,
+           u: int | None, rng: random.Random) -> Individual:
+    """Relocate item ``u`` (from ``mutation_site``) to a uniformly random
+    different partition with spare capacity; with ``u`` None, or no legal
+    target, ``ind`` itself is returned and nothing is drawn. The draws are
+    the coin and the item (``mutation_site``), then the target index.
+    Always feasible."""
+    if u is None:
         return ind
     m = len(ind.fitness)
-    u = rng.randrange(len(ind.part))
     cur = ind.part[u]
     sizes = np.bincount(ind.part, minlength=m)
     targets = [k for k in range(m) if k != cur and sizes[k] < ubar]
@@ -326,6 +354,214 @@ def mutate(ind: Individual, w: np.ndarray, ubar: int,
     part = ind.part.copy()
     part[u] = targets[rng.randrange(len(targets))]
     return Individual(part, fitness_of(part, w, m))
+
+
+# ---------------------------------------------------------------------------
+# Batched operators
+#
+# A generation's memo misses computed in one pass: each step of the single
+# operators above runs on a stack of P individuals that share w, m and ubar,
+# with the same rules and tie-breaks, so row p of a batch equals the single
+# operator's result for member p. A pass costs about as much as 3 single
+# calls of either operator (timed at n = 48, m = 24, ubar = 2); below that
+# the single operators compute the misses. A member's largest arrays hold
+# m * m cells (the cross table) or n * ubar (the search's moves of h's
+# items), so a batch is cut to at most _BATCH_CELLS of them, 8 MB as int64.
+
+_GPX_BATCH_MIN = 3
+_MLS_BATCH_MIN = 3
+_BATCH_CELLS = 1 << 20
+
+
+def _gpx_batch(a_parts: np.ndarray, b_parts: np.ndarray, w: np.ndarray,
+               m: int, ubar: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gpx_crossover`` of the parent rows ``a_parts[p]``, ``b_parts[p]``
+    (P x n): the children (P x n) and their partition sums (P x m).
+
+    The rounds run on a P x m x m cross table. The gaps |x * (m - r) - R|
+    are int64 when sum(w) * m < 2**63, where no product can wrap, and Python
+    ints otherwise; argmin takes the lowest index on ties. The leftovers are
+    placed in lockstep, the t-th of every child at step t."""
+    count, n = a_parts.shape
+    rows = np.arange(count)
+    cross = np.zeros((count, m, m), dtype=np.int64)
+    np.add.at(cross.reshape(-1), ((rows[:, None] * m + a_parts) * m + b_parts).ravel(),
+              np.tile(w, count))
+    line = np.stack([cross.sum(axis=2), cross.sum(axis=1)])  # a's row, b's column sums
+    chosen = np.empty((count, m), dtype=np.int64)  # the donor partition of each round
+    sums = np.zeros((count, m), dtype=np.int64)
+    total = int(w.sum())
+    wide = total * m >= 1 << 63
+    remaining = np.full(count, total, dtype=object if wide else np.int64)
+    for r in range(m):
+        s = r % 2
+        restricted = line[s].astype(object) if wide else line[s]
+        best_k = np.abs(restricted * (m - r) - remaining[:, None]).argmin(axis=1)
+        x = line[s, rows, best_k]
+        if s == 0:
+            line[1] -= cross[rows, best_k, :]
+            cross[rows, best_k, :] = 0
+        else:
+            line[0] -= cross[rows, :, best_k]
+            cross[rows, :, best_k] = 0
+        line[s, rows, best_k] = 0
+        chosen[:, r] = best_k
+        sums[:, r] = x
+        remaining -= x.astype(object) if wide else x
+
+    child = np.full((count, n), m, dtype=np.int64)
+    for s, donor in enumerate((a_parts, b_parts)):
+        taken_in = np.full((count, m), m, dtype=np.int64)  # round that took each; m: never
+        np.minimum.at(taken_in, (rows[:, None], chosen[:, s::2]), np.arange(s, m, 2))
+        np.minimum(child, taken_in[rows[:, None], donor], out=child)
+    sizes = np.bincount((rows[:, None] * (m + 1) + child).ravel(),
+                        minlength=count * (m + 1)).reshape(count, m + 1)  # column m: leftovers
+    order = np.argsort(-w, kind="stable")
+    left_p, left_j = np.nonzero(child[:, order] == m)  # each child's leftovers, heaviest first
+    left_u = order[left_j]
+    step = np.arange(left_p.size) - (np.cumsum(sizes[:, m]) - sizes[:, m])[left_p]
+    by_step = np.argsort(step, kind="stable")
+    bounds = np.cumsum(np.bincount(step)).tolist()
+    full = np.iinfo(np.int64).max
+    for lo, hi in zip([0] + bounds, bounds):
+        p, u = left_p[by_step[lo:hi]], left_u[by_step[lo:hi]]
+        k = np.where(sizes[p, :m] < ubar, sums[p], full).argmin(axis=1)
+        child[p, u] = k
+        sums[p, k] += w[u]
+        sizes[p, k] += 1
+    return child, sums
+
+
+def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
+               ubar: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mls_improve`` with levels (1, 2) of every row of ``parts`` (P x n),
+    in lockstep: the improved parts, their sums and which rows moved.
+
+    Each step finds the heaviest partition h of every active row, applies
+    level 1 where it has a move and level 2 to the rest, and retires the
+    rows where neither moves. The moves are laid out as in the single
+    levels, over each row's items of h (ascending, padded to the longest
+    row): level 1 orders its moves (x, k) by their whole sorted sums vector,
+    then by scan order, and level 2 takes the first improving (x, y) in
+    row-major order. The last active row finishes on the single levels,
+    whose steps cost less."""
+    count, n = parts.shape
+    part = parts.copy()
+    flat = (np.arange(count)[:, None] * m + part).ravel()
+    sums = np.zeros(count * m, dtype=np.int64)
+    np.add.at(sums, flat, np.tile(w, count))
+    sums = sums.reshape(count, m)
+    sizes = np.bincount(flat, minlength=count * m).reshape(count, m)
+    moved = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    while active.size:
+        if active.size == 1:  # one row left: the single levels cost less per step
+            p = active[0]
+            moved[p] |= _descend(part[p], w, sums[p], sizes[p], m, ubar, (1, 2))
+            break
+        q = np.arange(active.size)
+        s = sums[active]
+        h = s.argmax(axis=1)
+        s_h = s[q, h][:, None, None]
+        p_act = part[active]
+        in_h = p_act == h[:, None]
+        c = in_h.sum(axis=1)
+        # h_items[i, :c[i]] are row i's items of h, ascending
+        h_items = np.argsort(~in_h, axis=1, kind="stable")[:, :c.max()]
+        valid = (np.arange(h_items.shape[1]) < c[:, None])[:, :, None]
+        w_x = w[h_items][:, :, None]
+        went = np.zeros(active.size, dtype=bool)
+        # level 1: relocate x of h to k != h with room
+        room = sizes[active] < ubar
+        room[q, h] = False
+        i, xi, k = np.nonzero(valid & room[:, None, :] & _improves(s_h, w_x, s[:, None, :]))
+        if i.size:  # (i, xi, k) is in scan order within each row
+            x = h_items[i, xi]
+            first = np.r_[True, i[1:] != i[:-1]]
+            if not first.all():  # some row has a choice: smallest sorted sums vector first
+                cand = s[i]
+                cand[np.arange(i.size), h[i]] -= w[x]
+                cand[np.arange(i.size), k] += w[x]
+                cand = -np.sort(-cand, axis=1)
+                pick = np.lexsort((*cand.T[::-1], i))
+                i, x, k = i[pick], x[pick], k[pick]
+                first = np.r_[True, i[1:] != i[:-1]]
+            i, x, k = i[first], x[first], k[first]
+            p = active[i]
+            part[p, x] = k
+            sums[p, h[i]] -= w[x]
+            sums[p, k] += w[x]
+            sizes[p, h[i]] -= 1
+            sizes[p, k] += 1
+            went[i] = True
+        # level 2: swap x of h with y outside h, on the rows level 1 left
+        j = np.nonzero(~went)[0]
+        if j.size:
+            improving = (valid[j] & ~in_h[j][:, None, :]
+                         & _improves(s_h[j], w_x[j] - w, s[j[:, None], p_act[j]][:, None, :]))
+            improving = improving.reshape(j.size, h_items.shape[1] * n)
+            found = improving.any(axis=1)
+            if found.any():
+                j = j[found]
+                xi, y = np.divmod(improving[found].argmax(axis=1), n)
+                x = h_items[j, xi]
+                p = active[j]
+                k = part[p, y]
+                part[p, x] = k
+                part[p, y] = h[j]
+                sums[p, h[j]] += w[y] - w[x]
+                sums[p, k] += w[x] - w[y]
+                went[j] = True
+        moved[active[went]] = True
+        active = active[went]
+    return part, sums, moved
+
+
+def _batches(missing: dict, cells: int, least: int) -> list[list]:
+    """The items of ``missing`` in batches whose members take ``cells``
+    array cells each, at most ``_BATCH_CELLS`` per batch; none when fewer
+    than ``least`` members would share one."""
+    size = _BATCH_CELLS // cells
+    if min(size, len(missing)) < least:
+        return []
+    items = list(missing.items())
+    return [items[lo:lo + size] for lo in range(0, len(items), size)]
+
+
+def _cross_misses(pairs: list[tuple[Individual, Individual]], w: np.ndarray,
+                  m: int, ubar: int, memo: dict) -> None:
+    """Store in ``memo`` the children of the pairs it lacks, computed by
+    ``_gpx_batch`` once ``_GPX_BATCH_MIN`` of them share a batch."""
+    missing = {}
+    for a, b in pairs:
+        key = (a.part.tobytes(), b.part.tobytes())
+        if key not in memo:
+            missing[key] = (a.part, b.part)
+    for batch in _batches(missing, m * m, _GPX_BATCH_MIN):
+        a_parts, b_parts = (np.stack(side) for side in zip(*(parents for _, parents in batch)))
+        children, sums = _gpx_batch(a_parts, b_parts, w, m, ubar)
+        fitness = (-np.sort(-sums, axis=1)).tolist()
+        for (key, _), child, fit in zip(batch, children, fitness):
+            _remember(memo, key, Individual(child, tuple(fit)))
+
+
+def _improve_misses(inds: list[Individual], w: np.ndarray, m: int, ubar: int,
+                    memo: dict) -> None:
+    """Store in ``memo`` the two-level searches of the parts it lacks,
+    computed by ``_mls_batch`` once ``_MLS_BATCH_MIN`` of them share a
+    batch (keys and values as ``mls_improve``'s)."""
+    if m == 1 or len(w) == 0:  # mls_improve returns its input untouched
+        return
+    missing = {}
+    for ind in inds:
+        key = ind.part.tobytes()
+        if key not in memo:
+            missing[key] = ind.part
+    for batch in _batches(missing, len(w) * min(ubar, len(w)), _MLS_BATCH_MIN):
+        parts, sums, moved = _mls_batch(np.stack([part for _, part in batch]), w, m, ubar)
+        fitness = (-np.sort(-sums, axis=1)).tolist()
+        for (key, _), part, fit, changed in zip(batch, parts, fitness, moved.tolist()):
+            _remember(memo, key, Individual(part, tuple(fit)) if changed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +611,11 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     ``on_generation(gen, population, incumbent)`` after each generation; the
     incumbent's fitness is non-increasing across generations because the
     elite survives verbatim. ``deadline`` is a ``time.perf_counter()`` value
-    checked before each start individual's local search and before each
-    generation: once it has passed, no further search or generation starts.
-    Building and scoring the start population are not interrupted, so a run
-    ends at most one local search or one generation past the deadline, plus
-    that time.
+    checked before part 0's local search, before the batch of the other
+    start parts' searches and before each generation: once it has passed,
+    none of these starts. Building and scoring the start population are not
+    interrupted, so a run ends at most one batch of start searches or one
+    generation past the deadline, plus that time.
 
     No generation starts either once the best fitness[0] equals the bound,
     checked in the same place. When the start population already reaches it,
@@ -397,26 +633,40 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     population = [Individual(ind.part, fitness_of(ind.part, w, m)) for ind in population]
     bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
     for i, ind in enumerate(population):
-        if time.perf_counter() >= deadline:
-            break
+        if i < 2:  # checked before part 0's search and before the batch of the rest
+            if time.perf_counter() >= deadline:
+                break
+            if i == 1:
+                _improve_misses(population[1:], w, m, ubar, improved)
         population[i] = mls_improve(ind, w, ubar, memo=improved)
         if population[i].fitness[0] == bound:
             break
     best = min(population, key=lambda ind: ind.fitness)
+    n = len(w)
+    room = n < m * ubar  # else every partition is full and no mutation moves
     stall = 0
     for gen in range(params.max_generations):
         if stall >= params.stall_limit or best.fitness[0] == bound or time.perf_counter() >= deadline:
             break
         population.sort(key=lambda ind: ind.fitness)
-        next_pop = population[:params.elite_count]
-        while len(next_pop) < params.pop_size:
+        # Draw every child's parents and mutation first. Only a mutation's
+        # target draw needs its child, which is then crossed at once.
+        bred = []
+        for _ in range(params.pop_size - params.elite_count):
             p1 = _tournament(population, rng)
             p2 = _tournament(population, rng)
-            child = gpx_crossover(p1, p2, w, m, ubar, memo=crossed)
-            child = mutate(child, w, ubar, params.mutation_rate, rng)
-            child = mls_improve(child, w, ubar, memo=improved)
-            next_pop.append(child)
-        population = next_pop
+            u = mutation_site(n, params.mutation_rate, rng)
+            mutant = None
+            if u is not None and room:
+                mutant = mutate(gpx_crossover(p1, p2, w, m, ubar, memo=crossed), w, ubar, u, rng)
+            bred.append((p1, p2, mutant))
+        _cross_misses([(p1, p2) for p1, p2, mutant in bred if mutant is None],
+                      w, m, ubar, crossed)
+        children = [gpx_crossover(p1, p2, w, m, ubar, memo=crossed) if mutant is None else mutant
+                    for p1, p2, mutant in bred]
+        _improve_misses(children, w, m, ubar, improved)
+        population = population[:params.elite_count] + [
+            mls_improve(child, w, ubar, memo=improved) for child in children]
         gen_best = min(population, key=lambda ind: ind.fitness)
         if gen_best.fitness < best.fitness:
             best = gen_best

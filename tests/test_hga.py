@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -235,6 +237,19 @@ def _assert_gpx_matches_reference(a, b, w, m, ubar):
     assert (child.part.tolist(), child.fitness) == (ref_part.tolist(), ref_fit)
 
 
+def _assert_gpx_batch_matches_reference(pairs, w, m, ubar):
+    """One ``_gpx_batch`` over the (a, b) part pairs: every row is the
+    reference's child, with its partition sums."""
+    children, sums = hga._gpx_batch(np.stack([a for a, _ in pairs]),
+                                    np.stack([b for _, b in pairs]), w, m, ubar)
+    assert children.dtype == np.int64
+    for (a, b), child, child_sums in zip(pairs, children, sums):
+        ref_part, ref_fit = gpx_reference(a, b, w, m, ubar)
+        assert child.tolist() == ref_part.tolist()
+        assert child_sums.tolist() == hga.part_sums(ref_part, w, m).tolist()
+        assert tuple(sorted(child_sums.tolist(), reverse=True)) == ref_fit
+
+
 class TestGpxAgainstReference:
     # (n, m, ubar): the perfbench tight and groups shapes, then small m
     SHAPES = ((48, 24, 2), (48, 24, 3), (200, 10, 24),
@@ -260,7 +275,7 @@ class TestGpxAgainstReference:
                     a = pick()
                     pairs = [
                         (a, pick()),
-                        (mutate(pick(), w, ubar, 1.0, rng), pick()),
+                        (mutate(pick(), w, ubar, hga.mutation_site(n, 1.0, rng), rng), pick()),
                         tuple(individual(_random_feasible(rng, n, m, ubar), w, m, ubar)
                               for _ in range(2)),
                         (a, a),
@@ -274,7 +289,8 @@ class TestGpxAgainstReference:
         # The weights total MAX_TOTAL_WEIGHT and a's partition holding the
         # two heavy items weighs x = (2**64 + total) // m. In round 0 its
         # gap x * m - total is about 2**64 (the worst candidate), but an
-        # int64 product wraps it to under m, the best of all.
+        # int64 product wraps it to under m, the best of all. The batched
+        # pass must stay exact too: alone, and mixed with ordinary pairs.
         rng = random.Random(55)
         n, m, ubar = 600, 600, 2
         total = MAX_TOTAL_WEIGHT
@@ -288,10 +304,13 @@ class TestGpxAgainstReference:
             assert abs(wrapped) < m
             # a: the heavy items together in partition 0, the rest in 1..m-1
             a = np.append(_random_feasible(rng, n - 2, m - 1, ubar) + 1, [0, 0])
+            b = _random_feasible(rng, n, m, ubar)
             _assert_gpx_matches_reference(
-                individual(a, w, m, ubar),
-                individual(_random_feasible(rng, n, m, ubar), w, m, ubar),
-                w, m, ubar)
+                individual(a, w, m, ubar), individual(b, w, m, ubar), w, m, ubar)
+            ordinary = [(_random_feasible(rng, n, m, ubar), _random_feasible(rng, n, m, ubar))
+                        for _ in range(2)]
+            for batch in ([(a, b)], [ordinary[0], (a, b), ordinary[1]]):
+                _assert_gpx_batch_matches_reference(batch, w, m, ubar)
 
 
 class TestMutate:
@@ -299,7 +318,7 @@ class TestMutate:
         items = items_of(5, 3)
         ind = individual([0, 1], items, 2, 2)
         rng = random.Random(42)
-        assert mutate(ind, items, 2, 0.0, rng) is ind
+        assert mutate(ind, items, 2, hga.mutation_site(2, 0.0, rng), rng) is ind
         # rate-0 must not consume randomness
         assert rng.random() == random.Random(42).random()
 
@@ -310,13 +329,13 @@ class TestMutate:
         # infeasible for ubar=1, use a real blocked case: m=2, ubar=1,
         # one item per partition; the only other partition is full
         ind = individual([0, 1], items, 2, 1)
-        out = mutate(ind, items, 1, 1.0, random.Random(1))
+        out = mutate(ind, items, 1, hga.mutation_site(2, 1.0, rng := random.Random(1)), rng)
         assert out is ind
 
     def test_seeded_relocation_trace(self):
         items = items_of(5, 3)
         ind = individual([0, 1], items, 2, 2)
-        out = mutate(ind, items, 2, 1.0, random.Random(42))
+        out = mutate(ind, items, 2, hga.mutation_site(2, 1.0, rng := random.Random(42)), rng)
         # replay the documented draw order: coin, item, target index
         rng = random.Random(42)
         rng.random()
@@ -331,7 +350,7 @@ class TestMutate:
         items = items_of(*[rng.randint(1, 9) for _ in range(9)])
         ind = individual(greedy_lpt(items, 3, 3), items, 3, 3)
         for _ in range(200):
-            ind = mutate(ind, items, 3, 1.0, rng)
+            ind = mutate(ind, items, 3, hga.mutation_site(9, 1.0, rng), rng)
             assert max(sizes_of(ind.part, 3)) <= 3
 
 
@@ -557,6 +576,86 @@ class TestStartStep:
         for a, b in [(plain.best, timed.best), *zip(plain.population, timed.population)]:
             assert a.part.tolist() == b.part.tolist() and a.fitness == b.fitness
 
+    @staticmethod
+    def clock(monkeypatch):
+        """``evolve``'s clock, standing at 0 until a test moves it."""
+        now = [0.0]
+        monkeypatch.setattr(hga, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        return now
+
+    @staticmethod
+    def batch_calls(monkeypatch, on_call=None):
+        """How often each batch kernel has run; ``on_call(name)`` runs
+        before each."""
+        calls = {"_gpx_batch": 0, "_mls_batch": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(hga, name)):
+                calls[_name] += 1
+                if on_call is not None:
+                    on_call(_name)
+                return _real(*args)
+            monkeypatch.setattr(hga, name, counted)
+        return calls
+
+    def run(self, deadline=math.inf, after=None):
+        """The generations of one ``evolve`` call; ``after(gen)`` runs after
+        each."""
+        generations = []
+
+        def on_generation(gen, population, incumbent):
+            generations.append(gen)
+            if after is not None:
+                after(gen)
+
+        evolve(items_of(*self.ABOVE_BOUND), 5, 2,
+               HgaParams(pop_size=8, max_generations=30, rng_seed=3),
+               deadline=deadline, on_generation=on_generation)
+        return generations
+
+    def test_without_a_deadline_both_batches_run(self, monkeypatch):
+        calls = self.batch_calls(monkeypatch)
+        assert self.run()
+        assert calls["_gpx_batch"] > 0 and calls["_mls_batch"] > 1
+
+    def test_deadline_passed_in_part_0_builds_no_batch(self, monkeypatch):
+        now = self.clock(monkeypatch)
+        calls = self.batch_calls(monkeypatch)
+        inputs = self.recorded(monkeypatch)
+        real = hga.mls_improve
+
+        def slow(ind, *args, **kwargs):
+            now[0] = 2.0  # part 0's search ends past the deadline
+            return real(ind, *args, **kwargs)
+
+        monkeypatch.setattr(hga, "mls_improve", slow)
+        assert self.run(deadline=1.0) == []
+        assert len(inputs) == 1
+        assert calls == {"_gpx_batch": 0, "_mls_batch": 0}
+
+    def test_deadline_passed_in_the_start_batch_starts_no_generation(self, monkeypatch):
+        now = self.clock(monkeypatch)
+
+        def slow(name):
+            now[0] = 2.0  # the batch ends past the deadline
+
+        calls = self.batch_calls(monkeypatch, on_call=slow)
+        inputs = self.recorded(monkeypatch)
+        assert self.run(deadline=1.0) == []
+        assert calls == {"_gpx_batch": 0, "_mls_batch": 1}
+        assert len(inputs) == 8  # the searches the batch made are still read
+
+    def test_deadline_passed_in_a_generation_starts_no_further_batch(self, monkeypatch):
+        now = self.clock(monkeypatch)
+        calls = self.batch_calls(monkeypatch)
+        after_first = []
+
+        def ends_late(gen):
+            now[0] = 2.0
+            after_first.append(dict(calls))
+
+        assert self.run(deadline=1.0, after=ends_late) == [0]
+        assert after_first == [calls] and calls["_gpx_batch"] == 1
+
 
 class TestMemo:
     # (n, m, ubar): the perfbench tight shape, ubar = 3 with room, groups
@@ -580,7 +679,7 @@ class TestMemo:
                 first = gpx_crossover(a, b, w, m, ubar, memo=crossed)
                 hit = gpx_crossover(a, b, w, m, ubar, memo=crossed)
                 assert self._same(first, plain) and hit is first
-                for ind in (plain, mutate(plain, w, ubar, 1.0, rng)):
+                for ind in (plain, mutate(plain, w, ubar, hga.mutation_site(n, 1.0, rng), rng)):
                     plain_mls = mls_improve(ind, w, ubar)
                     for _ in range(2):  # the first call, then a hit
                         assert self._same(mls_improve(ind, w, ubar, memo=improved),
@@ -635,6 +734,150 @@ class TestMemo:
         assert seen == [((g + 1) * children, params.pop_size + (g + 1) * children)
                         for g in range(len(seen))]
         assert calls["hits"] > 0
+
+
+class TestCallContract:
+    """perfbench's tracer reads the operators' call counts, and derives the
+    generations from them: whatever the batches compute, every generation
+    calls ``gpx_crossover`` pop_size - 1 times, ``mls_improve`` runs once per
+    child and once per improved start part, and ``mutate`` only for a fired
+    mutation with room."""
+
+    # (weight seed, n, w_max, m, ubar, pop_size, the start part that reaches
+    # the bound): full capacity, spare room, and a start step that stops
+    CASES = [(43, 48, 1000, 24, 2, 10, None), (45, 48, 1000, 20, 3, 10, None),
+             (40, 12, 30, 3, 5, 8, 5)]
+
+    @pytest.mark.parametrize("carried", [False, True])
+    @pytest.mark.parametrize("seed, n, w_max, m, ubar, pop_size, at_bound", CASES,
+                             ids=["full", "room", "bound-at-part-5"])
+    def test_operator_calls(self, monkeypatch, seed, n, w_max, m, ubar, pop_size, at_bound,
+                            carried):
+        rng = random.Random(seed)
+        w = items_of(*[rng.randint(1, w_max) for _ in range(n)])
+        params = HgaParams(pop_size=pop_size, max_generations=12, stall_limit=12, rng_seed=seed)
+        start = evolve(w, m, ubar, params).population if carried else None
+        bound = max(-(-int(w.sum()) // m), int(w.max()))
+        improved_parts = 0
+        for ind in start or init_population(w, m, ubar, params):
+            improved_parts += 1
+            if mls_improve(Individual(ind.part, fitness_of(ind.part, w, m)),
+                           w, ubar).fitness[0] == bound:
+                break
+        calls = {"gpx_crossover": 0, "mls_improve": 0, "mutate": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(hga, name), **kwargs):
+                calls[_name] += 1
+                if _name == "mutate":
+                    assert args[3] is not None and n < m * ubar
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(hga, name, counted)
+        seen = []
+        evolve(w, m, ubar, params, population=start,
+               on_generation=lambda gen, pop, inc: seen.append(dict(calls)))
+        children = pop_size - params.elite_count
+        assert [(c["gpx_crossover"], c["mls_improve"]) for c in seen] == [
+            (g * children, improved_parts + g * children) for g in range(1, len(seen) + 1)]
+        assert calls["gpx_crossover"] // children == len(seen)
+        if at_bound is None:
+            assert improved_parts == pop_size and len(seen) >= 2
+        else:
+            assert improved_parts == at_bound + 1 and seen == []
+        assert (calls["mutate"] > 0) == (n < m * ubar and bool(seen))
+
+
+def _batch_case(rng, kind, size):
+    """``size`` parts sharing one ``_mls_case`` draw's weights, m and ubar,
+    about one in five a repeat of an earlier member. The "full" kind is
+    padded with items to exactly m * ubar, so no partition has room."""
+    part_of, weights, m, ubar = _mls_case(rng, kind)
+    if kind == "full":
+        part_of += [k for k in range(m) for _ in range(ubar - part_of.count(k))]
+        weights += [rng.randint(1, 9) for _ in range(m * ubar - len(weights))]
+    parts = [np.array(part_of, dtype=np.int64)]
+    while len(parts) < size:
+        if rng.random() < 0.2:
+            parts.append(parts[rng.randrange(len(parts))])
+        else:
+            parts.append(_random_feasible(rng, len(weights), m, ubar))
+    return parts, items_of(*weights), m, ubar
+
+
+class TestBatchedOperators:
+    """A generation's memo misses are computed by ``_gpx_batch`` and
+    ``_mls_batch``; every row must equal the single operator and the
+    reference, on the case kinds of ``TestMlsAgainstReference`` in batches
+    of 1 to 20 members that share ``w``."""
+
+    KINDS = TestMlsAgainstReference.KINDS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gpx_batch_equals_single_and_reference(self, kind):
+        rng = random.Random(f"gpx-{kind}")
+        for size in range(1, 21):
+            parts, w, m, ubar = _batch_case(rng, kind, size)
+            pairs = [(parts[rng.randrange(size)], parts[rng.randrange(size)])
+                     for _ in range(size)]
+            _assert_gpx_batch_matches_reference(pairs, w, m, ubar)
+            memo = {}
+            hga._cross_misses([(individual(a, w, m, ubar), individual(b, w, m, ubar))
+                               for a, b in pairs], w, m, ubar, memo)
+            for a, b in pairs:
+                single = gpx_crossover(individual(a, w, m, ubar), individual(b, w, m, ubar),
+                                       w, m, ubar)
+                hit = memo.get((a.tobytes(), b.tobytes()), single)
+                assert (hit.part.tolist(), hit.fitness) == (single.part.tolist(), single.fitness)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mls_batch_equals_single_and_reference(self, kind):
+        rng = random.Random(f"mls-{kind}")
+        for size in range(1, 21):
+            parts, w, m, ubar = _batch_case(rng, kind, size)
+            improved, moved = hga._mls_batch(np.stack(parts), w, m, ubar)[::2]
+            memo = {}
+            inds = [individual(part, w, m, ubar) for part in parts]
+            hga._improve_misses(inds, w, m, ubar, memo)
+            distinct = len({part.tobytes() for part in parts})
+            assert len(memo) == (distinct if distinct >= hga._MLS_BATCH_MIN else 0)
+            for ind, row, row_moved in zip(inds, improved, moved):
+                ref_part, ref_fit = mls_reference(ind.part.tolist(), w.tolist(), m, ubar)
+                single = mls_improve(ind, w, ubar)
+                assert row.tolist() == ref_part == single.part.tolist()
+                assert row_moved == (ref_part != ind.part.tolist())
+                out = mls_improve(ind, w, ubar, memo=memo)  # a hit once the batch ran
+                assert (out.part.tolist(), out.fitness) == (ref_part, ref_fit)
+                if ref_part == ind.part.tolist():
+                    assert out is ind and single is ind
+
+
+    @pytest.mark.parametrize("members, batches", [(2, []), (4, [4, 4, 2]), (20, [10])])
+    def test_batches_keep_to_the_cell_budget(self, monkeypatch, members, batches):
+        # 10 misses under budgets of 2, 4 and 20 members a batch; a batch of
+        # 2 is below both minimums, so the single operators are left to run
+        rng = random.Random(members)
+        n, m, ubar = 12, 4, 4
+        w = items_of(*[rng.randint(1, 30) for _ in range(n)])
+        inds = [individual(_random_feasible(rng, n, m, ubar), w, m, ubar) for _ in range(10)]
+        pairs = [(inds[i], inds[(i + 1) % 10]) for i in range(10)]
+        sizes = {"_gpx_batch": [], "_mls_batch": []}
+        for name in sizes:
+            def counted(*args, _name=name, _real=getattr(hga, name)):
+                sizes[_name].append(len(args[0]))
+                return _real(*args)
+            monkeypatch.setattr(hga, name, counted)
+        crossed, improved = {}, {}
+        for cells, name, fill, batch in ((m * m, "_gpx_batch", hga._cross_misses, pairs),
+                                         (n * ubar, "_mls_batch", hga._improve_misses, inds)):
+            monkeypatch.setattr(hga, "_BATCH_CELLS", members * cells)
+            fill(batch, w, m, ubar, crossed if name == "_gpx_batch" else improved)
+            assert sizes[name] == batches
+        assert len(crossed) == len(improved) == sum(batches)
+        for (a, b), ind in zip(pairs, inds):
+            if batches:
+                child = crossed[a.part.tobytes(), b.part.tobytes()]
+                assert child.part.tolist() == gpx_crossover(a, b, w, m, ubar).part.tolist()
+            assert mls_improve(ind, w, ubar, memo=improved).part.tolist() == \
+                mls_improve(ind, w, ubar).part.tolist()
 
 
 class TestCarriedPopulation:
