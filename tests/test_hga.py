@@ -866,10 +866,11 @@ class TestBatchedOperators:
                 return _real(*args)
             monkeypatch.setattr(hga, name, counted)
         crossed, improved = {}, {}
-        for cells, name, fill, batch in ((m * m, "_gpx_batch", hga._cross_misses, pairs),
-                                         (n * ubar, "_mls_batch", hga._improve_misses, inds)):
+        for cells, name, fill, misses, memo in (
+                (m * m, "_gpx_batch", hga._cross_misses, pairs, crossed),
+                (n * ubar, "_mls_batch", hga._improve_misses, inds, improved)):
             monkeypatch.setattr(hga, "_BATCH_CELLS", members * cells)
-            fill(batch, w, m, ubar, crossed if name == "_gpx_batch" else improved)
+            fill(misses, w, m, ubar, memo)
             assert sizes[name] == batches
         assert len(crossed) == len(improved) == sum(batches)
         for (a, b), ind in zip(pairs, inds):
