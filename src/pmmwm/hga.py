@@ -48,7 +48,10 @@ rounds of a generation's missing parent pairs on one P x m x m cross table,
 and ``_mls_batch`` runs the local searches of its missing children, and of
 the start parts after part 0, in lockstep. Each gives every member the
 single operator's result, and only fills the memo, so the operator calls
-that follow are reads. Below a few misses the single operators compute them.
+that follow are reads. A pass runs only while at least ``_BATCH_MIN``
+members share it: fewer misses, or the last rows of a lockstep search, are
+left to the single operators, as is every crossover with
+sum(w) * m >= 2**63, where the int64 pass could wrap.
 
 No partition of ``w`` into m parts has an objective below
 max(ceil(sum(w) / m), max(w)): the heaviest part holds at least the average
@@ -362,14 +365,15 @@ def mutate(ind: Individual, w: np.ndarray, ubar: int,
 # A generation's memo misses computed in one pass: each step of the single
 # operators above runs on a stack of P individuals that share w, m and ubar,
 # with the same rules and tie-breaks, so row p of a batch equals the single
-# operator's result for member p. A pass costs about as much as 3 single
-# calls of either operator (timed at n = 48, m = 24, ubar = 2); below that
-# the single operators compute the misses. A member's largest arrays hold
-# m * m cells (the cross table) or n * ubar (the search's moves of h's
-# items), so a batch is cut to at most _BATCH_CELLS of them, 8 MB as int64.
+# operator's result for member p. One rule picks a pass over the single
+# operators: it runs only while at least _BATCH_MIN members share it, in
+# ``_fill``'s batches and in ``_mls_batch``'s descent, since a pass costs
+# about as much as 3 single calls of either operator (timed at n = 48,
+# m = 24, ubar = 2). A member's largest arrays hold m * m cells (the cross
+# table) or n * ubar (the search's moves of h's items), so a batch is cut to
+# at most _BATCH_CELLS of them, 8 MB as int64.
 
-_GPX_BATCH_MIN = 3
-_MLS_BATCH_MIN = 3
+_BATCH_MIN = 3
 _BATCH_CELLS = 1 << 20
 
 
@@ -378,10 +382,10 @@ def _gpx_batch(a_parts: np.ndarray, b_parts: np.ndarray, w: np.ndarray,
     """``gpx_crossover`` of the parent rows ``a_parts[p]``, ``b_parts[p]``
     (P x n): the children (P x n) and their partition sums (P x m).
 
-    The rounds run on a P x m x m cross table. The gaps |x * (m - r) - R|
-    are int64 when sum(w) * m < 2**63, where no product can wrap, and Python
-    ints otherwise; argmin takes the lowest index on ties. The leftovers are
-    placed in lockstep, the t-th of every child at step t."""
+    The rounds run on a P x m x m cross table, and the gaps
+    |x * (m - r) - R| are int64: the caller keeps sum(w) * m < 2**63, so no
+    product can wrap. argmin takes the lowest index on ties. The leftovers
+    are placed in lockstep, the t-th of every child at step t."""
     count, n = a_parts.shape
     rows = np.arange(count)
     cross = np.zeros((count, m, m), dtype=np.int64)
@@ -390,13 +394,10 @@ def _gpx_batch(a_parts: np.ndarray, b_parts: np.ndarray, w: np.ndarray,
     line = np.stack([cross.sum(axis=2), cross.sum(axis=1)])  # a's row, b's column sums
     chosen = np.empty((count, m), dtype=np.int64)  # the donor partition of each round
     sums = np.zeros((count, m), dtype=np.int64)
-    total = int(w.sum())
-    wide = total * m >= 1 << 63
-    remaining = np.full(count, total, dtype=object if wide else np.int64)
+    remaining = np.full(count, int(w.sum()), dtype=np.int64)
     for r in range(m):
         s = r % 2
-        restricted = line[s].astype(object) if wide else line[s]
-        best_k = np.abs(restricted * (m - r) - remaining[:, None]).argmin(axis=1)
+        best_k = np.abs(line[s] * (m - r) - remaining[:, None]).argmin(axis=1)
         x = line[s, rows, best_k]
         if s == 0:
             line[1] -= cross[rows, best_k, :]
@@ -407,7 +408,7 @@ def _gpx_batch(a_parts: np.ndarray, b_parts: np.ndarray, w: np.ndarray,
         line[s, rows, best_k] = 0
         chosen[:, r] = best_k
         sums[:, r] = x
-        remaining -= x.astype(object) if wide else x
+        remaining -= x
 
     child = np.full((count, n), m, dtype=np.int64)
     for s, donor in enumerate((a_parts, b_parts)):
@@ -443,8 +444,8 @@ def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
     levels, over each row's items of h (ascending, padded to the longest
     row): level 1 orders its moves (x, k) by their whole sorted sums vector,
     then by scan order, and level 2 takes the first improving (x, y) in
-    row-major order. The last active row finishes on the single levels,
-    whose steps cost less."""
+    row-major order. The steps run while at least ``_BATCH_MIN`` rows are
+    active; the rows still active then finish on the single levels."""
     count, n = parts.shape
     part = parts.copy()
     flat = (np.arange(count)[:, None] * m + part).ravel()
@@ -454,11 +455,7 @@ def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
     sizes = np.bincount(flat, minlength=count * m).reshape(count, m)
     moved = np.zeros(count, dtype=bool)
     active = np.arange(count)
-    while active.size:
-        if active.size == 1:  # one row left: the single levels cost less per step
-            p = active[0]
-            moved[p] |= _descend(part[p], w, sums[p], sizes[p], m, ubar, (1, 2))
-            break
+    while active.size >= _BATCH_MIN:
         q = np.arange(active.size)
         s = sums[active]
         h = s.argmax(axis=1)
@@ -514,54 +511,54 @@ def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
                 went[j] = True
         moved[active[went]] = True
         active = active[went]
+    for p in active.tolist():
+        moved[p] |= _descend(part[p], w, sums[p], sizes[p], m, ubar, (1, 2))
     return part, sums, moved
 
 
-def _batches(missing: dict, cells: int, least: int) -> list[list]:
-    """The items of ``missing`` in batches whose members take ``cells``
-    array cells each, at most ``_BATCH_CELLS`` per batch; none when fewer
-    than ``least`` members would share one."""
+def _fill(memo: dict, misses, cells: int, kernel) -> None:
+    """Store in ``memo`` what ``kernel`` (a list of rows -> one value each)
+    gives for the ``(key, row)`` misses whose keys it lacks, in batches of
+    ``_BATCH_MIN`` to ``_BATCH_CELLS // cells`` rows (``cells``: one row's
+    largest array); the rest stay misses for the single operator."""
     size = _BATCH_CELLS // cells
-    if min(size, len(missing)) < least:
-        return []
-    items = list(missing.items())
-    return [items[lo:lo + size] for lo in range(0, len(items), size)]
+    if size < _BATCH_MIN:
+        return
+    missing = list({key: row for key, row in misses if key not in memo}.items())
+    for lo in range(0, len(missing) - _BATCH_MIN + 1, size):
+        keys, rows = zip(*missing[lo:lo + size])
+        for key, value in zip(keys, kernel(rows)):
+            _remember(memo, key, value)
 
 
 def _cross_misses(pairs: list[tuple[Individual, Individual]], w: np.ndarray,
                   m: int, ubar: int, memo: dict) -> None:
-    """Store in ``memo`` the children of the pairs it lacks, computed by
-    ``_gpx_batch`` once ``_GPX_BATCH_MIN`` of them share a batch."""
-    missing = {}
-    for a, b in pairs:
-        key = (a.part.tobytes(), b.part.tobytes())
-        if key not in memo:
-            missing[key] = (a.part, b.part)
-    for batch in _batches(missing, m * m, _GPX_BATCH_MIN):
-        a_parts, b_parts = (np.stack(side) for side in zip(*(parents for _, parents in batch)))
-        children, sums = _gpx_batch(a_parts, b_parts, w, m, ubar)
-        fitness = (-np.sort(-sums, axis=1)).tolist()
-        for (key, _), child, fit in zip(batch, children, fitness):
-            _remember(memo, key, Individual(child, tuple(fit)))
+    """Store in ``memo`` the ``_gpx_batch`` children of the pairs it lacks
+    (keys and values as ``gpx_crossover``'s); none when sum(w) * m >= 2**63,
+    where an int64 gap could wrap and ``gpx_crossover`` stays exact."""
+    if int(w.sum()) * m >= 1 << 63:
+        return
+
+    def cross(rows):
+        children, sums = _gpx_batch(*(np.stack(side) for side in zip(*rows)), w, m, ubar)
+        return [Individual(child, tuple(fit))
+                for child, fit in zip(children, (-np.sort(-sums, axis=1)).tolist())]
+
+    _fill(memo, (((a.part.tobytes(), b.part.tobytes()), (a.part, b.part)) for a, b in pairs),
+          m * m, cross)
 
 
 def _improve_misses(inds: list[Individual], w: np.ndarray, m: int, ubar: int,
                     memo: dict) -> None:
-    """Store in ``memo`` the two-level searches of the parts it lacks,
-    computed by ``_mls_batch`` once ``_MLS_BATCH_MIN`` of them share a
-    batch (keys and values as ``mls_improve``'s)."""
-    if m == 1 or len(w) == 0:  # mls_improve returns its input untouched
-        return
-    missing = {}
-    for ind in inds:
-        key = ind.part.tobytes()
-        if key not in memo:
-            missing[key] = ind.part
-    for batch in _batches(missing, len(w) * min(ubar, len(w)), _MLS_BATCH_MIN):
-        parts, sums, moved = _mls_batch(np.stack([part for _, part in batch]), w, m, ubar)
-        fitness = (-np.sort(-sums, axis=1)).tolist()
-        for (key, _), part, fit, changed in zip(batch, parts, fitness, moved.tolist()):
-            _remember(memo, key, Individual(part, tuple(fit)) if changed else None)
+    """Store in ``memo`` the ``_mls_batch`` searches of the parts it lacks
+    (keys and values as ``mls_improve``'s)."""
+    def improve(rows):
+        parts, sums, moved = _mls_batch(np.stack(rows), w, m, ubar)
+        return [Individual(part, tuple(fit)) if changed else None for part, fit, changed
+                in zip(parts, (-np.sort(-sums, axis=1)).tolist(), moved.tolist())]
+
+    _fill(memo, ((ind.part.tobytes(), ind.part) for ind in inds),
+          len(w) * min(ubar, len(w)), improve)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +657,8 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
             if u is not None and room:
                 mutant = mutate(gpx_crossover(p1, p2, w, m, ubar, memo=crossed), w, ubar, u, rng)
             bred.append((p1, p2, mutant))
-        _cross_misses([(p1, p2) for p1, p2, mutant in bred if mutant is None],
-                      w, m, ubar, crossed)
+        # a mutant's pair was crossed above, so it is already a memo hit
+        _cross_misses([(p1, p2) for p1, p2, _ in bred], w, m, ubar, crossed)
         children = [gpx_crossover(p1, p2, w, m, ubar, memo=crossed) if mutant is None else mutant
                     for p1, p2, mutant in bred]
         _improve_misses(children, w, m, ubar, improved)

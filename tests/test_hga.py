@@ -285,16 +285,19 @@ class TestGpxAgainstReference:
                         checked += 1
         assert checked >= 1000
 
-    def test_exact_beyond_int64_products(self):
+    def test_exact_beyond_int64_products(self, monkeypatch):
         # The weights total MAX_TOTAL_WEIGHT and a's partition holding the
         # two heavy items weighs x = (2**64 + total) // m. In round 0 its
         # gap x * m - total is about 2**64 (the worst candidate), but an
-        # int64 product wraps it to under m, the best of all. The batched
-        # pass must stay exact too: alone, and mixed with ordinary pairs.
+        # int64 product wraps it to under m, the best of all. sum(w) * m is
+        # far above 2**63, so ``_cross_misses`` runs no pass: alone, and
+        # mixed with ordinary pairs, the children come from gpx_crossover.
         rng = random.Random(55)
         n, m, ubar = 600, 600, 2
         total = MAX_TOTAL_WEIGHT
         x = ((1 << 64) + total) // m
+        calls = TestStartStep.batch_calls(monkeypatch)
+        monkeypatch.setattr(hga, "_BATCH_CELLS", 3 * m * m)  # else 600 x 600 tables never batch
         for _ in range(3):
             cuts = sorted(rng.sample(range(1, total - x), n - 3))
             light = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total - x])]
@@ -305,12 +308,45 @@ class TestGpxAgainstReference:
             # a: the heavy items together in partition 0, the rest in 1..m-1
             a = np.append(_random_feasible(rng, n - 2, m - 1, ubar) + 1, [0, 0])
             b = _random_feasible(rng, n, m, ubar)
-            _assert_gpx_matches_reference(
-                individual(a, w, m, ubar), individual(b, w, m, ubar), w, m, ubar)
             ordinary = [(_random_feasible(rng, n, m, ubar), _random_feasible(rng, n, m, ubar))
                         for _ in range(2)]
-            for batch in ([(a, b)], [ordinary[0], (a, b), ordinary[1]]):
-                _assert_gpx_batch_matches_reference(batch, w, m, ubar)
+            for pairs in ([(a, b)], [ordinary[0], (a, b), ordinary[1]]):
+                assert _assert_cross_misses_match_reference(pairs, w, m, ubar) == 0
+        assert calls["_gpx_batch"] == 0
+
+    # sum(w) * m at 2**63 with m = 256 and the loader's largest total, and
+    # one total lower: the pass is int64-only, so only the second runs one
+    @pytest.mark.parametrize("total, passes", [(MAX_TOTAL_WEIGHT, 0),
+                                               (MAX_TOTAL_WEIGHT - 1, 1)],
+                             ids=["at-2**63", "below-2**63"])
+    def test_int64_limit_decides_the_pass(self, monkeypatch, total, passes):
+        rng = random.Random(total)
+        n, m, ubar = 300, 256, 2
+        assert (total * m >= 1 << 63) == (passes == 0)
+        heavy = total - total // 64  # its partition's gap reaches near sum(w) * m
+        cuts = sorted(rng.sample(range(1, total - heavy), n - 2))
+        w = items_of(*[hi - lo for lo, hi in zip([0] + cuts, cuts + [total - heavy])], heavy)
+        assert int(w.sum()) == total
+        calls = TestStartStep.batch_calls(monkeypatch)
+        pairs = [(_random_feasible(rng, n, m, ubar), _random_feasible(rng, n, m, ubar))
+                 for _ in range(hga._BATCH_MIN)]
+        stored = _assert_cross_misses_match_reference(pairs, w, m, ubar)
+        assert calls["_gpx_batch"] == passes and stored == passes * len(pairs)
+
+
+def _assert_cross_misses_match_reference(pairs, w, m, ubar):
+    """``_cross_misses`` on the (a, b) part pairs, then ``gpx_crossover``
+    through its memo: every child is the reference's. Returns how many
+    children ``_cross_misses`` stored."""
+    inds = [(individual(a, w, m, ubar), individual(b, w, m, ubar)) for a, b in pairs]
+    crossed = {}
+    hga._cross_misses(inds, w, m, ubar, crossed)
+    stored = len(crossed)
+    for x, y in inds:
+        ref_part, ref_fit = gpx_reference(x.part, y.part, w, m, ubar)
+        child = gpx_crossover(x, y, w, m, ubar, memo=crossed)
+        assert (child.part.tolist(), child.fitness) == (ref_part.tolist(), ref_fit)
+    return stored
 
 
 class TestMutate:
@@ -656,6 +692,19 @@ class TestStartStep:
         assert self.run(deadline=1.0, after=ends_late) == [0]
         assert after_first == [calls] and calls["_gpx_batch"] == 1
 
+    @pytest.mark.parametrize("weights, m", [((4, 1, 3), 1), ((), 3)], ids=["m1", "empty-w"])
+    def test_part_0_at_the_bound_builds_no_batch(self, monkeypatch, weights, m):
+        # The batch fillers take no m = 1 or empty-w case: there part 0
+        # already meets max(ceil(sum(w) / m), max(w)), fresh or carried
+        calls = self.batch_calls(monkeypatch)
+        inputs = self.recorded(monkeypatch)
+        w = items_of(*weights)
+        params = HgaParams(pop_size=4, rng_seed=1)
+        carried = evolve(w, m, 3, params).population
+        evolve(w, m, 3, params, population=carried)
+        assert calls == {"_gpx_batch": 0, "_mls_batch": 0}
+        assert len(inputs) == 2  # part 0's search, once per call
+
 
 class TestMemo:
     # (n, m, ubar): the perfbench tight shape, ubar = 3 with room, groups
@@ -838,7 +887,7 @@ class TestBatchedOperators:
             inds = [individual(part, w, m, ubar) for part in parts]
             hga._improve_misses(inds, w, m, ubar, memo)
             distinct = len({part.tobytes() for part in parts})
-            assert len(memo) == (distinct if distinct >= hga._MLS_BATCH_MIN else 0)
+            assert len(memo) == (distinct if distinct >= hga._BATCH_MIN else 0)
             for ind, row, row_moved in zip(inds, improved, moved):
                 ref_part, ref_fit = mls_reference(ind.part.tolist(), w.tolist(), m, ubar)
                 single = mls_improve(ind, w, ubar)
@@ -850,10 +899,11 @@ class TestBatchedOperators:
                     assert out is ind and single is ind
 
 
-    @pytest.mark.parametrize("members, batches", [(2, []), (4, [4, 4, 2]), (20, [10])])
+    @pytest.mark.parametrize("members, batches", [(2, []), (4, [4, 4]), (20, [10])])
     def test_batches_keep_to_the_cell_budget(self, monkeypatch, members, batches):
         # 10 misses under budgets of 2, 4 and 20 members a batch; a batch of
-        # 2 is below both minimums, so the single operators are left to run
+        # 2 is below _BATCH_MIN, so under a budget of 2 no batch runs, and
+        # under 4 the last 2 misses are left to the single operators
         rng = random.Random(members)
         n, m, ubar = 12, 4, 4
         w = items_of(*[rng.randint(1, 30) for _ in range(n)])
@@ -873,10 +923,11 @@ class TestBatchedOperators:
             fill(misses, w, m, ubar, memo)
             assert sizes[name] == batches
         assert len(crossed) == len(improved) == sum(batches)
-        for (a, b), ind in zip(pairs, inds):
-            if batches:
-                child = crossed[a.part.tobytes(), b.part.tobytes()]
-                assert child.part.tolist() == gpx_crossover(a, b, w, m, ubar).part.tolist()
+        for i, ((a, b), ind) in enumerate(zip(pairs, inds)):
+            key = a.part.tobytes(), b.part.tobytes()
+            assert (key in crossed) == (i < sum(batches))
+            if key in crossed:
+                assert crossed[key].part.tolist() == gpx_crossover(a, b, w, m, ubar).part.tolist()
             assert mls_improve(ind, w, ubar, memo=improved).part.tolist() == \
                 mls_improve(ind, w, ubar).part.tolist()
 
