@@ -219,21 +219,28 @@ def test_kk_multiway_golden():
     assert lists_digest(*parts) == KK_DIGEST
 
 
-# The matcher's exact state on the shipped n1 = 200, m = 10, seed-0 cells:
-# ``solve_full``'s mates, potentials and phase count, then the same after a
-# seeded walk of 20 steps that ban a matched edge (unbanned again when no
-# perfect matching is left) or restore one banned edge; on each cell that is
-# 17 bans and 3 restores, each of which runs one phase. The warm start's
+# The matcher's exact state on shipped seed-0 cells (group, n1, m): the four
+# n1 = 200, m = 10 groups and the two n1 = 500 cells the ``baseline``
+# workload solves. Each pins ``solve_full``'s mates, potentials and phase
+# count, then the same after a seeded walk of 20 steps that ban a matched
+# edge (unbanned again when no perfect matching is left) or restore one
+# banned edge, each of which runs at most one phase. The warm start's
 # auction prices, and ties in the Dijkstra steps and in the path recovery,
 # decide the potentials, so any change to the auction's rules or the phase's
 # arithmetic or tie rules moves these digests.
 MATCHER_CASES = [
-    ("consistent-dense",
+    ("consistent-dense", 200, 10,
      "4cf1ad8b50a0930c9ed1426893503305bf27023f0456e53952b0a01987ced09c"),
-    ("consistent-sparse",
+    ("consistent-sparse", 200, 10,
      "db902664ad91b90b6b740e38aaad26399286afb1a550c638fe7574f5e807a619"),
-    ("independent-sparse",
+    ("independent-sparse", 200, 10,
      "58186ec7e5864188e801670f321455d6fac6faf77419955123b36aa095cb7dfb"),
+    ("independent-dense", 200, 10,
+     "75d65ea52e55794c089f10dd1502a58ee823854de92c2e4289367fb377e27b75"),
+    ("consistent-dense", 500, 20,
+     "462578580e47431212af9c3a0587bb739b30c2c77f6daf6cd7851a75263e86e9"),
+    ("consistent-sparse", 500, 10,
+     "79f66a8fbf2169abbd02cc291752acd6c72900bd54b9cf7f5439170d722ce1c4"),
 ]
 
 
@@ -242,9 +249,10 @@ def _matcher_state(st) -> list[list[int]]:
             [st.phase_count]]
 
 
-@pytest.mark.parametrize("group, digest", MATCHER_CASES, ids=[c[0] for c in MATCHER_CASES])
-def test_matcher_state_golden(group, digest):
-    spec, = [s for s in benchmark_specs(group) if (s.n1, s.m, s.seed) == (200, 10, 0)]
+@pytest.mark.parametrize("group, n1, m, digest", MATCHER_CASES,
+                         ids=[c[0] if c[1] == 200 else f"{c[0]}-n{c[1]}" for c in MATCHER_CASES])
+def test_matcher_state_golden(group, n1, m, digest):
+    spec, = [s for s in benchmark_specs(group) if (s.n1, s.m, s.seed) == (n1, m, 0)]
     g = generate(spec)
     st = solve_full(g)
     states = _matcher_state(st)

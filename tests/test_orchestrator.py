@@ -175,10 +175,13 @@ class TestSolve:
         assert validate_solution(g, result.solution) is None
 
     def test_time_limit_interrupts_the_hga(self, monkeypatch):
-        # Unlimited, this one evolve call runs 150 generations of about
-        # 90 ms each at n1=200, m=100, ubar=2 (pop 20): some 13 s against a
-        # 300 ms limit. Its best, 368, stays above the bound of 337, so only
-        # the deadline can stop it.
+        # Unlimited, iteration 0 at n1=200, m=100, ubar=2 (pop 20) runs all
+        # 5000 generations in about 1.3 s on a 2-vCPU x86 host: some 110 ms
+        # to the first generation, 1.4-2 ms for each of the first 150 and
+        # about 0.2 ms for each later one, most of whose children are memo
+        # hits. Its best, 368, stays above the bound of 337, and the stall
+        # limit equals the generation budget, so only the 300 ms deadline
+        # can end iteration 0 and no iteration 1 starts.
         g = generate(InstanceSpec(200, 200, 100, 2, 1.0, "CONSISTENT", 1000, 5))
         init_s = []
 
@@ -191,8 +194,8 @@ class TestSolve:
         real_init = hga.init_population
         monkeypatch.setattr(hga, "init_population", timed_init)
         params = FimpParams(max_iterations=50, time_limit_ms=300, rng_seed=0,
-                            hga=HgaParams(pop_size=20, max_generations=150,
-                                          stall_limit=150))
+                            hga=HgaParams(pop_size=20, max_generations=5000,
+                                          stall_limit=5000))
         t0 = time.perf_counter()
         result = solve(g, 100, 2, params)
         wall = time.perf_counter() - t0
