@@ -332,7 +332,7 @@ def _auction_prices(eff: np.ndarray, max_w: int) -> tuple[np.ndarray, np.ndarray
             first = flat[at_best]
             flat[at_best] = taken
             bid = price[best] + (np.minimum.reduce(vals, axis=1) - first) + eps
-            del vals, flat
+            del vals, flat  # freed before the next gather: one round's values at a time
             # one winner per column: highest bid, then lowest row (free is
             # ascending and lexsort stable, so equal bids keep that order)
             order = np.lexsort((-bid, best))
