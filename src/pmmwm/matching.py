@@ -14,17 +14,16 @@ a solve, frees the one row whose matched edge was banned, or whose potential
 the restored cost undercuts, and runs one phase.
 
 A from-scratch solve on a square table starts warm (``_warm_start``): an
-eps-scaling Jacobi auction (Bertsekas, "The auction algorithm", 1988), run
-on an int32 table of bid values whenever they fit (``_auction_prices``),
-prices the columns, beta = -price, each row the auction matched takes as
-alpha its least reduced cost and keeps its auction column if that edge is
-tight, and phases match the other rows from alpha 0. Any beta <= 0 with
-alpha so chosen is dual-feasible (eff >= 0, so every reduced cost is >= 0)
-and the kept edges are tight, so the warm state is a valid start for phases
-and the finished state carries the same certificate as a cold solve; the
-prices only decide how many phases remain and how long they run. Wide
-tables (n2 > n1) start cold: the dummy rows' certificate needs every column
-U leaves free at beta 0.
+eps-scaling Jacobi auction (Bertsekas, "The auction algorithm", 1988) prices
+the columns, beta = -price, each row the auction matched takes as alpha its
+least reduced cost and keeps its auction column if that edge is tight, and
+phases match the other rows from alpha 0. Any beta <= 0 with alpha so
+chosen is dual-feasible (eff >= 0, so every reduced cost is >= 0) and the
+kept edges are tight, so the warm state is a valid start for phases and the
+finished state carries the same certificate as a cold solve; the prices
+only decide how many phases remain and how long they run. Wide tables
+(n2 > n1) start cold: the dummy rows' certificate needs every column U
+leaves free at beta 0.
 
 Costs per call on an n1 x n2 table:
     solve_full          square: auction rounds of O(rows bidding * n2), then
@@ -58,7 +57,11 @@ with ``dist.item(j)``, ``mate_v.item(j)`` and ``alpha.item(r)``, and the
 step's offset ``dist[j] - alpha[r]`` is added through a 0-d int64 buffer.
 The median phase of ``solve_full`` on the shipped n1 = 200 and 500 cells
 settles 2-3 columns, so reading the two entries per step costs less than
-copying ``mate_v`` and ``alpha`` to lists once per phase.
+copying ``mate_v`` and ``alpha`` to lists once per phase. Long phases pay
+for it: a step costs about 0.12 us more than a list read, so past about 20
+steps at n2 = 200 and 75 at n2 = 500 the copies would be cheaper. Repairs
+on dense n = 200 and 400 tables settle about 40 and 80 columns at the
+median, and cold phases (wide tables) ran 2-5% slower than with the copies.
 
 Set the environment variable ``PMMWM_CHECK_INVARIANTS=1`` to run a full
 dual-feasibility / complementary-slackness scan after every public operation
@@ -101,12 +104,6 @@ _INF_CUTOFF = 1 << 59  # any path cost this large must use a forbidden edge
 # np.minimum of a step leaves a settled column's distance at _MASKED.
 _MASKED = 1 << 62
 _PRICE_CAP = 1 << 58  # warm-start prices are clamped to this
-# The auction's value table (capped cost plus price) is int32 while big-M and
-# every price are below this. Then a value is at most (2**30 - 1) * 2 =
-# 2**31 - 2, below the int32 maximum 2**31 - 1 that marks a row's taken
-# column, so int32 orders every value as int64 would. A bid can pass 2**31,
-# so bids and prices stay int64.
-_NARROW_LIMIT = 1 << 30
 FREE = -1
 
 
@@ -190,7 +187,7 @@ def _augment(st: MatchState, start_u: int) -> None:
     cand = np.empty(st.n2, dtype=np.int64)
     shift = np.empty((), dtype=np.int64)  # the step's dist[j] - alpha[r]
     argmin, add, minimum = dist.argmin, np.add, np.minimum
-    row_of, alpha_of, beta_of = mate_v.item, alpha.item, beta.item
+    row_of, alpha_of = mate_v.item, alpha.item
     cols: list[int] = []
     col_dist: list[int] = []
 
@@ -203,7 +200,7 @@ def _augment(st: MatchState, start_u: int) -> None:
         cols.append(j)
         col_dist.append(dj)
         dist[j] = _MASKED
-        base[j] = _MASKED - beta_of(j)
+        base[j] += _MASKED
         r = row_of(j)
         if r == FREE:
             break
@@ -269,16 +266,9 @@ def _reprice(st: MatchState, u: int, v: int, w: int) -> None:
         raise
 
 
-def _value_table(eff: np.ndarray, big: int, dtype: type) -> np.ndarray:
-    """``min(eff, big)`` as a new ``dtype`` table, cast chunk by chunk, so no
-    int64 table is built on the way."""
-    return np.minimum(eff, big, out=np.empty(eff.shape, dtype), casting="unsafe")
-
-
 def _auction_prices(eff: np.ndarray, max_w: int) -> tuple[np.ndarray, np.ndarray]:
     """Column prices and a partial assignment from an eps-scaling Jacobi
-    auction for minimum cost on the square table ``eff``, n >= 2 (Bertsekas
-    1988).
+    auction for minimum cost on the square table ``eff`` (Bertsekas 1988).
 
     Absent and banned edges cost the finite big-M ``n * (max_w + 1) + 1``.
     Each round, every free row bids at once for its cheapest column under
@@ -294,69 +284,52 @@ def _auction_prices(eff: np.ndarray, max_w: int) -> tuple[np.ndarray, np.ndarray
     independent weights; with it, consistent weights solve about 4x faster
     than cold phases. The divisors 5 and 20 are fixed at those measurements.
 
-    The capped costs are built once per call into a value table, int32
-    while big-M and every price are below ``_NARROW_LIMIT`` (see there),
-    int64 otherwise: it starts wide when big-M is not below the limit, and
-    is rebuilt wide once if a price reaches it. A round adds the prices to
-    the free rows of the table, and the column a row takes is overwritten
-    with the dtype's maximum, which every value is below. Bids and prices
-    are int64 in both dtypes and every value is exact, so both give the
-    same prices and assignment. The auction stops at once if a price passes
-    ``_PRICE_CAP``. Every round starts with prices at most that, so an int64
-    round's values and bids stay below 2 * (big-M + _PRICE_CAP) + eps, far
-    inside int64.
+    The capped costs are built once per call, and each round adds the
+    prices to its bidders' rows of them. The auction stops at once if a
+    price passes ``_PRICE_CAP``. Every round starts with prices at most
+    that, so its values and bids stay below 2 * (big-M + _PRICE_CAP) + eps,
+    far inside int64 and below INF.
 
     Returns ``(price, obj_of)``, ``obj_of[u]`` being row u's column or FREE.
     """
     n = len(eff)
     big = n * (max_w + 1) + 1
     price = np.zeros(n, dtype=np.int64)
-    # One spare entry past row n - 1: a column's owner FREE (-1) indexes it,
-    # so displaced owners are freed without filtering out unowned columns.
-    obj_of = np.full(n + 1, FREE, dtype=np.int64)
+    obj_of = np.full(n, FREE, dtype=np.int64)
     eps = max(1, max_w // 5)
-    table = _value_table(eff, big, np.int32 if big < _NARROW_LIMIT else np.int64)
-    taken = np.iinfo(table.dtype).max  # marks each bidder's best column
-    index = np.arange(n)
-    row_start = index * n  # flat offset of each row of a round's values
+    capped = np.minimum(eff, big)  # big-M on absent and banned edges
     while True:
         owner = np.full(n, FREE, dtype=np.int64)
         obj_of.fill(FREE)
-        free = index
+        free = np.arange(n)
         while True:
-            vals = table[free]
-            vals += price.astype(table.dtype)
+            vals = capped[free]
+            vals += price
+            k = np.arange(len(free))
             best = vals.argmin(axis=1)
-            at_best = row_start[:len(free)] + best
-            flat = vals.reshape(-1)
-            first = flat[at_best]
-            flat[at_best] = taken
-            bid = price[best] + (np.minimum.reduce(vals, axis=1) - first) + eps
-            del vals, flat  # freed before the next gather: one round's values at a time
-            # one winner per column: highest bid, then lowest row (free is
-            # ascending and lexsort stable, so equal bids keep that order)
-            order = np.lexsort((-bid, best))
+            first = vals[k, best]
+            vals[k, best] = INF
+            bid = price[best] + (vals.min(axis=1) - first) + eps
+            del vals  # freed before the next gather: one round's values at a time
+            # one winner per column: highest bid, then lowest row
+            order = np.lexsort((free, -bid, best))
             cols = best[order]
-            head = np.empty(len(cols), dtype=bool)  # the first bid for each column
-            head[0] = True
-            np.not_equal(cols[1:], cols[:-1], out=head[1:])
+            head = np.ones(len(cols), dtype=bool)  # each column's first bid
+            head[1:] = cols[1:] != cols[:-1]
             won = order[head]
             cols, rows = best[won], free[won]
-            obj_of[owner[cols]] = FREE
+            lost = owner[cols]
+            obj_of[lost[lost != FREE]] = FREE
             owner[cols] = rows
             obj_of[rows] = cols
             price[cols] = bid[won]
-            top = np.maximum.reduce(price)
-            if top > _PRICE_CAP:
-                return price, obj_of[:n]
-            if top >= _NARROW_LIMIT and table.dtype == np.int32:
-                table = _value_table(eff, big, np.int64)
-                taken = np.iinfo(np.int64).max
-            free = (obj_of[:n] == FREE).nonzero()[0]
+            if price.max() > _PRICE_CAP:
+                return price, obj_of
+            free = np.flatnonzero(obj_of == FREE)
             if len(free) <= n // 20:
                 break
         if eps == 1:
-            return price, obj_of[:n]
+            return price, obj_of
         eps = max(1, eps // 5)
 
 
