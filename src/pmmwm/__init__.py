@@ -11,7 +11,6 @@ minimizing the heaviest partition's matched weight. The main entry points:
 """
 
 from .errors import (
-    CapacityInfeasible,
     InfeasibleInstance,
     InvalidSolution,
     NoPerfectMatching,

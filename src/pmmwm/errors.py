@@ -18,7 +18,8 @@ class ParseError(PmmwmError):
 
 
 class InfeasibleInstance(PmmwmError):
-    """No perfect matching on available edges, or m * ubar < n1."""
+    """No perfect matching on available edges, or too little capacity: m or
+    ubar below 1, or m * ubar below n1 or below a partitioner's item count."""
 
     exit_code = 4
 
@@ -30,12 +31,6 @@ class NoPerfectMatching(PmmwmError):
     U-vertex unmatchable. Callers banning edges must treat this as a rejected
     ban and restore the edge.
     """
-
-    exit_code = 4
-
-
-class CapacityInfeasible(PmmwmError):
-    """Partition constructors called with m * ubar < number of items."""
 
     exit_code = 4
 

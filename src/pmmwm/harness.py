@@ -35,7 +35,7 @@ from .graph import (
 )
 from .hga import Individual, fitness_of, mls_improve
 from .matching import solve_full
-from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt
+from .numpart import BRUTE_FORCE_GUARD, bounded_min_max, greedy_lpt, parts_for
 from .orchestrator import FimpParams, RunResult, run_loop, solve
 
 ORACLE_MAX_N1 = 8
@@ -51,13 +51,12 @@ def exact_oracle(g: BipartiteGraph, m: int, ubar: int) -> tuple[int, Solution]:
     matching is cut when its heaviest edge or ceil(total/m) already reaches
     the incumbent. Guarded to n1 <= 8, m**n1 <= 10**7 and ``ORACLE_MAX_NODES``
     search nodes, which pruning does not bound (complete 8 x 24: 1.6 million).
-    m > n1 is searched as m = n1, which has the same optimum.
+    m > n1 is searched as m = n1, which has the same optimum; ``parts_for``'s
+    capacity check comes first (``InfeasibleInstance`` before ``TooLarge``).
     """
-    m = min(m, g.n1)
+    m = parts_for(g.n1, m, ubar)
     if g.n1 > ORACLE_MAX_N1 or m ** g.n1 > BRUTE_FORCE_GUARD:
         raise TooLarge(f"oracle guard: n1={g.n1}, m={m}")
-    if m * ubar < g.n1:
-        raise InfeasibleInstance(f"m*ubar = {m * ubar} < n1 = {g.n1}")
 
     n1 = g.n1
     avail = g.available_mask()
@@ -114,10 +113,10 @@ def baseline_ls(g: BipartiteGraph, m: int, ubar: int,
     of repairing. Match time is the full solves plus ``modify_graph``, and
     partition time is the greedy construction plus the local search, as
     ``run_loop`` charges them for both solvers. It reports no lower bound,
-    so it always runs the full ``max_iterations``. m > n1 runs as m = n1,
-    as in ``solve``.
+    so it always runs the full ``max_iterations``. m and the capacity check
+    come from ``parts_for``, before ``params`` are checked, as in ``solve``.
     """
-    m = min(m, g.n1)
+    m = parts_for(g.n1, m, ubar)
 
     def match():
         return solve_full(g), None

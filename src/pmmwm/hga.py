@@ -245,8 +245,6 @@ def mls_improve(ind: Individual, w: np.ndarray, ubar: int,
     valid only for one ``w``, ``ubar``, ``levels`` and m.
     """
     m = len(ind.fitness)
-    if len(ind.part) == 0 or m == 1:
-        return ind
     if memo is not None:
         key = ind.part.tobytes()
         if key in memo:
@@ -568,7 +566,7 @@ def init_population(w: np.ndarray, m: int, ubar: int,
                     params: HgaParams, rng: random.Random | None = None) -> list[Individual]:
     """The LPT seed, the KK seed, then ``pop_size - 2`` greedy constructions
     on shuffled item orders, each scored on ``w``; ``evolve`` improves them.
-    Raises ``CapacityInfeasible`` (from ``greedy_lpt``) when
+    Raises ``InfeasibleInstance`` (from ``greedy_lpt``) when
     m * ubar < len(w)."""
     if rng is None:
         rng = random.Random(params.rng_seed)

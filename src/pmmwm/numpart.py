@@ -10,7 +10,7 @@ multi-way largest-differencing (Karmarkar-Karp), plus an exhaustive solver
 used as the test oracle. Both constructors are deterministic: items of equal
 weight are ordered by U-index and all ties break toward the lowest partition
 index. They seed the genetic algorithm's initial population; neither is an
-exact solver.
+exact solver. ``parts_for`` is the capacity rule of every solver entry.
 """
 
 from __future__ import annotations
@@ -19,16 +19,19 @@ import heapq
 
 import numpy as np
 
-from .errors import CapacityInfeasible, TooLarge
+from .errors import InfeasibleInstance, TooLarge
 
 BRUTE_FORCE_GUARD = 10_000_000
 
 
-def _check_capacity(n: int, m: int, ubar: int) -> None:
+def parts_for(n: int, m: int, ubar: int) -> int:
+    """min(m, n), as at most n items fill n partitions; ``InfeasibleInstance``
+    unless m >= 1, ubar >= 1 and m * ubar >= n."""
     if m < 1 or ubar < 1:
-        raise CapacityInfeasible(f"need m >= 1 and ubar >= 1, got m={m} ubar={ubar}")
+        raise InfeasibleInstance(f"need m >= 1 and ubar >= 1, got m={m} ubar={ubar}")
     if m * ubar < n:
-        raise CapacityInfeasible(f"m*ubar = {m * ubar} cannot hold {n} items")
+        raise InfeasibleInstance(f"m*ubar = {m * ubar} cannot hold {n} items")
+    return min(m, n)
 
 
 def part_sums(part, w, m: int) -> np.ndarray:
@@ -54,7 +57,7 @@ def greedy_in_order(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
     """Assign items in index order, each to the lightest partition with spare
     capacity (ties: lowest index). To place items in another order, pass
     ``w[order]`` and scatter the result back with ``part[order] = ...``."""
-    _check_capacity(len(w), m, ubar)
+    parts_for(len(w), m, ubar)
     part = []
     sums = [0] * m
     sizes = [0] * m
@@ -85,7 +88,7 @@ def kk_multiway(w: np.ndarray, m: int, ubar: int) -> np.ndarray:
     overfull partition into the lightest partition with spare room.
     """
     n = len(w)
-    _check_capacity(n, m, ubar)
+    parts_for(n, m, ubar)
     part = np.zeros(n, dtype=np.int64)
     if n == 0:
         return part
@@ -183,7 +186,7 @@ def min_max_brute(w: np.ndarray, m: int, ubar: int) -> tuple[int, np.ndarray]:
     """
     if m ** len(w) > BRUTE_FORCE_GUARD:
         raise TooLarge(f"{m}**{len(w)} exceeds enumeration guard")
-    _check_capacity(len(w), m, ubar)
+    parts_for(len(w), m, ubar)
     if len(w) == 0:
         return 0, np.zeros(0, dtype=np.int64)
     obj, labels = bounded_min_max(w.tolist(), m, ubar)

@@ -11,15 +11,16 @@ never re-solved from scratch) to route around it. The incumbent is the best
 never mutated, and its objective is non-increasing over the run.
 
 ``solve`` and ``harness.baseline_ls`` both run ``run_loop``, which owns the
-checks, the time limit, the incumbent, the trace, the timing, the ``BanList``,
-the graph's ban flags and the ban step; each solver supplies only its matcher
-and its partitioner. The ``BanList`` is the whole ban policy's state: the
-active bans, each with its remaining tenure; ``BanList.age`` expires them and
-``modify_graph`` picks the next ban. The two solvers differ only in the
-matching each iteration starts from and in how they partition it: ``solve``
-repairs one matching state across the run, ``baseline_ls`` solves a fresh one
-every iteration, and ``run_loop`` bans through ``modify_graph`` on that state
-for both.
+params check, the time limit, the incumbent, the trace, the timing, the
+``BanList``, the graph's ban flags and the ban step; each solver supplies its
+matcher, its partitioner and its m from ``numpart.parts_for``, the capacity
+check. The ``BanList`` is the whole ban policy's state: the active bans, each
+with its remaining tenure; ``BanList.age`` expires them and ``modify_graph``
+picks the next ban. The two solvers differ only in the matching each
+iteration starts from and in how they partition it: ``solve`` repairs one
+matching state across the run, ``baseline_ls`` solves a fresh one every
+iteration, and ``run_loop`` bans through ``modify_graph`` on that state for
+both.
 
 ``max_iterations`` is a cap, not a count. Every solution's heaviest
 partition weighs at least ceil(W*/m), where W* is the weight of a
@@ -41,11 +42,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleInstance, NoPerfectMatching
+from .errors import NoPerfectMatching
 from .graph import BipartiteGraph, PartitionAssignment, Solution
 from .hga import HgaParams, Individual, evolve
 from .matching import MatchState, batch_resolve, repair_after_ban, solve_full
-from .numpart import part_sums
+from .numpart import part_sums, parts_for
 
 
 @dataclass
@@ -166,10 +167,9 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
     (``math.inf`` without a ``time_limit_ms``, else the
     ``time.perf_counter()`` value at which it runs out) has passed. The
     graph's ban flags are restored on every exit, an exception included.
+    It checks ``params``; m must come from ``numpart.parts_for``.
     """
     params.validate()
-    if m * ubar < g.n1:
-        raise InfeasibleInstance(f"m*ubar = {m * ubar} < n1 = {g.n1}")
     t_start = time.perf_counter()
     deadline = (math.inf if params.time_limit_ms is None
                 else t_start + params.time_limit_ms / 1000.0)
@@ -222,9 +222,9 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
 
     The lower bound is ceil(W*/m) with W* the weight of iteration 0's
     matching, so the run stops once the incumbent reaches it and may use
-    fewer than ``max_iterations`` iterations. At most n1 partitions can be
-    non-empty, so m > n1 runs as m = n1."""
-    m = min(m, g.n1)
+    fewer than ``max_iterations`` iterations. ``parts_for`` runs m > n1 as
+    m = n1 and rejects too little capacity, before ``params`` are checked."""
+    m = parts_for(g.n1, m, ubar)
     rng = random.Random(params.rng_seed)
     st: MatchState | None = None
     population: list[Individual] | None = None

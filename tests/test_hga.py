@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pmmwm import hga
-from pmmwm.errors import CapacityInfeasible
+from pmmwm.errors import InfeasibleInstance
 from pmmwm.graph import MAX_TOTAL_WEIGHT
 from pmmwm.hga import (
     HgaParams,
@@ -418,7 +418,7 @@ class TestInitPopulation:
 
     @pytest.mark.parametrize("build", [init_population, evolve])
     def test_over_capacity_raises(self, build):
-        with pytest.raises(CapacityInfeasible, match="cannot hold 5 items"):
+        with pytest.raises(InfeasibleInstance, match="cannot hold 5 items"):
             build(items_of(5, 4, 3, 2, 1), 2, 2, HgaParams(pop_size=4))
 
     def test_deterministic(self):

@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from pmmwm.errors import CapacityInfeasible, TooLarge
+from pmmwm.errors import InfeasibleInstance, TooLarge
+from pmmwm.harness import baseline_ls, exact_oracle
+from pmmwm.hga import HgaParams, evolve
 from pmmwm.numpart import (
     greedy_in_order,
     greedy_lpt,
@@ -11,7 +13,9 @@ from pmmwm.numpart import (
     min_max_brute,
     part_sums,
 )
+from pmmwm.orchestrator import FimpParams, solve
 
+from helpers import random_dense_graph
 from oracles import brute_force_partition_min_max
 
 
@@ -69,7 +73,7 @@ class TestGreedyLpt:
         (3, 0, "need m >= 1 and ubar >= 1, got m=3 ubar=0"),
     ], ids=["over-capacity", "m-zero", "ubar-zero"])
     def test_capacity_infeasible(self, m, ubar, message):
-        with pytest.raises(CapacityInfeasible, match=message):
+        with pytest.raises(InfeasibleInstance, match=message):
             greedy_lpt(items_of(1, 1, 1), m, ubar)
 
     def test_order_matters_for_plain_greedy(self):
@@ -108,7 +112,7 @@ class TestKkMultiway:
         assert max(sizes_of(pa, 2)) <= 3
 
     def test_capacity_infeasible(self):
-        with pytest.raises(CapacityInfeasible):
+        with pytest.raises(InfeasibleInstance):
             kk_multiway(items_of(1, 1, 1, 1), 3, 1)
 
     def test_always_feasible_fuzz(self):
@@ -199,3 +203,60 @@ class TestQualityProperties:
             kk_total += max(sums_of(kk_multiway(items, 4, 16), items, 4))
             lpt_total += max(sums_of(greedy_lpt(items, 4, 16), items, 4))
         assert kk_total <= lpt_total
+
+
+def rule_graph():
+    """A 6 x 8 instance; its own m and ubar (2, 3) are never the ones tested."""
+    return random_dense_graph(6, 8, 2, 3, random.Random(5), density=0.6, w_max=40)
+
+
+RULE_PARAMS = dict(max_iterations=4, tenure=3, rng_seed=2,
+                   hga=HgaParams(pop_size=6, max_generations=5, rng_seed=2))
+RULE_ITEMS = items_of(5, 4, 3, 2, 1, 6)
+# each entry runs on 6 rows or 6 items, with the m and ubar it is given
+ENTRIES = {
+    "solve": lambda m, ubar: solve(rule_graph(), m, ubar, FimpParams(**RULE_PARAMS)),
+    "baseline_ls": lambda m, ubar: baseline_ls(rule_graph(), m, ubar, FimpParams(**RULE_PARAMS)),
+    "exact_oracle": lambda m, ubar: exact_oracle(rule_graph(), m, ubar),
+    "greedy_lpt": lambda m, ubar: greedy_lpt(RULE_ITEMS, m, ubar),
+    "kk_multiway": lambda m, ubar: kk_multiway(RULE_ITEMS, m, ubar),
+    "min_max_brute": lambda m, ubar: min_max_brute(RULE_ITEMS, m, ubar),
+    "evolve": lambda m, ubar: evolve(RULE_ITEMS, m, ubar, HgaParams(pop_size=4)),
+}
+
+
+def solution_of(result):
+    sol = result[1] if isinstance(result, tuple) else result.solution
+    return sol.mate, sol.partition.m, sol.partition.part_of, sol.objective
+
+
+class TestCapacityRule:
+    """Every solver entry applies ``numpart.parts_for``: one error type, one
+    message and exit code 4 for too little capacity, and m > n1 runs as
+    m = n1."""
+
+    @pytest.mark.parametrize("m, ubar, message", [
+        (2, 2, r"^m\*ubar = 4 cannot hold 6 items$"),
+        (0, 3, "^need m >= 1 and ubar >= 1, got m=0 ubar=3$"),
+        (3, 0, "^need m >= 1 and ubar >= 1, got m=3 ubar=0$"),
+    ], ids=["over-capacity", "m-zero", "ubar-zero"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_infeasible(self, entry, m, ubar, message):
+        with pytest.raises(InfeasibleInstance, match=message) as caught:
+            ENTRIES[entry](m, ubar)
+        assert caught.value.exit_code == 4
+
+    @pytest.mark.parametrize("entry", ["solve", "baseline_ls", "exact_oracle"])
+    def test_more_parts_than_rows(self, entry):
+        assert solution_of(ENTRIES[entry](6 + 5, 2)) == solution_of(ENTRIES[entry](6, 2))
+
+    def test_oracle_checks_capacity_before_size(self):
+        # n1 = 9 is past the oracle's size guard, and 2 * 4 cannot hold 9 rows
+        g = random_dense_graph(9, 9, 3, 3, random.Random(1))
+        with pytest.raises(InfeasibleInstance, match=r"^m\*ubar = 8 cannot hold 9 items$"):
+            exact_oracle(g, 2, 4)
+
+    @pytest.mark.parametrize("run", [solve, baseline_ls], ids=["solve", "baseline_ls"])
+    def test_solvers_check_capacity_before_params(self, run):
+        with pytest.raises(InfeasibleInstance, match="cannot hold 6 items"):
+            run(rule_graph(), 2, 2, FimpParams(max_iterations=0))
