@@ -24,15 +24,13 @@ class InfeasibleInstance(PmmwmError):
     exit_code = 4
 
 
-class NoPerfectMatching(PmmwmError):
+class NoPerfectMatching(InfeasibleInstance):
     """An augmentation phase exhausted reachable vertices without a free one.
 
     Raised by the matcher when a ban (or a defective instance) leaves some
     U-vertex unmatchable. Callers banning edges must treat this as a rejected
     ban and restore the edge.
     """
-
-    exit_code = 4
 
 
 class TooLarge(PmmwmError):

@@ -149,23 +149,19 @@ def _l1_relocate(part, w, sums, sizes, m, ubar, h, h_items) -> bool:
     Scan order: x ascending, then k ascending. Of the improving moves the
     one whose whole sorted sums vector is lexicographically smallest wins;
     ties go to the first in scan order (a stable lexsort of one sorted row
-    per improving move).
+    per improving move, also when there is one).
     """
     ks = np.flatnonzero((sizes < ubar) & (np.arange(m) != h))
-    if ks.size == 0:  # every other partition is full, as at n = m * ubar
-        return False
     improving = _improves(sums[h], w[h_items][:, None], sums[ks][None, :])
     xi, ki = np.nonzero(improving)
-    if xi.size == 0:
+    if xi.size == 0:  # also when no other partition has room, as at n = m * ubar
         return False
-    best = 0
-    if xi.size > 1:
-        rows = np.repeat(sums[None, :], xi.size, axis=0)
-        moved = w[h_items[xi]]
-        rows[:, h] -= moved
-        rows[np.arange(xi.size), ks[ki]] += moved
-        rows = -np.sort(-rows, axis=1)
-        best = np.lexsort(rows.T[::-1])[0]
+    rows = np.repeat(sums[None, :], xi.size, axis=0)
+    moved = w[h_items[xi]]
+    rows[:, h] -= moved
+    rows[np.arange(xi.size), ks[ki]] += moved
+    rows = -np.sort(-rows, axis=1)
+    best = np.lexsort(rows.T[::-1])[0]
     x, k = int(h_items[xi[best]]), int(ks[ki[best]])
     part[x] = k
     sums[h] -= w[x]
@@ -281,9 +277,11 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
     donor's restricted sums are the table's row (``a``) or column (``b``)
     sums. Taking a partition subtracts its row from the column sums (or its
     column from the row sums) and zeroes it, so a round costs O(m) and no
-    pass over the items. Each item's child partition is the first round
-    that took either of its donor partitions. The table only changes how
-    the restricted sums are found; the selection rule is the one above,
+    pass over the items. A round may take a partition again: its line is
+    already zero, so that changes nothing, and the first round that took
+    it is kept. Each item's child partition is the first round that took
+    either of its donor partitions. The table only changes how the
+    restricted sums are found; the selection rule is the one above,
     evaluated on Python ints, so ``x * (m - r)`` cannot overflow.
 
     ``memo`` maps ``(a.part.tobytes(), b.part.tobytes())`` to the child;
@@ -305,11 +303,10 @@ def gpx_crossover(a: Individual, b: Individual, w: np.ndarray,
         restricted = line_sums[s].tolist()
         gaps = [abs(x * (m - r) - remaining_total) for x in restricted]
         best_k = gaps.index(min(gaps))
-        if taken_in[s][best_k] == m:
-            taken_in[s][best_k] = r
-            line_sums[1 - s] -= tables[s][best_k]
-            line_sums[s][best_k] = 0
-            tables[s][best_k] = 0
+        taken_in[s][best_k] = min(taken_in[s][best_k], r)
+        line_sums[1 - s] -= tables[s][best_k]
+        line_sums[s][best_k] = 0
+        tables[s][best_k] = 0
         sums[r] = restricted[best_k]
         remaining_total -= sums[r]
 
@@ -443,7 +440,7 @@ def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
     row): level 1 orders its moves (x, k) by their whole sorted sums vector,
     then by scan order, and level 2 takes the first improving (x, y) in
     row-major order. The steps run while at least ``_BATCH_MIN`` rows are
-    active; the rows still active then finish on the single levels."""
+    active; the rows still active then finish on the single levels. n >= 1."""
     count, n = parts.shape
     part = parts.copy()
     flat = (np.arange(count)[:, None] * m + part).ravel()
@@ -461,8 +458,9 @@ def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
         p_act = part[active]
         in_h = p_act == h[:, None]
         c = in_h.sum(axis=1)
-        # h_items[i, :c[i]] are row i's items of h, ascending
-        h_items = np.argsort(~in_h, axis=1, kind="stable")[:, :c.max()]
+        # h_items[i, :c[i]] are row i's items of h, ascending; at least one
+        # column, as level 2's argmax needs one when h is empty in every row (w == 0)
+        h_items = np.argsort(~in_h, axis=1, kind="stable")[:, :max(c.max(), 1)]
         valid = (np.arange(h_items.shape[1]) < c[:, None])[:, :, None]
         w_x = w[h_items][:, :, None]
         went = np.zeros(active.size, dtype=bool)
@@ -472,15 +470,14 @@ def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
         i, xi, k = np.nonzero(valid & room[:, None, :] & _improves(s_h, w_x, s[:, None, :]))
         if i.size:  # (i, xi, k) is in scan order within each row
             x = h_items[i, xi]
+            # each row's smallest sorted sums vector first, ties in scan order
+            cand = s[i]
+            cand[np.arange(i.size), h[i]] -= w[x]
+            cand[np.arange(i.size), k] += w[x]
+            cand = -np.sort(-cand, axis=1)
+            pick = np.lexsort((*cand.T[::-1], i))
+            i, x, k = i[pick], x[pick], k[pick]
             first = np.r_[True, i[1:] != i[:-1]]
-            if not first.all():  # some row has a choice: smallest sorted sums vector first
-                cand = s[i]
-                cand[np.arange(i.size), h[i]] -= w[x]
-                cand[np.arange(i.size), k] += w[x]
-                cand = -np.sort(-cand, axis=1)
-                pick = np.lexsort((*cand.T[::-1], i))
-                i, x, k = i[pick], x[pick], k[pick]
-                first = np.r_[True, i[1:] != i[:-1]]
             i, x, k = i[first], x[first], k[first]
             p = active[i]
             part[p, x] = k
@@ -491,22 +488,20 @@ def _mls_batch(parts: np.ndarray, w: np.ndarray, m: int,
             went[i] = True
         # level 2: swap x of h with y outside h, on the rows level 1 left
         j = np.nonzero(~went)[0]
-        if j.size:
-            improving = (valid[j] & ~in_h[j][:, None, :]
-                         & _improves(s_h[j], w_x[j] - w, s[j[:, None], p_act[j]][:, None, :]))
-            improving = improving.reshape(j.size, h_items.shape[1] * n)
-            found = improving.any(axis=1)
-            if found.any():
-                j = j[found]
-                xi, y = np.divmod(improving[found].argmax(axis=1), n)
-                x = h_items[j, xi]
-                p = active[j]
-                k = part[p, y]
-                part[p, x] = k
-                part[p, y] = h[j]
-                sums[p, h[j]] += w[y] - w[x]
-                sums[p, k] += w[x] - w[y]
-                went[j] = True
+        improving = (valid[j] & ~in_h[j][:, None, :]
+                     & _improves(s_h[j], w_x[j] - w, s[j[:, None], p_act[j]][:, None, :]))
+        improving = improving.reshape(j.size, h_items.shape[1] * n)
+        found = improving.any(axis=1)
+        j = j[found]
+        xi, y = np.divmod(improving[found].argmax(axis=1), n)
+        x = h_items[j, xi]
+        p = active[j]
+        k = part[p, y]
+        part[p, x] = k
+        part[p, y] = h[j]
+        sums[p, h[j]] += w[y] - w[x]
+        sums[p, k] += w[x] - w[y]
+        went[j] = True
         moved[active[went]] = True
         active = active[went]
     for p in active.tolist():

@@ -412,7 +412,7 @@ def batch_resolve(g: BipartiteGraph, st: MatchState,
     """
     edges = sorted(released)
     for (u, v) in edges:
-        if g.banned[u, v] or not g.has_edge(u, v):
+        if not g.is_available(u, v):
             raise ValueError(f"edge ({u}, {v}) is not available")
     for (u, v) in edges:
         _reprice(st, u, v, int(g.weight[u, v]))

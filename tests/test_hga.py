@@ -898,6 +898,14 @@ class TestBatchedOperators:
                 if ref_part == ind.part.tolist():
                     assert out is ind and single is ind
 
+    def test_mls_batch_on_zero_weights_with_every_h_empty(self):
+        # every sum is 0, so h = 0 in every row, and partition 0 is empty in all
+        parts = np.array([[1, 1, 2, 2], [2, 1, 2, 1], [1, 2, 1, 2]], dtype=np.int64)
+        w = items_of(0, 0, 0, 0)
+        improved, sums, moved = hga._mls_batch(parts, w, 3, 2)
+        for part, row in zip(parts, improved):
+            assert row.tolist() == mls_reference(part.tolist(), w.tolist(), 3, 2)[0] == part.tolist()
+        assert not sums.any() and not moved.any()
 
     @pytest.mark.parametrize("members, batches", [(2, []), (4, [4, 4]), (20, [10])])
     def test_batches_keep_to_the_cell_budget(self, monkeypatch, members, batches):

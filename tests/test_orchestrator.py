@@ -93,6 +93,15 @@ class TestSolve:
         with pytest.raises(InfeasibleInstance):
             solve(g, 2, 2, small_params())
 
+    def test_no_perfect_matching_is_infeasible(self):
+        assert issubclass(NoPerfectMatching, InfeasibleInstance)
+        assert NoPerfectMatching.exit_code == 4
+        # built directly, so no load-time check: column 1 has no edge
+        g = BipartiteGraph(2, 2, 2, 1, np.array([[3, -1], [4, -1]], dtype=np.int64))
+        with pytest.raises(InfeasibleInstance) as caught:
+            solve(g, 2, 1, small_params())
+        assert type(caught.value) is NoPerfectMatching and caught.value.exit_code == 4
+
     @both_solvers
     def test_graph_restored_after_run(self, run):
         rng = random.Random(23)
