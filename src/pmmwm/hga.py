@@ -26,12 +26,16 @@ part is scored on the call's ``w``, then the parts are improved by the local
 search once each, in order, through the call's memo below, so a part held in
 several copies costs one search. Part 0 is searched first; only when it
 misses the lower bound below are the others searched, in one batch. The
-improving stops at the first part that reaches the bound, or once the
-deadline has passed; the rest join the population scored but not improved.
-The outer solver changes its matching by one ban per iteration, so only a
-few weights move between calls and a carried population starts close to
-converged (reusing a population when the fitness function shifts:
-Grefenstette, "Genetic algorithms for changing environments", PPSN 1992).
+improving stops at the first part that reaches the bound, which is then the
+call's best, or once the deadline has passed; the rest join the population
+scored but not improved. A fresh call builds only its part 0, the LPT
+construction, before that search. When the search reaches the bound, the
+other members are built only when the returned population is first read, so
+a run that ends there never builds them. The outer solver changes its
+matching by one ban per iteration, so only a few weights move between calls
+and a carried population starts close to converged (reusing a population
+when the fitness function shifts: Grefenstette, "Genetic algorithms for
+changing environments", PPSN 1992).
 
 Once the population converges, the generations breed the same children again.
 ``evolve`` therefore gives ``gpx_crossover`` and ``mls_improve`` one memo each
@@ -58,7 +62,9 @@ max(ceil(sum(w) / m), max(w)): the heaviest part holds at least the average
 and at least the heaviest item (the classic multi-way number-partitioning
 bound; the capacity ubar only removes partitions). Once an individual
 reaches it the partition is proven optimal: the start step improves no
-further individual, and ``evolve`` starts no generation.
+further individual, and ``evolve`` starts no generation. Other start parts
+may sit at the bound too, scored but not improved, some with a smaller
+fitness; the first part whose search reaches the bound is still the best.
 """
 
 from __future__ import annotations
@@ -66,12 +72,14 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .numpart import _lightest_open, greedy_in_order, greedy_lpt, kk_multiway, part_sums
+from .numpart import (_lightest_open, greedy_in_order, greedy_lpt, kk_multiway, part_sums,
+                      parts_for)
 
 
 @dataclass
@@ -107,7 +115,7 @@ class Evolution(NamedTuple):
     ``fitness`` is the best's, for callers that want only the objective."""
 
     best: Individual
-    population: list[Individual]
+    population: Sequence[Individual]
 
     @property
     def fitness(self) -> tuple[int, ...]:
@@ -513,8 +521,9 @@ def _fill(memo: dict, misses, cells: int, kernel) -> None:
     """Store in ``memo`` what ``kernel`` (a list of rows -> one value each)
     gives for the ``(key, row)`` misses whose keys it lacks, in batches of
     ``_BATCH_MIN`` to ``_BATCH_CELLS // cells`` rows (``cells``: one row's
-    largest array); the rest stay misses for the single operator."""
-    size = _BATCH_CELLS // cells
+    largest array); the rest stay misses for the single operator, and so
+    do all of them when ``cells`` is 0 (an empty ``w``)."""
+    size = _BATCH_CELLS // cells if cells else 0
     if size < _BATCH_MIN:
         return
     missing = list({key: row for key, row in misses if key not in memo}.items())
@@ -557,23 +566,47 @@ def _improve_misses(inds: list[Individual], w: np.ndarray, m: int, ubar: int,
 # ---------------------------------------------------------------------------
 # Population management
 
-def init_population(w: np.ndarray, m: int, ubar: int,
-                    params: HgaParams, rng: random.Random | None = None) -> list[Individual]:
+def init_population(w: np.ndarray, m: int, ubar: int, params: HgaParams,
+                    rng: random.Random | None = None, *,
+                    lpt: Individual | None = None) -> list[Individual]:
     """The LPT seed, the KK seed, then ``pop_size - 2`` greedy constructions
     on shuffled item orders, each scored on ``w``; ``evolve`` improves them.
-    Raises ``InfeasibleInstance`` (from ``greedy_lpt``) when
-    m * ubar < len(w)."""
+    ``lpt``, when given, is member 0 in place of a new LPT build: ``evolve``
+    passes its part 0, searched or not. Raises ``InfeasibleInstance`` (from
+    the constructions) when m * ubar < len(w)."""
     if rng is None:
         rng = random.Random(params.rng_seed)
     n = len(w)
-    parts = [greedy_lpt(w, m, ubar), kk_multiway(w, m, ubar)]
-    while len(parts) < params.pop_size:
+    if lpt is None:
+        part = greedy_lpt(w, m, ubar)
+        lpt = Individual(part, fitness_of(part, w, m))
+    parts = [kk_multiway(w, m, ubar)]
+    while len(parts) < params.pop_size - 1:
         order = list(range(n))
         rng.shuffle(order)
         part = np.empty(n, dtype=np.int64)
         part[order] = greedy_in_order(w[order], m, ubar)
         parts.append(part)
-    return [Individual(part, fitness_of(part, w, m)) for part in parts]
+    return [lpt] + [Individual(part, fitness_of(part, w, m)) for part in parts]
+
+
+class _DeferredPopulation(Sequence):
+    """A population of ``size`` individuals that ``build()`` returns on its
+    first read; ``len`` builds nothing."""
+
+    def __init__(self, size: int, build):
+        self._size = size
+        self._build = build
+        self._members: list[Individual] | None = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        if self._members is None:
+            self._members = self._build()
+            self._build = None
+        return self._members[i]
 
 
 def _tournament(population: list[Individual], rng: random.Random) -> Individual:
@@ -583,19 +616,32 @@ def _tournament(population: list[Individual], rng: random.Random) -> Individual:
 
 
 def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
-           population: list[Individual] | None = None,
+           population: Sequence[Individual] | None = None,
            on_generation=None, deadline: float = math.inf) -> Evolution:
     """Run the generational loop and return the best individual ever seen
-    with the final population.
+    (by fitness, save for the start step's rule below) with the final
+    population.
 
-    The start population is ``init_population``'s or, when ``population``
-    is given, that population carried over from an earlier call; it must
-    hold ``pop_size`` individuals. Either way each start individual's part
-    is scored on this ``w``, and then, in order, improved by ``mls_improve``
-    once, through the call's memo, until one of them reaches the lower
-    bound max(ceil(sum(w) / m), max(w)): that one is proven optimal, and the
-    rest join the population scored but not improved. The start parts are
-    only read, so carried ones may be read-only.
+    The capacity rule (``numpart.parts_for``) is checked first, on fresh
+    and carried calls alike; m is used as given. The start population is
+    ``init_population``'s or, when ``population`` is given, that population
+    carried over from an earlier call; it must hold ``pop_size``
+    individuals. Either way each start individual's part is scored on this
+    ``w``, and then, in order, improved by ``mls_improve`` once, through the
+    call's memo, until one of them reaches the lower bound
+    max(ceil(sum(w) / m), max(w)): that one is proven optimal and is the
+    call's best, even where a start part scored but not improved has a
+    smaller fitness at the bound, and the rest join the population scored
+    but not improved. The start parts are only read, so carried ones may be
+    read-only.
+
+    A fresh call builds and searches the LPT part first. When it reaches
+    the bound, the returned population holds it as member 0, and its other
+    ``pop_size - 1`` members are built only when it is first read (its
+    ``len`` builds nothing), by ``init_population`` with its own
+    ``Random(params.rng_seed)``: nothing else draws from the call's rng
+    before the generations, so they are the members an eager build gives.
+    Otherwise the rest is built around that part at once.
 
     ``on_generation`` is called as
     ``on_generation(gen, population, incumbent)`` after each generation; the
@@ -605,33 +651,49 @@ def evolve(w: np.ndarray, m: int, ubar: int, params: HgaParams, *,
     start parts' searches and before each generation: once it has passed,
     none of these starts. Building and scoring the start population are not
     interrupted, so a run ends at most one batch of start searches or one
-    generation past the deadline, plus that time.
+    generation past the deadline, plus that time. A fresh call past its
+    deadline searches nothing, so it builds and scores the whole population
+    at once, and its best is the lowest fitness among them.
 
     No generation starts either once the best fitness[0] equals the bound,
     checked in the same place. When the start population already reaches it,
     ``on_generation`` is never called.
     """
+    parts_for(len(w), m, ubar)
     params.validate()
     rng = random.Random(params.rng_seed)
     crossed: dict = {}
     improved: dict = {}
-    if population is None:
-        population = init_population(w, m, ubar, params, rng)
+    bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
+    fresh = population is None
+    if fresh:
+        part = greedy_lpt(w, m, ubar)
+        population = [Individual(part, fitness_of(part, w, m))]
     elif len(population) != params.pop_size:
         raise ValueError(f"population holds {len(population)} individuals, "
                          f"pop_size is {params.pop_size}")
-    population = [Individual(ind.part, fitness_of(ind.part, w, m)) for ind in population]
-    bound = max(-(-int(w.sum()) // m), int(w.max(initial=0)))
-    for i, ind in enumerate(population):
-        if i < 2:  # checked before part 0's search and before the batch of the rest
-            if time.perf_counter() >= deadline:
+    else:
+        population = [Individual(ind.part, fitness_of(ind.part, w, m)) for ind in population]
+    best = None
+    if time.perf_counter() < deadline:  # checked before part 0's search
+        population[0] = mls_improve(population[0], w, ubar, memo=improved)
+        if population[0].fitness[0] == bound:
+            best = population[0]
+    if fresh:
+        if best is not None:  # nothing else draws from rng, so a fresh one matches it
+            w_at_call, params_at_call = w.copy(), replace(params)
+            return Evolution(best, _DeferredPopulation(params.pop_size, lambda: init_population(
+                w_at_call, m, ubar, params_at_call, lpt=best)))
+        population = init_population(w, m, ubar, params, rng, lpt=population[0])
+    if best is None and time.perf_counter() < deadline:  # and before the batch of the rest
+        _improve_misses(population[1:], w, m, ubar, improved)
+        for i in range(1, len(population)):
+            population[i] = mls_improve(population[i], w, ubar, memo=improved)
+            if population[i].fitness[0] == bound:
+                best = population[i]
                 break
-            if i == 1:
-                _improve_misses(population[1:], w, m, ubar, improved)
-        population[i] = mls_improve(ind, w, ubar, memo=improved)
-        if population[i].fitness[0] == bound:
-            break
-    best = min(population, key=lambda ind: ind.fitness)
+    if best is None:
+        best = min(population, key=lambda ind: ind.fitness)
     n = len(w)
     room = n < m * ubar  # else every partition is full and no mutation moves
     stall = 0

@@ -37,8 +37,8 @@ import dataclasses
 import math
 import random
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -162,11 +162,13 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
     ``Individual``'s heaviest partition, repairing the state in place.
     ``match()`` plus ``modify_graph`` is charged to matching time,
     ``partition`` to partition time. The loop runs at most ``max_iterations``
-    iterations and stops early, certified optimal, once the incumbent reaches
-    the bound, or before any iteration after the first once ``deadline``
-    (``math.inf`` without a ``time_limit_ms``, else the
-    ``time.perf_counter()`` value at which it runs out) has passed. The
-    graph's ban flags are restored on every exit, an exception included.
+    iterations. It stops early, certified optimal, once the incumbent
+    reaches the bound; that is checked before ``modify_graph``, so the
+    certifying iteration neither bans nor repairs. It also stops before any
+    iteration after the first once ``deadline`` (``math.inf`` without a
+    ``time_limit_ms``, else the ``time.perf_counter()`` value at which it
+    runs out) has passed. The graph's ban flags are restored on every exit,
+    an exception included.
     It checks ``params``; m must come from ``numpart.parts_for``.
     """
     params.validate()
@@ -191,13 +193,14 @@ def run_loop(g: BipartiteGraph, m: int, ubar: int, params: FimpParams,
             if incumbent is None or best.fitness[0] < incumbent.objective:
                 incumbent = Solution(mate=st.mate_u.tolist(), objective=best.fitness[0],
                                      partition=PartitionAssignment(m, ubar, best.part.tolist()))
+            certified = lower_bound is not None and incumbent.objective == lower_bound
             t3 = time.perf_counter()
-            modify_graph(g, st, best, bans=bans, tenure=params.tenure)
+            if not certified:  # the run ends here, so the ban step would serve nothing
+                modify_graph(g, st, best, bans=bans, tenure=params.tenure)
             match_s = (t1 - t0) + (time.perf_counter() - t3)
             del st  # so a matcher that solves afresh never holds two states at once
             trace.append(IterationRecord(it, best.fitness[0], incumbent.objective,
                                          len(bans), match_s * 1000.0, (t2 - t1) * 1000.0))
-            certified = lower_bound is not None and incumbent.objective == lower_bound
             if certified:
                 break
     finally:
@@ -215,10 +218,13 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     which ``modify_graph`` repairs after every iteration, and a partitioner
     that evolves one HGA population across iterations. Only iteration 0
     solves the matching from scratch, and only iteration 0 builds the HGA's
-    population with ``init_population``: every later ``evolve`` call starts
-    from the previous one's final population, re-scored on the new matched
-    weights. The HGA also stops starting generations once the run's
-    ``deadline`` has passed, so iteration 0 ends soon after it.
+    population: every later ``evolve`` call starts from the previous one's
+    final population, re-scored on the new matched weights. When iteration
+    0's LPT part reaches the partition bound, the rest of that population is
+    built only if a later iteration reads it, so a run certified at
+    iteration 0 never builds it. The HGA also stops starting generations
+    once the run's ``deadline`` has passed, so iteration 0 ends soon after
+    it.
 
     The lower bound is ceil(W*/m) with W* the weight of iteration 0's
     matching, so the run stops once the incumbent reaches it and may use
@@ -227,7 +233,7 @@ def solve(g: BipartiteGraph, m: int, ubar: int, params: FimpParams) -> RunResult
     m = parts_for(g.n1, m, ubar)
     rng = random.Random(params.rng_seed)
     st: MatchState | None = None
-    population: list[Individual] | None = None
+    population: Sequence[Individual] | None = None
     lower_bound: int | None = None
 
     def match():

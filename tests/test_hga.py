@@ -604,6 +604,34 @@ class TestStartStep:
         assert [ind.part.tolist() for ind in population] == [ind.part.tolist() for ind in expected]
         assert best.fitness == min(ind.fitness for ind in population)
 
+    def test_the_first_part_at_the_bound_is_best(self):
+        # LPT's search reaches the bound ceil(67 / 3) = 23 at (23, 23, 21);
+        # the KK member, scored but not improved, is (23, 22, 22): smaller,
+        # and still not the best, fresh or carried
+        items = items_of(11, 8, 13, 9, 7, 3, 16)
+        params = HgaParams(pop_size=4, rng_seed=0)
+        searched = mls_improve(individual(greedy_lpt(items, 3, 7), items, 3, 7), items, 7)
+        best, population = evolve(items, 3, 7, params)
+        assert (best.part.tolist(), best.fitness) == (searched.part.tolist(), (23, 23, 21))
+        assert population[1].fitness == (23, 22, 22)
+        again = evolve(items, 3, 7, params, population=population).best
+        assert (again.part.tolist(), again.fitness) == (searched.part.tolist(), (23, 23, 21))
+
+    def test_passed_deadline_builds_the_whole_population(self, monkeypatch):
+        # part 0 would reach the bound, but a passed deadline skips its
+        # search, so every member is built and scored at once
+        items = items_of(8, 7, 6, 5, 4)
+        params = HgaParams(pop_size=6, rng_seed=4)
+        built = []
+        real = hga.init_population
+        monkeypatch.setattr(hga, "init_population",
+                            lambda *args, **kwargs: built.append(1) or real(*args, **kwargs))
+        best, population = evolve(items, 2, 3, params, deadline=time.perf_counter() - 1.0)
+        assert type(population) is list and built == [1]
+        assert [(ind.part.tolist(), ind.fitness) for ind in population] == [
+            (ind.part.tolist(), ind.fitness) for ind in init_population(items, 2, 3, params)]
+        assert best.fitness == min(ind.fitness for ind in population)
+
     def test_unreached_deadline_changes_nothing(self):
         items = items_of(*self.ABOVE_BOUND)
         params = HgaParams(pop_size=8, max_generations=30, rng_seed=3)
@@ -907,6 +935,15 @@ class TestBatchedOperators:
             assert row.tolist() == mls_reference(part.tolist(), w.tolist(), 3, 2)[0] == part.tolist()
         assert not sums.any() and not moved.any()
 
+    def test_improve_misses_leaves_an_empty_w_to_the_single_operator(self):
+        # no item means no cell to budget: every miss stays a miss
+        w = items_of()
+        inds = [individual([], w, 3, 2) for _ in range(3)]
+        memo = {}
+        hga._improve_misses(inds, w, 3, 2, memo)
+        assert memo == {}
+        assert all(mls_improve(ind, w, 2, memo=memo) is ind for ind in inds)
+
     @pytest.mark.parametrize("members, batches", [(2, []), (4, [4, 4]), (20, [10])])
     def test_batches_keep_to_the_cell_budget(self, monkeypatch, members, batches):
         # 10 misses under budgets of 2, 4 and 20 members a batch; a batch of
@@ -938,6 +975,64 @@ class TestBatchedOperators:
                 assert crossed[key].part.tolist() == gpx_crossover(a, b, w, m, ubar).part.tolist()
             assert mls_improve(ind, w, ubar, memo=improved).part.tolist() == \
                 mls_improve(ind, w, ubar).part.tolist()
+
+
+class TestDeferredPopulation:
+    """A fresh ``evolve`` call whose part 0 reaches the bound returns a
+    population whose other members ``init_population`` builds, with its own
+    rng, when the population is first read."""
+
+    # LPT gives (17, 13); its local search reaches max(ceil(30 / 2), 8) = 15
+    W, M, UBAR = items_of(8, 7, 6, 5, 4), 2, 3
+    PARAMS = HgaParams(pop_size=6, rng_seed=4)
+
+    @staticmethod
+    def builds(monkeypatch):
+        """How often each construction has run."""
+        calls = {"init_population": 0, "kk_multiway": 0, "greedy_in_order": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(hga, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(hga, name, counted)
+        return calls
+
+    def test_len_builds_nothing(self, monkeypatch):
+        calls = self.builds(monkeypatch)
+        best, population = evolve(self.W, self.M, self.UBAR, self.PARAMS)
+        assert best.fitness == (15, 15)
+        assert len(population) == self.PARAMS.pop_size
+        assert calls == {"init_population": 0, "kk_multiway": 0, "greedy_in_order": 0}
+        assert population[0] is best
+        assert list(population)[1:] == population[1:]
+        # one build on the first read, of the KK seed and pop_size - 2 greedy ones
+        assert calls == {"init_population": 1, "kk_multiway": 1, "greedy_in_order": 4}
+
+    def test_built_members_are_init_populations(self):
+        _, population = evolve(self.W, self.M, self.UBAR, self.PARAMS)
+        built = init_population(self.W, self.M, self.UBAR, self.PARAMS)
+        assert [(ind.part.tolist(), ind.fitness) for ind in population[1:]] == [
+            (ind.part.tolist(), ind.fitness) for ind in built[1:]]
+
+    def test_carried_call_matches_an_eager_start(self):
+        # LPT pairs the weights into sums of 10, the bound; the carried call's
+        # weights have their optimum 19 above the bound 17, so generations run
+        w = items_of(9, 1, 8, 2, 7, 3, 6, 4, 5, 5)
+        params = HgaParams(pop_size=8, max_generations=20, stall_limit=5, rng_seed=7)
+        best, deferred = evolve(w, 5, 2, params)
+        assert best.fitness == (10,) * 5 and isinstance(deferred, hga._DeferredPopulation)
+        eager = [best] + init_population(w, 5, 2, params)[1:]
+        changed = items_of(*TestStartStep.ABOVE_BOUND)
+        runs = []
+        for start in (deferred, eager):
+            generations = []
+            runs.append(evolve(changed, 5, 2, params, population=start,
+                               on_generation=lambda g, pop, inc: generations.append(g)))
+            assert generations
+        (best_a, pop_a), (best_b, pop_b) = runs
+        assert (best_a.part.tolist(), best_a.fitness) == (best_b.part.tolist(), best_b.fitness)
+        assert [(ind.part.tolist(), ind.fitness) for ind in pop_a] == [
+            (ind.part.tolist(), ind.fitness) for ind in pop_b]
 
 
 class TestCarriedPopulation:

@@ -222,6 +222,10 @@ ENTRIES = {
     "kk_multiway": lambda m, ubar: kk_multiway(RULE_ITEMS, m, ubar),
     "min_max_brute": lambda m, ubar: min_max_brute(RULE_ITEMS, m, ubar),
     "evolve": lambda m, ubar: evolve(RULE_ITEMS, m, ubar, HgaParams(pop_size=4)),
+    # a population carried from a feasible call, as solve's later iterations start
+    "evolve-carried": lambda m, ubar: evolve(
+        RULE_ITEMS, m, ubar, HgaParams(pop_size=4),
+        population=evolve(RULE_ITEMS, 3, 2, HgaParams(pop_size=4)).population),
 }
 
 

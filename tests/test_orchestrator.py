@@ -252,11 +252,21 @@ class TestCertifiedStop:
     # init_population reaches ceil(W*/m) on iteration 0's matching
     SPEC = InstanceSpec(200, 200, 10, 24, 1.0, "CONSISTENT", 1000, 5)
 
-    def test_solve_stops_once_certified(self):
+    def test_solve_stops_once_certified(self, monkeypatch):
+        # LPT's part already reaches the bound, so the rest of the HGA's
+        # start population is never built, and the run ends with no ban step
+        calls = {(hga, "init_population"): 0, (orchestrator, "repair_after_ban"): 0}
+        for owner, name in calls:
+            def counted(*args, _key=(owner, name), _real=getattr(owner, name), **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
         g = generate(self.SPEC)
         result = solve(g, 10, 24, FimpParams(max_iterations=5, rng_seed=0))
         bound = -(-solve_full(g).total_weight // 10)
         assert result.stats.iterations == len(result.stats.trace) == 1
+        assert list(calls.values()) == [0, 0]
+        assert result.stats.trace[0].bans_active == 0
         assert result.stats.certified_optimal
         assert result.stats.lower_bound == result.solution.objective == bound
         assert not g.banned.any()
