@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pmmwm import graph
 from pmmwm.errors import InfeasibleInstance, ParseError
 from pmmwm.graph import (
     ABSENT,
@@ -13,7 +15,7 @@ from pmmwm.graph import (
     BipartiteGraph,
     PartitionAssignment,
     Solution,
-    _parse_bulk,
+    _parse_blocks,
     evaluate_objective,
     load_instance,
     load_solution,
@@ -37,6 +39,14 @@ def write(tmp_path, text, name="inst.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture(params=[graph._BLOCK_BYTES, 7], ids=["default-block", "7-byte-block"])
+def block_bytes(request, monkeypatch):
+    """The bulk parse's block size: the default, and one that cuts every file
+    into many blocks, most lines across a block boundary."""
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", request.param)
+    return request.param
 
 
 class TestLoadInstance:
@@ -179,21 +189,37 @@ class TestLoadInstance:
     def test_dense_load_peak_memory(self, tmp_path):
         # A dense 300x300 file of 1.0 MB, as the shipped benchmark writes them.
         # Parsed line by line it peaked at 54x the file size (54.5 MB); the
-        # bulk parse measures 4.7x.
-        rng = np.random.default_rng(0)
-        n = 300
-        u, v = np.divmod(np.arange(n * n), n)
-        lines = [f"{n} {n} 10 {n}"]
-        lines += [f"{a} {b} {w}" for a, b, w in zip(u.tolist(), v.tolist(),
-                                                     rng.integers(0, 1001, n * n).tolist())]
-        path = write(tmp_path, "\n".join(lines) + "\n")
+        # bulk parse measures 2.1x.
+        path = _dense_file(tmp_path, 300)
+        _, peak = _load_peak(path)
+        assert peak < 8 * os.path.getsize(path)
+
+    def test_dense_load_peak_within_blocks(self, tmp_path):
+        # The bulk parse holds the table, 12 bytes per edge and one block's
+        # arrays at a time: 2.06 MB here. Parsing the whole file at once
+        # holds 6.5x the table (4.7 MB).
+        g, peak = _load_peak(_dense_file(tmp_path, 300))
+        assert peak <= g.weight.nbytes + 12 * g.edge_count() + 2 * graph._BLOCK_BYTES
+
+    def test_declared_table_waits_for_the_last_block(self, tmp_path):
+        # The header declares a 512 MB table; valid edges run past the first
+        # block, then a line is short. The bulk parse declines the file before
+        # it allocates the table, so the line parse's own edge list sets the
+        # peak.
+        n = 8000
+        lines = [f"{n} {n} {n} 1"] + [f"{i // 100} {i % 100} 1" for i in range(40000)]
+        text = "\n".join(lines) + "\n0 0\n"
+        assert len(text) > graph._BLOCK_BYTES
+        path = write(tmp_path, text)
         tracemalloc.start()
         try:
-            load_instance(path)
+            with pytest.raises(ParseError) as exc:
+                load_instance(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * os.path.getsize(path)
+        assert str(exc.value) == f"{path}: line 40002: edge line must be 'u v w'"
+        assert peak < 64 << 20
 
     def test_dense_save_peak_memory(self, tmp_path):
         # A dense 300x300 graph writes a 1.0 MB file. Holding every line
@@ -210,6 +236,26 @@ class TestLoadInstance:
         finally:
             tracemalloc.stop()
         assert peak < os.path.getsize(path) / 2
+
+
+def _dense_file(tmp_path, n):
+    """A dense n x n integer file, as the shipped benchmark writes them."""
+    rng = np.random.default_rng(0)
+    u, v = np.divmod(np.arange(n * n), n)
+    lines = [f"{n} {n} 10 {n}"]
+    lines += [f"{a} {b} {w}" for a, b, w in zip(u.tolist(), v.tolist(),
+                                                 rng.integers(0, 1001, n * n).tolist())]
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+def _load_peak(path):
+    """The graph ``load_instance`` reads from ``path``, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        g = load_instance(path)
+        return g, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _outcome(loader, path):
@@ -355,20 +401,20 @@ class TestLoaderMatchesReference:
         assert _outcome(load_instance, str(path)) == _outcome(load_instance_reference, str(path))
 
     # The variants below write integer weights and ASCII bytes only, the files
-    # ``_parse_bulk`` takes, so that its accepts and declines are compared too.
+    # ``_parse_blocks`` takes, so that its accepts and declines are compared too.
 
     @pytest.mark.parametrize("seed", range(150))
-    def test_valid_integer_ascii_files(self, tmp_path, seed):
+    def test_valid_integer_ascii_files(self, tmp_path, seed, block_bytes):
         rng = random.Random(seed)
         text = _render(rng, *_instance_lines(rng, decimal=False), ascii_only=True)
         path = write(tmp_path, text)
         got = _outcome(load_instance, path)
         assert got == _outcome(load_instance_reference, path)
         assert got[0] != "ParseError"
-        assert _parse_bulk(text.encode()) is not None
+        assert _parse_blocks(io.BytesIO(text.encode())) is not None
 
     @pytest.mark.parametrize("seed", range(300))
-    def test_mutated_integer_ascii_bytes(self, tmp_path, seed):
+    def test_mutated_integer_ascii_bytes(self, tmp_path, seed, block_bytes):
         # One random ASCII edit, no ".": the bulk parse takes exactly the
         # files the reference parses, and both loaders agree on the outcome.
         rng = random.Random(seed)
@@ -382,7 +428,7 @@ class TestLoaderMatchesReference:
         path.write_bytes(bytes(data))
         want = _outcome(load_instance_reference, str(path))
         assert _outcome(load_instance, str(path)) == want
-        assert (_parse_bulk(bytes(data)) is None) == (want[0] == "ParseError")
+        assert (_parse_blocks(io.BytesIO(bytes(data))) is None) == (want[0] == "ParseError")
 
 
 class TestBenchmarkFormat:
@@ -395,10 +441,10 @@ class TestBenchmarkFormat:
         write_instance(InstanceSpec(30, 40, 5, 8, 0.5, request.param, 1000, 7), str(path))
         return path
 
-    def test_accepted_by_bulk_parse(self, instgen_file):
+    def test_accepted_by_bulk_parse(self, instgen_file, block_bytes):
         data = instgen_file.read_bytes()
         assert data.startswith(b"# model=")
-        parsed = _parse_bulk(data)
+        parsed = _parse_blocks(io.BytesIO(data))
         assert parsed is not None
         ref = load_instance_reference(str(instgen_file))
         assert parsed[:4] == (ref.n1, ref.n2, ref.m, ref.ubar)
@@ -413,10 +459,65 @@ class TestBenchmarkFormat:
         else:
             lines[0] += " ü"
         instgen_file.write_text("\n".join(lines), encoding="utf-8")
-        assert _parse_bulk(instgen_file.read_bytes()) is None
+        assert _parse_blocks(io.BytesIO(instgen_file.read_bytes())) is None
         got = _outcome(load_instance, str(instgen_file))
         assert got == _outcome(load_instance_reference, str(instgen_file))
         assert got[4] == (10 if edit == "decimal" else 1)
+
+
+class TestBlockBoundaries:
+    """Files the bulk parse reads in more than one block: it accepts exactly
+    what the reference accepts, builds the same table, and leaves every fault
+    to the line parse, whose message names the line."""
+
+    @staticmethod
+    def check(tmp_path, data, accepted):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(data)
+        got = _outcome(load_instance, str(path))
+        assert got == _outcome(load_instance_reference, str(path))
+        assert (_parse_blocks(io.BytesIO(data)) is not None) == accepted
+        return got
+
+    def test_header_after_blocks_of_comments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 16)
+        data = b"# a comment line of forty bytes or so\n" * 4 + b"\n2 2 1 2\n0 0 1\n1 1 2\n"
+        got = self.check(tmp_path, data, True)
+        assert got[-1] == [[1, ABSENT], [ABSENT, 2]]
+
+    def test_crlf_split_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 8)
+        data = b"1 1 1 1\r\n0 0 5\r\n"
+        assert data[7:9] == b"\r\n"  # the first 8-byte block ends on the \r
+        assert list(graph._line_blocks(io.BytesIO(data)))[0] == b"1 1 1 1\r"
+        assert self.check(tmp_path, data, True)[-1] == [[5]]
+
+    @pytest.mark.parametrize("block", [7, 1 << 18])
+    def test_no_final_line_break(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", block)
+        assert self.check(tmp_path, b"2 2 1 2\n0 0 5\n1 1 6", True)[-1] == \
+            [[5, ABSENT], [ABSENT, 6]]
+
+    def test_line_of_259_tokens_across_blocks(self, tmp_path, monkeypatch):
+        # The line spans 74 blocks of 7 bytes; it is joined once, and its
+        # uint8 token count still wraps round to 3, which the token count of
+        # np.fromstring declines.
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 7)
+        long_line = " ".join(["0"] * 259).encode() + b"\n"
+        data = b"1 1 1 1\n" + long_line
+        assert list(graph._line_blocks(io.BytesIO(data))) == [b"1 1 1 1\n", long_line]
+        got = self.check(tmp_path, data, False)
+        assert got == ("ParseError", f"{tmp_path / 'inst.txt'}: line 2: edge line must be 'u v w'")
+
+    @pytest.mark.parametrize("last, message", [
+        (b"1 1 \xff", "line 6, column 5: byte 0xff is not UTF-8"),
+        (b"1 1 9 9", "line 6: edge line must be 'u v w'"),
+    ], ids=["utf-8", "long-line"])
+    def test_fault_in_the_last_block(self, tmp_path, monkeypatch, last, message):
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 7)
+        data = b"2 2 1 2\n# edges\n0 0 1\n\n0 1 3\n" + last + b"\n"
+        got = self.check(tmp_path, data, False)
+        assert got == ("ParseError", f"{tmp_path / 'inst.txt'}: {message}")
 
 
 class TestObjective:
